@@ -2,12 +2,14 @@
 
 Units are symbols (1 symbol = 16 us) for delays and frames per frame duration
 for the arrival rate. Exit codes: 0 success, 1 computational failure
-(non-convergence), 2 usage error.
+(non-convergence), 2 usage error or a missing, unreadable or malformed input
+file.
 """
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import sys
 
@@ -38,6 +40,20 @@ def _net_config(args, parser) -> NetworkConfig:
         )
     except ValueError as e:
         parser.error(str(e))
+
+
+def _read_input(parser, read, path: str):
+    """read(path), turning a missing, unreadable or malformed file into exit 2."""
+    try:
+        return read(path)
+    except OSError as e:
+        problem = f"{path}: {e.strerror or e}"
+    except (UnicodeDecodeError, csv.Error) as e:  # their messages name no file
+        problem = f"{path}: {e}"
+    except ValueError as e:
+        problem = str(e)
+    # no usage line: the command line was well formed, the file was not
+    parser.exit(2, f"{parser.prog}: error: {problem}\n")
 
 
 def _print_report(cfg: NetworkConfig, rep: PerformanceReport) -> None:
@@ -143,8 +159,8 @@ def _cmd_sweep(args, parser) -> int:
 
 
 def _cmd_compare(args, parser) -> int:
-    ana = dataset.read_csv(args.analytical)
-    sim = dataset.read_csv(args.simulated)
+    ana = _read_input(parser, dataset.read_csv, args.analytical)
+    sim = _read_input(parser, dataset.read_csv, args.simulated)
     try:
         diffs, summary = dataset.compare(ana, sim)
     except dataset.KeyMismatchError as e:
@@ -180,7 +196,7 @@ def _training_matrix(rows, target: str):
 
 
 def _cmd_train(args, parser) -> int:
-    rows = dataset.read_csv(args.data)
+    rows = _read_input(parser, dataset.read_csv, args.data)
     X, y = _training_matrix(rows, args.target)
     if len(X) < 10:
         print(f"only {len(X)} usable rows in {args.data}", file=sys.stderr)
@@ -220,12 +236,18 @@ def _cmd_predict(args, parser) -> int:
         x = [float(v) for v in values]
     except ValueError:
         parser.error(f"bad --input value in {args.input!r}")
-    model = predictor.load_model(args.model)
+    model = _read_input(parser, predictor.load_model, args.model)
     print(repr(predictor.forward(model, x)))
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared after that.
+
+    Building it costs more than a whole predict call; sharing is safe because
+    parse_args returns a fresh Namespace and leaves the parser unchanged.
+    """
     parser = argparse.ArgumentParser(
         prog="star154",
         description="Performance toolkit for non-beacon IEEE 802.15.4 star networks. "

@@ -302,42 +302,75 @@ def save_model(model: MLPModel, path: str) -> None:
 
 
 def load_model(path: str) -> MLPModel:
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+    """Read a file written by save_model; a malformed file raises ValueError.
+
+    Blank lines are ignored. The header holds ``mlp-v1`` and the five layer
+    sizes, each range line holds exactly two reals, every other line one.
+    """
+    try:
+        with open(path) as fh:
+            text = fh.read()
+    except UnicodeDecodeError:
+        raise ValueError(f"{path}: not a text file") from None
+    raw = text.split("\n")
+    lines = list(filter(None, map(str.strip, raw)))
+
+    def bad(k: int, problem: str) -> ValueError:
+        """The error for the k-th non-blank line, located by its number in the file."""
+        line_no = [n for n, ln in enumerate(raw, start=1) if ln.strip()][k]
+        return ValueError(f"{path}:{line_no}: {problem}")
+
+    if not lines:
+        raise ValueError(f"{path}: empty model file")
     head = lines[0].split()
     if head[0] != "mlp-v1":
-        raise ValueError(f"not a model file: header {head[0]!r}")
-    sizes = [int(s) for s in head[1:]]
-    if len(sizes) != 5:
-        raise ValueError(f"expected 5 layer sizes, got {len(sizes)}")
-    arch = MLPArchitecture(input_dim=sizes[0], hidden=tuple(sizes[1:4]), output_dim=sizes[4])
-    pos = 1
-    in_min = np.empty(arch.input_dim)
-    in_max = np.empty(arch.input_dim)
-    for j in range(arch.input_dim):
-        lo, hi = lines[pos].split()
-        in_min[j], in_max[j] = float(lo), float(hi)
-        pos += 1
-    lo, hi = lines[pos].split()
-    out_min, out_max = float(lo), float(hi)
-    pos += 1
+        raise bad(0, f"not a model file: header {head[0]!r}")
+    try:
+        sizes = [int(s) for s in head[1:]]
+        if len(sizes) != 5:
+            raise ValueError(f"expected 5 layer sizes, got {len(sizes)}")
+        arch = MLPArchitecture(input_dim=sizes[0], hidden=tuple(sizes[1:4]), output_dim=sizes[4])
+    except ValueError as e:
+        raise bad(0, str(e)) from None
+    layers = list(zip(sizes[:-1], sizes[1:]))
+    n_ranges = arch.input_dim + 1
+    n_params = sum(fan_in * fan_out + fan_out for fan_in, fan_out in layers)
+    expected = 1 + n_ranges + n_params
+    if len(lines) < expected:
+        raise ValueError(f"{path}: truncated: {len(lines)} of {expected} non-blank lines")
+    if len(lines) > expected:
+        raise bad(expected, f"trailing data in model file: {len(lines) - expected} lines")
+    ranges = []
+    for k in range(1, 1 + n_ranges):
+        try:
+            lo, hi = map(float, lines[k].split())
+        except ValueError:
+            raise bad(k, f"expected a range of two reals, got {lines[k]!r}") from None
+        ranges.append((lo, hi))
+    try:
+        flat = np.fromiter(map(float, lines[1 + n_ranges :]), dtype=float, count=n_params)
+    except ValueError:
+        k = next(k for k in range(1 + n_ranges, expected) if not _is_real(lines[k]))
+        raise bad(k, f"expected one real, got {lines[k]!r}") from None
     weights, biases = [], []
-    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        W = np.empty((fan_in, fan_out))
-        for i in range(fan_in):
-            for j in range(fan_out):
-                W[i, j] = float(lines[pos])
-                pos += 1
-        weights.append(W)
-    for _, fan_out in zip(sizes[:-1], sizes[1:]):
-        b = np.empty(fan_out)
-        for j in range(fan_out):
-            b[j] = float(lines[pos])
-            pos += 1
-        biases.append(b)
-    if pos != len(lines):
-        raise ValueError(f"trailing data in model file: {len(lines) - pos} lines")
+    pos = 0
+    for fan_in, fan_out in layers:
+        weights.append(flat[pos : pos + fan_in * fan_out].reshape(fan_in, fan_out))
+        pos += fan_in * fan_out
+    for _, fan_out in layers:
+        biases.append(flat[pos : pos + fan_out])
+        pos += fan_out
+    in_min, in_max = (np.array(col) for col in zip(*ranges[:-1]))
+    out_min, out_max = ranges[-1]
     return MLPModel(
         arch=arch, weights=weights, biases=biases,
         in_min=in_min, in_max=in_max, out_min=out_min, out_max=out_max,
     )
+
+
+def _is_real(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True

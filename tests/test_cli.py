@@ -1,10 +1,14 @@
 """End-to-end command-line flows, exit codes, and output determinism."""
+import os
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from star154.cli import main
+from star154.cli import build_parser, main
 from star154.dataset import HEADER, read_csv
+from star154.predictor import MLPArchitecture, init_model, save_model
 
 
 def _run(capsys, argv):
@@ -215,6 +219,87 @@ def test_train_desk_scale_flag(training_csv, tmp_path, capsys):
     ])
     assert code == 0
     assert "hidden=[32, 24, 16]" in out
+
+
+@pytest.fixture
+def small_model(tmp_path):
+    path = tmp_path / "model.txt"
+    save_model(init_model(MLPArchitecture(hidden=(3, 3, 2)), seed=5), str(path))
+    return path
+
+
+def _outcome(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as e:
+        code = e.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def _exit_2_with_one_line(capsys, argv, *expected):
+    code, out, err = _outcome(capsys, argv)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("star154: error: ")
+    for text in expected:
+        assert text in err
+
+
+def test_bad_model_file_exits_2(tmp_path, capsys, small_model):
+    truncated = tmp_path / "truncated.txt"
+    truncated.write_text("".join(small_model.read_text().splitlines(keepends=True)[:-3]))
+    for path, problem in ((truncated, "truncated"), (tmp_path / "missing.txt", "No such file"),
+                          (tmp_path, "Is a directory")):
+        _exit_2_with_one_line(
+            capsys, ["predict", "--model", str(path), "--input", "0.05,100,0.9,400"],
+            str(path), problem)
+
+
+def test_bad_csv_file_exits_2(tmp_path, capsys, training_csv):
+    garbled = tmp_path / "garbled.csv"
+    lines = Path(training_csv).read_text().splitlines(keepends=True)
+    fields = lines[5].split(",")
+    fields[2] = "fifty"
+    lines[5] = ",".join(fields)
+    garbled.write_text("".join(lines))
+    binary = tmp_path / "binary.csv"
+    binary.write_bytes(b"\xff\xfe\x00garbage\n")
+    missing = str(tmp_path / "missing.csv")
+    for path, problem in ((garbled, ":6: bad configuration fields"), (binary, "can't decode"),
+                          (missing, "No such file")):
+        _exit_2_with_one_line(
+            capsys, ["train", "--data", str(path), "--target", "ps",
+                     "--out", str(tmp_path / "m.txt")], str(path), problem)
+    _exit_2_with_one_line(
+        capsys, ["compare", "--analytical", training_csv, "--simulated", str(garbled),
+                 "--out", str(tmp_path / "d.csv")], str(garbled))
+    _exit_2_with_one_line(
+        capsys, ["compare", "--analytical", missing, "--simulated", training_csv,
+                 "--out", str(tmp_path / "d.csv")], missing)
+
+
+def test_shared_parser_carries_no_state_between_calls(capsys, small_model):
+    predict = ["predict", "--model", str(small_model), "--input", "0.05,100,0.9,400"]
+    sequence = [SOLVE, predict[:-1] + ["1,2,3"], predict, SOLVE]
+    isolated = []
+    for argv in sequence:
+        build_parser.cache_clear()
+        isolated.append(_outcome(capsys, argv))
+    build_parser.cache_clear()
+    shared = [_outcome(capsys, argv) for argv in sequence]
+    assert [code for code, _, _ in isolated] == [0, 2, 0, 0]
+    assert shared == isolated
+    assert build_parser() is build_parser()
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.run([sys.executable, "-m", "star154", "--help"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("usage: star154 ")
+    assert "solve" in proc.stdout and "predict" in proc.stdout
 
 
 def test_console_script_is_installed():

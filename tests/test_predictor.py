@@ -1,8 +1,11 @@
 """Network plumbing: init, gradients vs finite differences, persistence, training."""
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from star154.predictor import (
     DEFAULT_HIDDEN,
@@ -220,12 +223,118 @@ def test_load_rejects_foreign_files(tmp_path):
     save_model(m, str(good))
     truncated = tmp_path / "trunc.txt"
     truncated.write_text("".join(good.read_text().splitlines(keepends=True)[:-2]))
-    with pytest.raises((ValueError, IndexError)):
+    with pytest.raises(ValueError):
         load_model(str(truncated))
     padded = tmp_path / "padded.txt"
     padded.write_text(good.read_text() + "0.5\n")
     with pytest.raises(ValueError):
         load_model(str(padded))
+
+
+def _edit_line(text: str, index: int, line: str) -> str:
+    lines = text.splitlines()
+    lines[index] = line
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("edit, problem", [
+    (lambda t: "", "empty model file"),
+    (lambda t: "\n  \n", "empty model file"),
+    (lambda t: _edit_line(t, 0, "mlp-v1 4 5 4 3"), "expected 5 layer sizes"),
+    (lambda t: _edit_line(t, 0, "mlp-v1 4 5 x 3 1"), "invalid literal"),
+    (lambda t: _edit_line(t, 0, "mlp-v1 4 5 0 3 1"), "layer sizes must be >= 1"),
+    (lambda t: _edit_line(t, 0, "mlp-v1 4 5 4 3 2"), "truncated"),
+    (lambda t: _edit_line(t, 2, "0.5"), "range of two reals"),
+    (lambda t: _edit_line(t, 2, "0.5 0.7 0.9"), "range of two reals"),
+    (lambda t: _edit_line(t, 3, "0.5 zero"), "range of two reals"),
+    (lambda t: _edit_line(t, 9, "0.1 0.2"), "expected one real"),
+    (lambda t: _edit_line(t, -1, "nope"), "expected one real"),
+    (lambda t: t + "\n0.5\n", "trailing data"),
+], ids=["empty", "blank", "four-sizes", "non-integer-size", "zero-size", "wrong-size",
+        "one-real-range", "three-real-range", "non-numeric-range", "two-real-weight",
+        "non-numeric-bias", "trailing"])
+def test_load_names_the_file_and_the_problem(tmp_path, edit, problem):
+    good = tmp_path / "good.txt"
+    save_model(init_model(SMALL, seed=0), str(good))
+    bad = tmp_path / "bad.txt"
+    bad.write_text(edit(good.read_text()))
+    with pytest.raises(ValueError, match=problem) as exc:
+        load_model(str(bad))
+    assert str(exc.value).startswith(str(bad))
+
+
+def test_load_ignores_blank_lines_and_reports_file_line_numbers(tmp_path):
+    m = init_model(SMALL, seed=4)
+    good = tmp_path / "good.txt"
+    save_model(m, str(good))
+    lines = good.read_text().splitlines()
+    spaced = tmp_path / "spaced.txt"
+    spaced.write_text("\n" + "\n \t\n".join(lines) + "\n\n")
+    back = load_model(str(spaced))
+    assert all(np.array_equal(a, b) for a, b in zip(back.weights, m.weights))
+    lines[7] = "x"
+    spaced.write_text("\n" + "\n \t\n".join(lines) + "\n\n")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(spaced))}:16: expected one real"):
+        load_model(str(spaced))
+
+
+def test_load_rejects_binary_files(tmp_path):
+    binary = tmp_path / "model.bin"
+    binary.write_bytes(b"\xff\xfe\x00\x01")
+    with pytest.raises(ValueError, match="not a text file"):
+        load_model(str(binary))
+
+
+_sizes = st.integers(min_value=1, max_value=12)
+# every finite double: subnormals, signed zeros and the extreme exponents
+_reals = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _models(draw):
+    arch = MLPArchitecture(
+        input_dim=draw(_sizes), hidden=(draw(_sizes), draw(_sizes), draw(_sizes)),
+        output_dim=draw(_sizes),
+    )
+    model = init_model(arch, seed=0)
+
+    def fill(shape):
+        return np.array(draw(st.lists(_reals, min_size=int(np.prod(shape)),
+                                      max_size=int(np.prod(shape))))).reshape(shape)
+
+    model.weights = [fill(w.shape) for w in model.weights]
+    model.biases = [fill(b.shape) for b in model.biases]
+    model.in_min, model.in_max = fill(arch.input_dim), fill(arch.input_dim)
+    model.out_min, model.out_max = draw(_reals), draw(_reals)
+    return model
+
+
+def _bits(arrays):
+    return [(a.shape, a.tobytes()) for a in arrays]
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(model=_models())
+def test_model_file_round_trip_and_truncation_property(tmp_path, model):
+    path = tmp_path / "m.txt"
+    save_model(model, str(path))
+    back = load_model(str(path))
+    assert back.arch == model.arch
+    assert _bits(back.weights) == _bits(model.weights)
+    assert _bits(back.biases) == _bits(model.biases)
+    assert _bits([back.in_min, back.in_max]) == _bits([model.in_min, model.in_max])
+    assert _bits(np.array([back.out_min, back.out_max])) == _bits(
+        np.array([model.out_min, model.out_max]))
+    again = tmp_path / "again.txt"
+    save_model(back, str(again))
+    assert again.read_bytes() == path.read_bytes()
+    lines = path.read_text().splitlines(keepends=True)
+    cut = tmp_path / "cut.txt"
+    for keep in range(len(lines)):
+        cut.write_text("".join(lines[:keep]))
+        with pytest.raises(ValueError):
+            load_model(str(cut))
 
 
 def test_eval_report_fields():
