@@ -9,9 +9,14 @@ probability p0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from .core import NetworkConfig, TrafficMode, derived_probs
+from .core import (
+    ACK_WAIT_SAVING, ATTEMPT_STEPS, CLEAN_COLLISION_SYMBOLS, CLEAN_SUCCESS_SYMBOLS,
+    COLLISION_TAIL, NetworkConfig, TrafficMode, derived_probs,
+)
+
+_, _STEP1, _STEP2, _STEP3, _STEP4 = ATTEMPT_STEPS
 
 
 class DivergenceError(RuntimeError):
@@ -166,18 +171,18 @@ def tau_update(
         raise ValueError(f"tau out of [0,1]: {tau_prev}")
     if not 0.0 <= a <= 1.0:
         raise ValueError(f"a out of [0,1]: {a}")
-    probs = derived_probs(tau_prev, a, cfg.N, cfg.L, cfg.r)
+    probs = derived_probs(tau_prev, a, cfg.N, cfg.L)
     k26 = probs.k**26
     a5 = a**5
     L = cfg.L
     bracket = (
-        2 * L + 144
-        + 158 * a
-        + 318 * a**2
-        + 318 * a**3
-        + 318 * a**4
-        - 12 * k26
-        - (2 * L + 66 - 12 * k26) * a5
+        2 * L + CLEAN_COLLISION_SYMBOLS
+        + _STEP1 * a
+        + _STEP2 * a**2
+        + _STEP3 * a**3
+        + _STEP4 * a**4
+        - ACK_WAIT_SAVING * k26
+        - (2 * L + COLLISION_TAIL - ACK_WAIT_SAVING * k26) * a5
     )
     D = probs.D
     retry_geo = 1.0 + D + D**2 + D**3
@@ -337,7 +342,7 @@ def _solve_multibuffer(cfg: NetworkConfig, settings: SolverSettings) -> FixedPoi
     from .metrics import attempt_probs, delays, retry_probs, service_times
     from .queueing import empty_prob, utilization
 
-    TVS = float(132 + 2 * cfg.L)  # service time of one clean attempt
+    TVS = float(CLEAN_SUCCESS_SYMBOLS + 2 * cfg.L)  # service time of one clean attempt
     p = utilization(cfg.r, cfg.L, TVS)
     p0 = empty_prob(p, cfg.M)
     tau, a = settings.initial_tau, settings.initial_a
@@ -352,10 +357,9 @@ def _solve_multibuffer(cfg: NetworkConfig, settings: SolverSettings) -> FixedPoi
                 p=p, p0=p0, TVS=TVS,
             )
             raise NonConvergenceError("inner (tau, a) iteration stalled", fp)
-        probs = derived_probs(tau, a, cfg.N, cfg.L, cfg.r)
-        st = service_times(a, probs.k, cfg.L)
+        probs = derived_probs(tau, a, cfg.N, cfg.L)
         rp = retry_probs(attempt_probs(a, probs.k))
-        _, TVS = delays(rp, st)
+        _, TVS = delays(rp, service_times(a, cfg.L))
         p = utilization(cfg.r, cfg.L, TVS)
         p0_new = empty_prob(p, cfg.M)
         last_res = abs(p0_new - p0)
@@ -377,15 +381,3 @@ def _solve_multibuffer(cfg: NetworkConfig, settings: SolverSettings) -> FixedPoi
         p=p, p0=p0, TVS=TVS,
     )
     raise NonConvergenceError("outer queue loop did not settle", fp)
-
-
-def solve_or_partial(cfg: NetworkConfig, settings: SolverSettings = SolverSettings()) -> FixedPoint:
-    """Like solve, but returns the non-converged iterate instead of raising."""
-    try:
-        return solve(cfg, settings)
-    except NonConvergenceError as e:
-        return e.fixed_point
-
-
-def with_damping(settings: SolverSettings, damping: float) -> SolverSettings:
-    return replace(settings, damping=damping)

@@ -8,12 +8,10 @@ file.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
-import io
 import sys
-
-import numpy as np
 
 from .core import NetworkConfig, PerformanceReport, TrafficMode
 from .analytical import NonConvergenceError, SolverSettings, solve
@@ -42,16 +40,19 @@ def _net_config(args, parser) -> NetworkConfig:
         parser.error(str(e))
 
 
-def _read_input(parser, read, path: str):
-    """read(path), turning a missing, unreadable or malformed file into exit 2."""
+@contextlib.contextmanager
+def _file_errors(parser, path: str):
+    """Turn a missing, unreadable, unwritable or malformed file at path into exit 2."""
     try:
-        return read(path)
+        yield
     except OSError as e:
         problem = f"{path}: {e.strerror or e}"
     except (UnicodeDecodeError, csv.Error) as e:  # their messages name no file
         problem = f"{path}: {e}"
     except ValueError as e:
         problem = str(e)
+    else:
+        return
     # no usage line: the command line was well formed, the file was not
     parser.exit(2, f"{parser.prog}: error: {problem}\n")
 
@@ -68,26 +69,7 @@ def _print_report(cfg: NetworkConfig, rep: PerformanceReport) -> None:
     for name in ("TH", "PS"):
         if name in rep.ci95:
             print(f"# ci95 {name}: +/-{rep.ci95[name]!r}")
-    row = dataset.ResultRow(
-        mode=cfg.mode.value, N=cfg.N, L=cfg.L, r=cfg.r, M=cfg.M,
-        source=rep.source.value, tau=rep.tau, a=rep.a,
-        TH=dataset._none_if_nan(rep.TH), PS=dataset._none_if_nan(rep.PS),
-        TS_sym=rep.TS, TVS_sym=dataset._none_if_nan(rep.TVS),
-        TSW_sym=rep.TSW, TVSW_sym=rep.TVSW, converged=True,
-        ci_TH=rep.ci95.get("TH"), ci_PS=rep.ci95.get("PS"),
-    )
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(dataset.HEADER)
-    writer.writerow(
-        dataset._format(v)
-        for v in (
-            row.mode, row.N, row.L, float(row.r), row.M, row.source, row.tau,
-            row.a, row.TH, row.PS, row.TS_sym, row.TVS_sym, row.TSW_sym,
-            row.TVSW_sym, row.converged, row.ci_TH, row.ci_PS,
-        )
-    )
-    sys.stdout.write(buf.getvalue())
+    dataset.write_rows(sys.stdout, [dataset.report_row(cfg, rep)])
 
 
 def _add_net_flags(p: argparse.ArgumentParser) -> None:
@@ -126,7 +108,7 @@ def _cmd_simulate(args, parser) -> int:
     )
     if args.trace:
         lines = simulator.trace(sim_cfg, max_events=args.trace_events)
-        with open(args.trace, "w") as fh:
+        with _file_errors(parser, args.trace), open(args.trace, "w") as fh:
             fh.write("\n".join(lines) + ("\n" if lines else ""))
     rep = simulator.run(sim_cfg, jobs=args.jobs)
     _print_report(cfg, rep)
@@ -149,24 +131,28 @@ def _cmd_sweep(args, parser) -> int:
             horizon=args.horizon, warmup=args.warmup,
             replications=args.reps, base_seed=args.seed,
         )
+        rows = dataset.run_sweep(spec, jobs=args.jobs)  # builds the grid's configs
     except ValueError as e:
         parser.error(str(e))
-    rows = dataset.run_sweep(spec, jobs=args.jobs)
-    dataset.write_csv(rows, args.out, ms=args.ms)
+    with _file_errors(parser, args.out):
+        dataset.write_csv(rows, args.out, ms=args.ms)
     bad = sum(not row.converged for row in rows)
     print(f"wrote {len(rows)} rows to {args.out}" + (f" ({bad} not converged)" if bad else ""))
     return 1 if bad else 0
 
 
 def _cmd_compare(args, parser) -> int:
-    ana = _read_input(parser, dataset.read_csv, args.analytical)
-    sim = _read_input(parser, dataset.read_csv, args.simulated)
+    with _file_errors(parser, args.analytical):
+        ana = dataset.read_csv(args.analytical)
+    with _file_errors(parser, args.simulated):
+        sim = dataset.read_csv(args.simulated)
     try:
         diffs, summary = dataset.compare(ana, sim)
     except dataset.KeyMismatchError as e:
         print(str(e), file=sys.stderr)
         return 1
-    dataset.write_diff_csv(diffs, args.out)
+    with _file_errors(parser, args.out):
+        dataset.write_diff_csv(diffs, args.out)
     print(f"wrote {len(diffs)} comparisons to {args.out}")
     for metric, stats in summary.items():
         parts = " ".join(f"{k}={v!r}" for k, v in stats.items())
@@ -174,30 +160,10 @@ def _cmd_compare(args, parser) -> int:
     return 0
 
 
-def _training_matrix(rows, target: str):
-    features, target_col = predictor.TASKS[target]
-    col_of = {"r": "r", "L": "L", "N": "N", "PS": "PS", "TVS": "TVS_sym"}
-    X, y = [], []
-    for row in rows:
-        vals = []
-        ok = True
-        for name in (*features, target_col):
-            v = {"r": row.r, "L": row.L, "N": row.N}.get(name)
-            if v is None:
-                v = getattr(row, col_of[name])
-            if v is None:
-                ok = False
-                break
-            vals.append(float(v))
-        if ok and row.converged:
-            X.append(vals[:4])
-            y.append(vals[4])
-    return np.array(X), np.array(y)
-
-
 def _cmd_train(args, parser) -> int:
-    rows = _read_input(parser, dataset.read_csv, args.data)
-    X, y = _training_matrix(rows, args.target)
+    with _file_errors(parser, args.data):
+        rows = dataset.read_csv(args.data)
+    X, y = dataset.training_matrix(rows, args.target)
     if len(X) < 10:
         print(f"only {len(X)} usable rows in {args.data}", file=sys.stderr)
         return 1
@@ -221,7 +187,8 @@ def _cmd_train(args, parser) -> int:
     except predictor.DivergenceDetected as e:
         print(str(e), file=sys.stderr)
         return 1
-    predictor.save_model(model, args.out)
+    with _file_errors(parser, args.out):
+        predictor.save_model(model, args.out)
     print(f"# target={args.target} hidden={list(hidden)} samples={len(X)}")
     print(f"# held-out R={rep.R!r} MSE={rep.MSE!r} (normalized units) n={rep.n}")
     print(f"wrote model to {args.out}")
@@ -236,7 +203,14 @@ def _cmd_predict(args, parser) -> int:
         x = [float(v) for v in values]
     except ValueError:
         parser.error(f"bad --input value in {args.input!r}")
-    model = _read_input(parser, predictor.load_model, args.model)
+    with _file_errors(parser, args.model):
+        model = predictor.load_model(args.model)
+        arch = model.arch
+        if (arch.input_dim, arch.output_dim) != (len(x), 1):
+            raise ValueError(
+                f"{args.model}: model has {arch.input_dim} inputs and {arch.output_dim} "
+                f"outputs; predict needs {len(x)} inputs and 1 output"
+            )
     print(repr(predictor.forward(model, x)))
     return 0
 

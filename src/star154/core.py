@@ -29,9 +29,8 @@ class TrafficMode(str, Enum):
 class ProtocolConstants:
     """Unslotted CSMA/CA constants for non-beacon operation with ACKs.
 
-    Durations are integer symbol counts. The backoff window for attempt i is
-    w_i = 2^min(macMinBE + i, aMaxBE) backoff periods, and b_i is the mean
-    backoff delay of attempt i in symbols.
+    The only place protocol timing is written down. Durations are integer
+    symbol counts.
     """
 
     macMinBE: int = 3
@@ -45,24 +44,40 @@ class ProtocolConstants:
     ccaSymbols: int = 8
     unitBackoffPeriod: int = 20
     symbolDurationMicroseconds: float = 16.0
-    backoffWindows: tuple[int, ...] = (8, 16, 32, 32, 32)
-    meanBackoffs: tuple[int, ...] = (70, 150, 310, 310, 310)
 
-    def __post_init__(self):
-        for i, w in enumerate(self.backoffWindows):
-            if w != 2 ** min(self.macMinBE + i, self.aMaxBE):
-                raise ValueError(f"backoff window {i} inconsistent: {w}")
-        for i, b in enumerate(self.meanBackoffs):
-            # (w - 1) * 20 / 2 is an exact integer for every w here
-            if 2 * b != (self.backoffWindows[i] - 1) * self.unitBackoffPeriod:
-                raise ValueError(f"mean backoff {i} inconsistent: {b}")
+    @property
+    def backoffWindows(self) -> tuple[int, ...]:
+        """w_i = 2^min(macMinBE + i, aMaxBE) backoff periods for CCA stage i."""
+        return tuple(
+            2 ** min(self.macMinBE + i, self.aMaxBE)
+            for i in range(self.macMaxCSMABackoffs + 1)
+        )
+
+    @property
+    def meanBackoffs(self) -> tuple[int, ...]:
+        """Mean backoff delay of each stage in symbols: (w_i - 1) / 2 periods.
+
+        Exact integers because w_i - 1 is odd and unitBackoffPeriod is even.
+        """
+        return tuple((w - 1) * self.unitBackoffPeriod // 2 for w in self.backoffWindows)
 
 
 CONSTANTS = ProtocolConstants()
 
-# Mean service time of a frame dropped after five busy CCAs: all five mean
-# backoffs plus five CCA listens. Constant, independent of frame length.
-T1_SYMBOLS = sum(CONSTANTS.meanBackoffs) + 5 * CONSTANTS.ccaSymbols
+# Node-side durations in symbols. CCA stage i costs its mean backoff plus one
+# CCA; a clean CCA is followed by the turnaround, the 2L-symbol frame and a
+# tail: ACK gap plus ACK on success, the ACK timeout on collision.
+ATTEMPT_STEPS = tuple(b + CONSTANTS.ccaSymbols for b in CONSTANTS.meanBackoffs)
+T1_SYMBOLS = sum(ATTEMPT_STEPS)  # a frame dropped after five busy CCAs
+SUCCESS_TAIL = CONSTANTS.aTurnaroundTime + CONSTANTS.tAck + CONSTANTS.ackFrameSymbols
+COLLISION_TAIL = CONSTANTS.aTurnaroundTime + CONSTANTS.macAckWaitDuration
+ACK_WAIT_SAVING = COLLISION_TAIL - SUCCESS_TAIL  # what an ACK saves against the timeout
+# one attempt whose first CCA is clean, without the 2L frame symbols
+CLEAN_SUCCESS_SYMBOLS = ATTEMPT_STEPS[0] + SUCCESS_TAIL
+CLEAN_COLLISION_SYMBOLS = ATTEMPT_STEPS[0] + COLLISION_TAIL
+# (c0..c5) of the successful-attempt duration
+# (c0 + c1 a + c2 a^2 + c3 a^3 + c4 a^4 - c5 a^5 + 2L (1 - a^5)) / (1 - a^5)
+T2_COEFFS = (CLEAN_SUCCESS_SYMBOLS, *ATTEMPT_STEPS[1:], T1_SYMBOLS + SUCCESS_TAIL)
 
 L_NOMINAL_RANGE = (30, 127)  # bytes; values outside only draw a warning
 
@@ -100,6 +115,11 @@ class NetworkConfig:
         if self.mode is not TrafficMode.SATURATED:
             if not (self.r >= 0.0) or not math.isfinite(self.r):
                 raise ValueError(f"arrival rate must be finite and >= 0, got {self.r}")
+            if self.r > 2 * self.L:
+                raise ValueError(
+                    f"arrival rate {self.r} exceeds 2L = {2 * self.L}: the per-mini-slot "
+                    "arrival probability r/2L would exceed 1"
+                )
 
     @property
     def frame_symbols(self) -> int:
@@ -121,10 +141,6 @@ class ElementaryProbs:
     tau  probability a node starts a CCA in a given mini-slot
     a    probability a CCA finds the channel busy
     k    none of the other N-1 nodes start sensing: (1-tau)^(N-1)
-    x    no node starts sensing: (1-tau)^N
-    y    exactly one node starts sensing: N tau (1-tau)^(N-1)
-    z    equal to k; kept as a separate name because the channel-side and
-         node-side derivations use it in different roles
     D    probability one service attempt ends in a collision:
          (1 - a^5)(1 - k^26)
     """
@@ -132,14 +148,10 @@ class ElementaryProbs:
     tau: float
     a: float
     k: float
-    x: float
-    y: float
-    z: float
     D: float
-    p_arrival: float
 
 
-def derived_probs(tau: float, a: float, N: int, L: int, r: float) -> ElementaryProbs:
+def derived_probs(tau: float, a: float, N: int, L: int) -> ElementaryProbs:
     """Evaluate the elementary probabilities at (tau, a). Pure."""
     if not 0.0 <= tau <= 1.0:
         raise ValueError(f"tau out of [0,1]: {tau}")
@@ -149,13 +161,9 @@ def derived_probs(tau: float, a: float, N: int, L: int, r: float) -> ElementaryP
         raise ValueError(f"N must be >= 1, got {N}")
     if L < 1:
         raise ValueError(f"L must be >= 1, got {L}")
-    if r < 0:
-        raise ValueError(f"r must be >= 0, got {r}")
     k = (1.0 - tau) ** (N - 1)
-    x = (1.0 - tau) * k
-    y = N * tau * k
     D = (1.0 - a**5) * (1.0 - k**26)
-    return ElementaryProbs(tau=tau, a=a, k=k, x=x, y=y, z=k, D=D, p_arrival=r / (2 * L))
+    return ElementaryProbs(tau=tau, a=a, k=k, D=D)
 
 
 class Source(str, Enum):

@@ -9,22 +9,18 @@ from __future__ import annotations
 import csv
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
 
-from .core import NetworkConfig, TrafficMode
+from .core import CONSTANTS, NetworkConfig, PerformanceReport, TrafficMode
 from .analytical import NonConvergenceError, SolverSettings, solve
 from .metrics import report as metrics_report
-from . import simulator
+from . import predictor, simulator
 
-HEADER = [
-    "mode", "N", "L", "r", "M", "source", "tau", "a", "TH", "PS",
-    "TS_sym", "TVS_sym", "TSW_sym", "TVSW_sym", "converged", "ci_TH", "ci_PS",
-]
 MS_COLUMNS = ["TS_ms", "TVS_ms", "TSW_ms", "TVSW_ms"]
-SYMBOL_MS = 0.016  # one symbol in milliseconds
+SYMBOL_MS = CONSTANTS.symbolDurationMicroseconds / 1000  # one symbol in milliseconds
 
 DIFF_METRICS = ["tau", "a", "TH", "PS", "TS_sym", "TVS_sym"]
 
@@ -83,6 +79,9 @@ class ResultRow:
         return (self.mode, self.N, self.L, self.r, self.M)
 
 
+HEADER = [f.name for f in fields(ResultRow)]
+
+
 def parse_range(text: str, kind=float) -> tuple:
     """Parse '2', '2,5,10', or 'start:stop:step' (stop inclusive) into values."""
     text = text.strip()
@@ -131,9 +130,19 @@ def generate_grid(spec: SweepSpec) -> list[NetworkConfig]:
 
 
 def _none_if_nan(v):
-    if v is None:
-        return None
     return None if isinstance(v, float) and math.isnan(v) else v
+
+
+def report_row(cfg: NetworkConfig, rep: PerformanceReport) -> ResultRow:
+    """The result row of one report; NaN (an estimate with no samples) becomes None."""
+    return ResultRow(
+        mode=cfg.mode.value, N=cfg.N, L=cfg.L, r=cfg.r, M=cfg.M, source=rep.source.value,
+        tau=_none_if_nan(rep.tau), a=_none_if_nan(rep.a),
+        TH=_none_if_nan(rep.TH), PS=_none_if_nan(rep.PS),
+        TS_sym=_none_if_nan(rep.TS), TVS_sym=_none_if_nan(rep.TVS),
+        TSW_sym=_none_if_nan(rep.TSW), TVSW_sym=_none_if_nan(rep.TVSW),
+        ci_TH=_none_if_nan(rep.ci95.get("TH")), ci_PS=_none_if_nan(rep.ci95.get("PS")),
+    )
 
 
 def analytical_row(cfg: NetworkConfig, settings: SolverSettings) -> ResultRow:
@@ -146,12 +155,7 @@ def analytical_row(cfg: NetworkConfig, settings: SolverSettings) -> ResultRow:
         return ResultRow(**base, tau=fp.tau, a=fp.a, converged=False)
     except (ValueError, ArithmeticError):
         return ResultRow(**base, converged=False)
-    rep = metrics_report(cfg, fp)
-    return ResultRow(
-        **base, tau=rep.tau, a=rep.a, TH=rep.TH, PS=rep.PS,
-        TS_sym=rep.TS, TVS_sym=rep.TVS, TSW_sym=rep.TSW, TVSW_sym=rep.TVSW,
-        converged=True,
-    )
+    return report_row(cfg, metrics_report(cfg, fp))
 
 
 def simulated_row(cfg: NetworkConfig, spec: SweepSpec, jobs: int = 1) -> ResultRow:
@@ -159,17 +163,7 @@ def simulated_row(cfg: NetworkConfig, spec: SweepSpec, jobs: int = 1) -> ResultR
         net=cfg, horizon_mini_slots=spec.horizon, warmup_mini_slots=spec.warmup,
         replications=spec.replications, base_seed=spec.base_seed,
     )
-    rep = simulator.run(sim_cfg, jobs=jobs)
-    return ResultRow(
-        mode=cfg.mode.value, N=cfg.N, L=cfg.L, r=cfg.r, M=cfg.M,
-        source="simulated",
-        tau=_none_if_nan(rep.tau), a=_none_if_nan(rep.a),
-        TH=_none_if_nan(rep.TH), PS=_none_if_nan(rep.PS),
-        TS_sym=rep.TS, TVS_sym=_none_if_nan(rep.TVS),
-        TSW_sym=rep.TSW, TVSW_sym=rep.TVSW,
-        converged=True,
-        ci_TH=rep.ci95.get("TH"), ci_PS=_none_if_nan(rep.ci95.get("PS", math.nan)),
-    )
+    return report_row(cfg, simulator.run(sim_cfg, jobs=jobs))
 
 
 def _sweep_item(args) -> ResultRow:
@@ -206,23 +200,28 @@ def _format(v) -> str:
     return str(v)
 
 
+def _record(row: ResultRow, ms: bool) -> list[str]:
+    """The CSV fields of one row, in HEADER order (plus MS_COLUMNS if ms)."""
+    # an integer rate still prints as a real
+    values = [float(row.r) if name == "r" else getattr(row, name) for name in HEADER]
+    if ms:
+        values += [
+            None if v is None else v * SYMBOL_MS
+            for v in (row.TS_sym, row.TVS_sym, row.TSW_sym, row.TVSW_sym)
+        ]
+    return [_format(v) for v in values]
+
+
+def write_rows(fh, rows: list[ResultRow], ms: bool = False) -> None:
+    """Write the header and one record per row to an open text file."""
+    writer = csv.writer(fh)
+    writer.writerow(HEADER + MS_COLUMNS if ms else HEADER)
+    writer.writerows(_record(row, ms) for row in rows)
+
+
 def write_csv(rows: list[ResultRow], path: str, ms: bool = False) -> None:
-    header = HEADER + MS_COLUMNS if ms else HEADER
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            record = [
-                row.mode, row.N, row.L, float(row.r), row.M, row.source,
-                row.tau, row.a, row.TH, row.PS, row.TS_sym, row.TVS_sym,
-                row.TSW_sym, row.TVSW_sym, row.converged, row.ci_TH, row.ci_PS,
-            ]
-            if ms:
-                record += [
-                    None if v is None else v * SYMBOL_MS
-                    for v in (row.TS_sym, row.TVS_sym, row.TSW_sym, row.TVSW_sym)
-                ]
-            writer.writerow(_format(v) for v in record)
+        write_rows(fh, rows, ms)
 
 
 def _parse_opt_float(s: str, path: str, line: int) -> float | None:
@@ -251,17 +250,29 @@ def read_csv(path: str) -> list[ResultRow]:
                 raise ValueError(f"{path}:{line}: bad configuration fields") from None
             if rec[14] not in ("true", "false"):
                 raise ValueError(f"{path}:{line}: converged must be true or false")
-            opt = lambda idx: _parse_opt_float(rec[idx], path, line)
-            rows.append(
-                ResultRow(
-                    mode=rec[0], N=n, L=l, r=r, M=m, source=rec[5],
-                    tau=opt(6), a=opt(7), TH=opt(8), PS=opt(9),
-                    TS_sym=opt(10), TVS_sym=opt(11), TSW_sym=opt(12),
-                    TVSW_sym=opt(13), converged=rec[14] == "true",
-                    ci_TH=opt(15), ci_PS=opt(16),
-                )
-            )
+            reals = {
+                name: _parse_opt_float(rec[i], path, line)
+                for i, name in enumerate(HEADER[6:], start=6) if name != "converged"
+            }
+            rows.append(ResultRow(mode=rec[0], N=n, L=l, r=r, M=m, source=rec[5],
+                                  converged=rec[14] == "true", **reals))
     return rows
+
+
+# ResultRow attribute of each predictor.TASKS column that is not named alike
+_TASK_COLUMNS = {"TVS": "TVS_sym"}
+
+
+def training_matrix(rows: list[ResultRow], target: str) -> tuple[np.ndarray, np.ndarray]:
+    """Inputs and target values of predictor task `target`, in TASKS column order.
+
+    Rows that did not converge or lack one of the task's columns are skipped.
+    """
+    features, target_col = predictor.TASKS[target]
+    columns = [_TASK_COLUMNS.get(name, name) for name in (*features, target_col)]
+    table = [[getattr(row, c) for c in columns] for row in rows if row.converged]
+    table = np.array([v for v in table if None not in v], dtype=float).reshape(-1, len(columns))
+    return table[:, :-1], table[:, -1]
 
 
 class KeyMismatchError(ValueError):

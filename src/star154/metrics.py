@@ -13,10 +13,15 @@ from .core import (
     PerformanceReport,
     Source,
     T1_SYMBOLS,
+    T2_COEFFS,
     TrafficMode,
     derived_probs,
 )
 from .analytical import FixedPoint, throughput
+
+# T3 with the coefficients the paper prints. They do not telescope like
+# T2_COEFFS: at a = 1 the numerator is 48, not 0.
+T3_PRINTED_COEFFS = (144, 170, 330, 330, 330, 1256)
 
 
 @dataclass(frozen=True, slots=True)
@@ -56,18 +61,22 @@ class RetryProbs:
     PF: tuple[float, float, float, float]
 
 
-def service_times(a: float, k: float, L: int) -> ServiceTimes:
-    """Mean attempt durations. The closed forms depend only on a and L;
-    k is accepted for signature symmetry with the probability helpers."""
+def _attempt_duration(c, a: float, a5: float, one: float, L: int) -> float:
+    c0, c1, c2, c3, c4, c5 = c
+    return (c0 + c1 * a + c2 * a**2 + c3 * a**3 + c4 * a**4 - c5 * a5 + 2 * L * one) / one
+
+
+def service_times(a: float, L: int) -> ServiceTimes:
+    """Mean attempt durations at busy probability a and frame length L."""
     if not 0.0 <= a < 1.0:
         raise ValueError(f"a must be in [0,1): {a}")
-    if not 0.0 <= k <= 1.0:
-        raise ValueError(f"k out of [0,1]: {k}")
     a5 = a**5
     one = 1.0 - a5
-    T2 = (132 + 158 * a + 318 * a**2 + 318 * a**3 + 318 * a**4 - 1244 * a5 + 2 * L * one) / one
-    T3 = (144 + 170 * a + 330 * a**2 + 330 * a**3 + 330 * a**4 - 1256 * a5 + 2 * L * one) / one
-    return ServiceTimes(T1=float(T1_SYMBOLS), T2=T2, T3=T3)
+    return ServiceTimes(
+        T1=float(T1_SYMBOLS),
+        T2=_attempt_duration(T2_COEFFS, a, a5, one, L),
+        T3=_attempt_duration(T3_PRINTED_COEFFS, a, a5, one, L),
+    )
 
 
 def attempt_probs(a: float, k: float) -> AttemptProbs:
@@ -137,8 +146,8 @@ def report(cfg: NetworkConfig, fp: FixedPoint) -> PerformanceReport:
     """Full metric set for a converged fixed point."""
     if not fp.converged:
         raise ValueError("fixed point did not converge; no report")
-    probs = derived_probs(fp.tau, fp.a, cfg.N, cfg.L, cfg.r)
-    st = service_times(fp.a, probs.k, cfg.L)
+    probs = derived_probs(fp.tau, fp.a, cfg.N, cfg.L)
+    st = service_times(fp.a, cfg.L)
     rp = retry_probs(attempt_probs(fp.a, probs.k))
     PS = reliability(rp)
     TS, TVS = delays(rp, st, PS)

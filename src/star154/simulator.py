@@ -22,19 +22,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import NetworkConfig, PerformanceReport, Source, TrafficMode
+from .core import CONSTANTS, NetworkConfig, PerformanceReport, Source, TrafficMode
 
-# protocol timing in symbols
-_CCA = 8
-_TURN = 12
-_ACK_GAP = 20
-_ACK_LEN = 22
-_ACK_TIMEOUT = 54  # from data end to giving up
-_BACKOFF_PERIOD = 20
-_MAX_NB = 4
-_MAX_RETRIES = 3
-_MIN_BE = 3
-_MAX_BE = 5
+# protocol timing in symbols and limits, bound once as plain ints for the event loop
+_CCA = CONSTANTS.ccaSymbols
+_TURN = CONSTANTS.aTurnaroundTime
+_ACK_GAP = CONSTANTS.tAck
+_ACK_LEN = CONSTANTS.ackFrameSymbols
+_ACK_TIMEOUT = CONSTANTS.macAckWaitDuration  # from data end to giving up
+_BACKOFF_PERIOD = CONSTANTS.unitBackoffPeriod
+_MAX_NB = CONSTANTS.macMaxCSMABackoffs
+_MAX_RETRIES = CONSTANTS.aMaxFrameRetries
+_MIN_BE = CONSTANTS.macMinBE
+_MAX_BE = CONSTANTS.aMaxBE
 
 # event kinds, in no particular priority: ties are resolved by insertion
 # order and the physics below is insensitive to it

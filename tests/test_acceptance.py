@@ -142,7 +142,7 @@ def test_01_dropped_frame_constant_service_time():
     rebuilt = sum(CONSTANTS.meanBackoffs) + 5 * CONSTANTS.ccaSymbols
     if rebuilt != 1190:
         failures.append(f"recomputed from protocol constants: {rebuilt}")
-    if metrics.service_times(0.3, 0.5, 100).T1 != 1190.0:
+    if metrics.service_times(0.3, 100).T1 != 1190.0:
         failures.append("service-time table disagrees")
     _verdict("criterion 01 access-drop service constant", failures)
 
@@ -151,7 +151,7 @@ def test_02_collision_free_service_limits():
     # a busy-free channel with no contention: single attempt, no retries
     failures = []
     for L in (30, 50, 100, 127):
-        st = metrics.service_times(0.0, 1.0, L)
+        st = metrics.service_times(0.0, L)
         if st.T2 != 132 + 2 * L:
             failures.append(f"success duration at L={L}: {st.T2}")
         if st.T3 != 144 + 2 * L:
@@ -194,7 +194,7 @@ def test_04_service_outcome_tree_oracle():
         a = float(g.uniform(0.0, 0.95))
         k = float(g.uniform(0.01, 1.0))
         L = int(g.integers(30, 128))
-        st = metrics.service_times(a, k, L)
+        st = metrics.service_times(a, L)
         ap = metrics.attempt_probs(a, k)
         rp = metrics.retry_probs(ap)
         rel = metrics.reliability(rp)

@@ -6,8 +6,10 @@ from pathlib import Path
 
 import pytest
 
+from star154.analytical import SolverSettings
 from star154.cli import build_parser, main
-from star154.dataset import HEADER, read_csv
+from star154.core import NetworkConfig, TrafficMode
+from star154.dataset import HEADER, analytical_row, read_csv, write_csv
 from star154.predictor import MLPArchitecture, init_model, save_model
 
 
@@ -50,7 +52,8 @@ def test_solve_multibuffer_prints_queue_delays(capsys):
     assert any(ln.startswith("# TSW=") for ln in out.splitlines())
 
 
-def test_usage_errors_exit_2(capsys):
+def test_usage_errors_exit_2(tmp_path, capsys):
+    out_csv = str(tmp_path / "x.csv")
     cases = [
         ["solve", "--mode", "unsat1", "--nodes", "10", "--frame-bytes", "100"],
         ["solve", "--mode", "unsatm", "--nodes", "10", "--frame-bytes", "100",
@@ -60,12 +63,47 @@ def test_usage_errors_exit_2(capsys):
         ["sweep", "--mode", "unsat1", "--nodes", "abc", "--frame-bytes", "100",
          "--rate", "0.05", "--out", "/tmp/x.csv"],
         [],
+        # grid values NetworkConfig rejects
+        ["sweep", "--mode", "unsat1", "--nodes", "0", "--frame-bytes", "100",
+         "--rate", "0.05", "--out", out_csv],
+        ["sweep", "--mode", "unsat1", "--nodes", "5", "--frame-bytes", "100",
+         "--rate=-1", "--out", out_csv],
+        # r > 2L: an arrival probability above 1 per mini-slot
+        ["sweep", "--mode", "unsatm", "--nodes", "5", "--frame-bytes", "100",
+         "--rate", "1e9", "--buffer", "3", "--out", out_csv],
+        SOLVE[:-1] + ["1e9"],
     ]
     for argv in cases:
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
         capsys.readouterr()
+
+
+@pytest.mark.parametrize("net", [
+    ["--mode", "unsat1", "--nodes", "10", "--frame-bytes", "100", "--rate", "0.05"],
+    ["--mode", "sat", "--nodes", "10", "--frame-bytes", "100"],
+    ["--mode", "unsatm", "--nodes", "10", "--frame-bytes", "100", "--rate", "0.05",
+     "--buffer", "5"],
+])
+def test_solve_csv_block_is_the_write_csv_record(net, tmp_path, capsys):
+    code, out, _ = _run(capsys, ["solve", *net])
+    assert code == 0
+    lines = out.splitlines()
+    idx = lines.index(",".join(HEADER))
+    block = tmp_path / "block.csv"
+    block.write_text("\n".join(lines[idx:idx + 2]) + "\n")
+
+    args = dict(zip(net[::2], net[1::2]))
+    cfg = NetworkConfig(
+        N=int(args["--nodes"]), L=int(args["--frame-bytes"]), mode=TrafficMode(args["--mode"]),
+        r=float(args.get("--rate", 0.0)), M=int(args.get("--buffer", 1)),
+    )
+    row = analytical_row(cfg, SolverSettings())
+    swept = tmp_path / "sweep.csv"
+    write_csv([row], str(swept))
+    assert swept.read_text().splitlines()[1] == lines[idx + 1]
+    assert read_csv(str(block)) == read_csv(str(swept)) == [row]
 
 
 def test_solve_nonconvergence_exits_1(capsys):
@@ -276,6 +314,30 @@ def test_bad_csv_file_exits_2(tmp_path, capsys, training_csv):
     _exit_2_with_one_line(
         capsys, ["compare", "--analytical", missing, "--simulated", training_csv,
                  "--out", str(tmp_path / "d.csv")], missing)
+
+
+def test_predict_rejects_a_model_of_another_shape(tmp_path, capsys):
+    for arch, shape in ((MLPArchitecture(input_dim=3, hidden=(3, 3, 2)), "3 inputs and 1 outputs"),
+                        (MLPArchitecture(hidden=(3, 3, 2), output_dim=2), "4 inputs and 2 outputs")):
+        path = tmp_path / "other.txt"
+        save_model(init_model(arch, seed=5), str(path))
+        _exit_2_with_one_line(
+            capsys, ["predict", "--model", str(path), "--input", "0.05,100,0.9,400"],
+            str(path), shape, "predict needs 4 inputs and 1 output")
+
+
+@pytest.mark.parametrize("command", ["sweep", "train", "compare", "simulate"])
+def test_output_path_in_missing_directory_exits_2(command, tmp_path, capsys, training_csv):
+    out = str(tmp_path / "missing" / "out.txt")
+    argv = {
+        "sweep": ["sweep", "--mode", "sat", "--nodes", "5", "--frame-bytes", "50", "--out", out],
+        "train": ["train", "--data", training_csv, "--target", "ps", "--hidden", "3,3,2",
+                  "--epochs", "1", "--out", out],
+        "compare": ["compare", "--analytical", training_csv, "--simulated", training_csv,
+                    "--out", out],
+        "simulate": SIM + ["--trace", out],
+    }[command]
+    _exit_2_with_one_line(capsys, argv, out, "No such file or directory")
 
 
 def test_shared_parser_carries_no_state_between_calls(capsys, small_model):

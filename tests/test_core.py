@@ -4,6 +4,8 @@ import logging
 import numpy as np
 import pytest
 
+from star154 import core
+from star154.analytical import _channel_terms
 from star154.core import (
     CONSTANTS,
     NetworkConfig,
@@ -29,6 +31,13 @@ def test_discard_path_duration_is_1190():
     assert T1_SYMBOLS == sum((70, 150, 310, 310, 310)) + 5 * 8 == 1190
 
 
+def test_derived_coefficients_equal_the_printed_integers():
+    assert core.ATTEMPT_STEPS == (78, 158, 318, 318, 318)
+    assert (core.SUCCESS_TAIL, core.COLLISION_TAIL, core.ACK_WAIT_SAVING) == (54, 66, 12)
+    assert (core.CLEAN_SUCCESS_SYMBOLS, core.CLEAN_COLLISION_SYMBOLS) == (132, 144)
+    assert core.T2_COEFFS == (132, 158, 318, 318, 318, 1244)
+
+
 def test_constants_are_immutable():
     with pytest.raises(AttributeError):
         CONSTANTS.macMinBE = 4  # type: ignore[misc]
@@ -47,6 +56,17 @@ def test_config_mode_buffer_rules():
         NetworkConfig(N=2, L=100, mode=TrafficMode.UNSAT1, r=-0.1)
 
 
+def test_config_rejects_arrival_probability_above_one():
+    # r = 2L is one arrival per mini-slot; more is not a probability
+    NetworkConfig(N=2, L=30, mode=TrafficMode.UNSAT1, r=60.0)
+    for mode, M in ((TrafficMode.UNSAT1, 1), (TrafficMode.UNSATM, 3)):
+        for r in (60.000001, 1e9):
+            with pytest.raises(ValueError, match="exceeds 2L"):
+                NetworkConfig(N=2, L=30, mode=mode, r=r, M=M)
+    # the saturated mode ignores r
+    NetworkConfig(N=2, L=30, mode=TrafficMode.SATURATED, r=1e9)
+
+
 def test_frame_length_outside_nominal_warns_but_works(caplog):
     with caplog.at_level(logging.WARNING):
         cfg = NetworkConfig(N=2, L=200, mode=TrafficMode.SATURATED)
@@ -62,24 +82,20 @@ def test_arrival_probability_per_slot():
 
 
 def test_probs_at_zero_tau():
-    p = derived_probs(0.0, 0.0, 10, 100, 0.01)
-    assert (p.k, p.x, p.y, p.z, p.D) == (1.0, 1.0, 0.0, 1.0, 0.0)
-    assert p.p_arrival == 5e-5
+    p = derived_probs(0.0, 0.0, 10, 100)
+    assert (p.k, p.D) == (1.0, 0.0)
 
 
 def test_probs_at_certain_sensing():
     # tau=1 kills k, x, y; one attempt then surely collides, so D = 1
-    p = derived_probs(1.0, 0.0, 2, 100, 0.01)
-    assert (p.k, p.x, p.y) == (0.0, 0.0, 0.0)
+    p = derived_probs(1.0, 0.0, 2, 100)
+    assert p.k == 0.0
     assert p.D == 1.0
 
 
 def test_probs_direct_evaluation():
-    p = derived_probs(0.5, 0.5, 2, 100, 0.02)
+    p = derived_probs(0.5, 0.5, 2, 100)
     assert p.k == 0.5
-    assert p.x == 0.25
-    assert p.y == 0.5
-    assert p.z == 0.5
     assert abs(p.D - (1 - 0.5**5) * (1 - 0.5**26)) < 1e-15
 
 
@@ -88,23 +104,24 @@ def test_probs_identities_on_random_grid():
     for _ in range(2000):
         tau = float(rng.random())
         n = int(rng.integers(1, 40))
-        p = derived_probs(tau, float(rng.random()), n, 100, 0.05)
-        assert abs(p.x - (1 - tau) * p.k) < 1e-12
-        assert p.x + p.y <= 1 + 1e-12
-        assert p.z == p.k
+        p = derived_probs(tau, float(rng.random()), n, 100)
+        x, y, z = _channel_terms(tau, n)
+        assert abs(x - (1 - tau) * p.k) < 1e-12
+        assert x + y <= 1 + 1e-12
+        assert z == p.k
         assert 0.0 <= p.D <= 1.0
 
 
 def test_probs_deterministic():
-    a = derived_probs(0.123, 0.456, 7, 77, 0.033)
-    b = derived_probs(0.123, 0.456, 7, 77, 0.033)
+    a = derived_probs(0.123, 0.456, 7, 77)
+    b = derived_probs(0.123, 0.456, 7, 77)
     assert a == b
 
 
 def test_probs_domain_errors():
     with pytest.raises(ValueError):
-        derived_probs(-0.1, 0.0, 2, 100, 0.01)
+        derived_probs(-0.1, 0.0, 2, 100)
     with pytest.raises(ValueError):
-        derived_probs(0.5, 1.5, 2, 100, 0.01)
+        derived_probs(0.5, 1.5, 2, 100)
     with pytest.raises(ValueError):
-        derived_probs(0.5, 0.5, 0, 100, 0.01)
+        derived_probs(0.5, 0.5, 0, 100)

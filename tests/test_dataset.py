@@ -1,8 +1,10 @@
 """Grids, CSV persistence, and the analytical-vs-simulated diff pipeline."""
+import math
+
 import pytest
 
 from star154.analytical import SolverSettings
-from star154.core import NetworkConfig, TrafficMode
+from star154.core import NetworkConfig, PerformanceReport, Source, TrafficMode
 from star154.dataset import (
     DIFF_METRICS,
     Engine,
@@ -16,8 +18,10 @@ from star154.dataset import (
     generate_grid,
     parse_range,
     read_csv,
+    report_row,
     run_sweep,
     simulated_row,
+    training_matrix,
     write_csv,
     write_diff_csv,
 )
@@ -205,6 +209,37 @@ def test_simulated_row_carries_uncertainty():
     assert row.source == "simulated"
     assert row.ci_TH is not None and row.ci_TH > 0.0
     assert row.converged
+
+
+def test_report_row_maps_nan_to_none():
+    # no CCA and no completed frame in the window: a, PS and TVS are undefined
+    cfg = NetworkConfig(N=3, L=50, mode=TrafficMode.UNSAT1, r=0.0)
+    rep = PerformanceReport(tau=0.0, a=math.nan, TH=0.0, PS=math.nan, TS=None,
+                            TVS=math.nan, source=Source.SIMULATED, ci95={"TH": 0.0})
+    row = report_row(cfg, rep)
+    assert (row.tau, row.TH, row.ci_TH) == (0.0, 0.0, 0.0)
+    assert row.a is row.PS is row.TS_sym is row.TVS_sym is row.ci_PS is None
+    assert row.converged and row.source == "simulated"
+
+
+# -- training matrices --------------------------------------------------------
+
+def test_training_matrix_follows_task_columns_and_skips_unusable_rows():
+    base = dict(mode="unsat1", M=1, source="analytical")
+    rows = [
+        ResultRow(**base, N=4, L=50, r=0.02, PS=0.9, TVS_sym=400.0),
+        ResultRow(**base, N=6, L=60, r=0.03, PS=0.8, TVS_sym=500.0, converged=False),
+        ResultRow(**base, N=8, L=70, r=0.04, PS=None, TVS_sym=600.0),
+        ResultRow(**base, N=10, L=80, r=0.05, PS=0.7, TVS_sym=700.0),
+    ]
+    X, y = training_matrix(rows, "n")  # (r, L, PS, TVS) -> N
+    assert X.tolist() == [[0.02, 50.0, 0.9, 400.0], [0.05, 80.0, 0.7, 700.0]]
+    assert y.tolist() == [4.0, 10.0]
+    X, y = training_matrix(rows, "tvs")  # (r, L, PS, N) -> TVS
+    assert X.tolist() == [[0.02, 50.0, 0.9, 4.0], [0.05, 80.0, 0.7, 10.0]]
+    assert y.tolist() == [400.0, 700.0]
+    X, y = training_matrix(rows[1:3], "ps")  # (r, L, N, TVS) -> PS
+    assert X.shape == (0, 4) and y.shape == (0,)
 
 
 # -- sweeps -------------------------------------------------------------------

@@ -23,7 +23,7 @@ from oracles import exact_service_times, outcome_tree
 
 def test_clean_channel_attempt_durations():
     for L in (30, 50, 100, 127):
-        st = service_times(0.0, 1.0, L)
+        st = service_times(0.0, L)
         assert st.T1 == 1190.0
         assert st.T2 == 132 + 2 * L
         assert st.T3 == 144 + 2 * L
@@ -32,7 +32,7 @@ def test_clean_channel_attempt_durations():
 def test_service_times_match_exact_arithmetic():
     for a, L in [(Fraction(1, 2), 100), (Fraction(3, 10), 50), (Fraction(9, 10), 30)]:
         t2, t3 = exact_service_times(a, L)
-        st = service_times(float(a), 0.5, L)
+        st = service_times(float(a), L)
         assert abs(st.T2 - float(t2)) < 1e-10 * float(t2)
         assert abs(st.T3 - float(t3)) < 1e-10 * float(t3)
 
@@ -43,13 +43,13 @@ def test_service_times_ordering():
     for _ in range(200):
         a = float(rng.uniform(0.0, 0.999))
         L = int(rng.integers(30, 128))
-        st = service_times(a, 1.0, L)
+        st = service_times(a, L)
         assert st.T3 > st.T2 > 0.0
 
 
 def test_service_times_reject_saturated_busy():
     with pytest.raises(ValueError):
-        service_times(1.0, 1.0, 100)
+        service_times(1.0, 100)
 
 
 # -- single-attempt outcomes --------------------------------------------------
@@ -116,7 +116,7 @@ def test_reliability_grid_identity():
 # -- delays -------------------------------------------------------------------
 
 def test_delays_collision_free_case():
-    st = service_times(0.3, 1.0, 100)
+    st = service_times(0.3, 100)
     rp = retry_probs(attempt_probs(0.3, 1.0))
     TS, TVS = delays(rp, st)
     # with PColl = 0 every delivered frame takes exactly T2, and the mix of
@@ -129,7 +129,7 @@ def test_delays_collision_free_case():
 
 def test_delays_no_delivery_means_no_TS():
     rp = retry_probs(attempt_probs(0.0, 0.0))  # PColl = 1
-    st = service_times(0.0, 0.0, 100)
+    st = service_times(0.0, 100)
     TS, TVS = delays(rp, st)
     assert TS is None
     assert abs(TVS - 4 * st.T3) < 1e-12
@@ -142,7 +142,7 @@ def test_delays_match_outcome_tree_enumeration():
         k = float(rng.random())
         L = int(rng.integers(30, 128))
         ap = attempt_probs(a, k)
-        st = service_times(a, k, L)
+        st = service_times(a, L)
         rp = retry_probs(ap)
         ps_t, ts_t, tvs_t = outcome_tree(ap.PSuc, ap.PAcc, ap.PColl, st.T1, st.T2, st.T3)
         TS, TVS = delays(rp, st)
@@ -170,8 +170,8 @@ def test_report_composition_single_buffer():
     assert rep.tau == fp.tau and rep.a == fp.a
     assert rep.TSW is None and rep.TVSW is None
     # recompute each metric from the fixed point by hand
-    probs = derived_probs(fp.tau, fp.a, cfg.N, cfg.L, cfg.r)
-    st = service_times(fp.a, probs.k, cfg.L)
+    probs = derived_probs(fp.tau, fp.a, cfg.N, cfg.L)
+    st = service_times(fp.a, cfg.L)
     rp = retry_probs(attempt_probs(fp.a, probs.k))
     TS, TVS = delays(rp, st)
     assert rep.PS == reliability(rp)
