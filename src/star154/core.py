@@ -182,8 +182,8 @@ class PerformanceReport:
 
     Delays are in symbols. TS is None when no frame is ever delivered (the
     conditional mean is undefined then). TSW/TVSW are populated only for the
-    multi-buffer mode, where queueing wait exists. ci95 holds 95% half-widths
-    per metric name for simulated reports.
+    multi-buffer mode, where queueing wait exists. ci95 holds Student-t 95%
+    half-widths per metric name for simulated reports.
     """
 
     tau: float

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import csv
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from enum import Enum
 
@@ -182,6 +181,8 @@ def run_sweep(spec: SweepSpec, jobs: int = 1) -> list[ResultRow]:
         if spec.engine in (Engine.SIMULATED, Engine.BOTH):
             work.append((cfg, "simulated", spec))
     if jobs > 1 and len(work) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # costs ~18 ms to import
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_sweep_item, work))
     else:

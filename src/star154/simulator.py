@@ -16,8 +16,8 @@ skip over slots in which provably nothing happens.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +35,10 @@ _MAX_NB = CONSTANTS.macMaxCSMABackoffs
 _MAX_RETRIES = CONSTANTS.aMaxFrameRetries
 _MIN_BE = CONSTANTS.macMinBE
 _MAX_BE = CONSTANTS.aMaxBE
+
+# raw PCG64 outputs fetched per refill of a node's buffer; a larger block
+# costs light scenarios more than it saves, since they draw little per node
+_RAW_BLOCK = 64
 
 # event kinds, in no particular priority: ties are resolved by insertion
 # order and the physics below is insensitive to it
@@ -82,6 +86,7 @@ class SimCounters:
     access_fail_drops: int = 0
     retry_fail_drops: int = 0
     in_system_at_end: int = 0
+    events: int = 0  # events processed before the end of the window
 
     measured_slots: int = 0
     w_deliveries: int = 0
@@ -104,14 +109,25 @@ class SimCounters:
 
 
 class _Node:
+    """One node's MAC state and its private random stream.
+
+    Draws are taken from raw PCG64 outputs, fetched in blocks, and reproduce
+    numpy's Generator stream exactly: Generator.integers(0, 2**be) is the top
+    be bits of the next 32-bit half (the low half of a fresh raw output, then
+    its saved high half), and Generator.random() is (raw >> 11) * 2**-53 of a
+    fresh raw output, leaving a saved half in place.
+    """
+
     __slots__ = (
-        "rng", "queue", "frame_arrival", "frame_start", "sink_seen", "busy",
-        "nb", "be", "retries", "cca_end", "cca_busy", "cca_counted",
-        "data_end", "tx_rec", "ack_rec", "forced_backoffs", "forced_arrivals",
+        "bitgen", "raw", "half", "queue", "frame_arrival", "frame_start",
+        "sink_seen", "busy", "nb", "be", "retries", "cca_end", "cca_busy",
+        "cca_counted", "data_end", "tx_rec", "ack_rec",
     )
 
-    def __init__(self, rng):
-        self.rng = rng
+    def __init__(self, bitgen: np.random.PCG64):
+        self.bitgen = bitgen
+        self.raw: list[int] = []  # buffered raw outputs, next one last
+        self.half = -1  # saved high 32-bit half, -1 when none
         self.queue: list[int] = []
         self.busy = False  # a frame is in service
         self.frame_arrival = 0
@@ -126,21 +142,58 @@ class _Node:
         self.data_end = -1
         self.tx_rec = None
         self.ack_rec = None
-        self.forced_backoffs = None  # test hook: scripted backoff draws
-        self.forced_arrivals = None  # test hook: scripted arrival slots
+
+    def next_raw(self) -> int:
+        raw = self.raw
+        if not raw:
+            raw = self.raw = self.bitgen.random_raw(_RAW_BLOCK).tolist()
+            raw.reverse()
+        return raw.pop()
 
     def draw_backoff(self) -> int:
-        if self.forced_backoffs:
-            return _BACKOFF_PERIOD * self.forced_backoffs.pop(0)
-        return _BACKOFF_PERIOD * int(self.rng.integers(0, 1 << self.be))
+        """A uniform backoff of 0 .. 2**be - 1 periods, in mini-slots."""
+        v = self.half
+        if v < 0:
+            v = self.next_raw()
+            self.half = v >> 32
+            v &= 0xFFFFFFFF
+        else:
+            self.half = -1
+        return _BACKOFF_PERIOD * (v >> (32 - self.be))
+
+    def next_arrival(self, after: int, p: float) -> int | None:
+        """Slot of the first Bernoulli(p) success at or after `after`; None if p is 0."""
+        if p <= 0.0:
+            return None
+        if p >= 1.0:
+            return after
+        u = 1.0 - (self.next_raw() >> 11) * 2.0**-53  # in (0, 1]
+        return after + int(math.log(u) / math.log1p(-p))
 
 
-def _geometric_gap(rng, p: float) -> int:
-    """Failures before the first success of a Bernoulli(p) sequence."""
-    if p >= 1.0:
-        return 0
-    u = 1.0 - rng.random()  # in (0, 1]
-    return int(math.log(u) / math.log1p(-p))
+class _ScriptedNode(_Node):
+    """A node with given arrival slots and/or backoff draws (test hook).
+
+    arrivals None keeps the Bernoulli process; backoffs fall back to random
+    draws once the list runs out.
+    """
+
+    __slots__ = ("arrivals", "backoffs")
+
+    def __init__(self, bitgen, arrivals: list[int] | None, backoffs: list[int] | None):
+        super().__init__(bitgen)
+        self.arrivals = arrivals
+        self.backoffs = backoffs
+
+    def draw_backoff(self) -> int:
+        if self.backoffs:
+            return _BACKOFF_PERIOD * self.backoffs.pop(0)
+        return super().draw_backoff()
+
+    def next_arrival(self, after: int, p: float) -> int | None:
+        if self.arrivals is None:
+            return super().next_arrival(after, p)
+        return self.arrivals.pop(0) if self.arrivals else None
 
 
 def run_replication(
@@ -160,39 +213,46 @@ def run_replication(
     backoff periods (replacing the uniform draws).
     """
     N = net.N
+    M = net.M
     two_l = net.frame_symbols
     sat = net.mode is TrafficMode.SATURATED
     p_arr = net.p_arrival
     w_start, w_end = warmup, warmup + horizon
 
-    nodes = [
-        _Node(np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, i)))))
-        for i in range(N)
-    ]
+    streams = [np.random.PCG64(np.random.SeedSequence((seed, i))) for i in range(N)]
+    if arrival_schedule is None and backoff_schedule is None:
+        nodes = [_Node(bg) for bg in streams]
+    else:
+        nodes = [
+            _ScriptedNode(
+                bg,
+                None if arrival_schedule is None else sorted(arrival_schedule.get(i, [])),
+                None if backoff_schedule is None or i not in backoff_schedule
+                else list(backoff_schedule[i]),
+            )
+            for i, bg in enumerate(streams)
+        ]
     c = SimCounters(measured_slots=horizon)
 
+    # events are (time, insertion number, kind, node): equal times pop in
+    # insertion order
     heap: list[tuple[int, int, int, int]] = []
-    seq = 0
+    heappush, heappop = heapq.heappush, heapq.heappop
+    seq = itertools.count().__next__
 
-    def push(t: int, kind: int, node: int):
-        nonlocal seq
-        heapq.heappush(heap, (t, seq, kind, node))
-        seq += 1
+    tracing = trace_sink is not None and max_trace > 0
 
     def emit(t: int, node: int, event: str, detail: str):
-        if trace_sink is not None and len(trace_sink) < max_trace:
+        if len(trace_sink) < max_trace:
             trace_sink.append(f"{t}\t{node}\t{event}\t{detail}")
 
-    on_air: dict[int, list] = {}  # id -> [start, end, node, collided, kind]
-    next_tx_id = 0
+    on_air: list[list] = []  # [start, end, node, collided, kind] per transmission
     in_cca: set[int] = set()
     busy_streak_start = -1  # start slot of the current channel-busy interval
 
-    def channel_busy_edge(t: int, now_busy: bool):
+    def close_busy_streak(t: int):
         nonlocal busy_streak_start
-        if now_busy and busy_streak_start < 0:
-            busy_streak_start = t
-        elif not now_busy and busy_streak_start >= 0:
+        if busy_streak_start >= 0:
             lo = max(busy_streak_start, w_start)
             hi = min(t, w_end)
             if hi > lo:
@@ -200,31 +260,26 @@ def run_replication(
             busy_streak_start = -1
 
     def add_on_air(t: int, end: int, node: int, kind: str) -> list:
-        nonlocal next_tx_id
-        rec = [t, end, node, False, kind]
+        nonlocal busy_streak_start
         collided = False
-        for other in on_air.values():
+        for other in on_air:
             if other[1] > t:
                 other[3] = True
                 collided = True
-        rec[3] = collided
         # anyone mid-CCA hears this transmission start
         for j in in_cca:
             if nodes[j].cca_end > t:
                 nodes[j].cca_busy = True
-        if not on_air:
-            channel_busy_edge(t, True)
-        on_air[next_tx_id] = rec
-        next_tx_id += 1
+        if not on_air and busy_streak_start < 0:
+            busy_streak_start = t
+        rec = [t, end, node, collided, kind]
+        on_air.append(rec)
         return rec
 
     def drop_on_air(t: int, rec: list):
-        for key, val in on_air.items():
-            if val is rec:
-                del on_air[key]
-                break
+        on_air.remove(rec)  # a node has one record on air at most, so only rec is equal
         if not on_air:
-            channel_busy_edge(t, False)
+            close_busy_streak(t)
 
     def start_service(i: int, t: int, arrival: int):
         nd = nodes[i]
@@ -236,8 +291,9 @@ def run_replication(
         nd.be = _MIN_BE
         nd.retries = 0
         delay = nd.draw_backoff()
-        emit(t, i, "backoff", f"delay={delay}")
-        push(t + delay, _BACKOFF_END, i)
+        if tracing:
+            emit(t, i, "backoff", f"delay={delay}")
+        heappush(heap, (t + delay, seq(), _BACKOFF_END, i))
 
     def frame_done(i: int, t: int, outcome: str):
         nd = nodes[i]
@@ -263,7 +319,8 @@ def run_replication(
                 c.w_access_fail_drops += 1
             else:
                 c.w_retry_fail_drops += 1
-        emit(t, i, outcome, f"service={service}")
+        if tracing:
+            emit(t, i, outcome, f"service={service}")
         nd.busy = False
         if sat:
             c.arrivals += 1
@@ -271,107 +328,111 @@ def run_replication(
         elif nd.queue:
             start_service(i, t, nd.queue.pop(0))
 
-    def schedule_arrival(i: int, after: int, first: bool):
-        nd = nodes[i]
-        if nd.forced_arrivals is not None:
-            if nd.forced_arrivals:
-                push(nd.forced_arrivals.pop(0), _ARRIVAL, i)
-            return
-        if p_arr <= 0.0:
-            return
-        gap = _geometric_gap(nd.rng, p_arr)
-        push(after + gap if first else after + 1 + gap, _ARRIVAL, i)
+    def schedule_arrival(i: int, after: int):
+        t_next = nodes[i].next_arrival(after, p_arr)
+        if t_next is not None:
+            heappush(heap, (t_next, seq(), _ARRIVAL, i))
 
     for i in range(N):
-        if arrival_schedule is not None:
-            nodes[i].forced_arrivals = sorted(arrival_schedule.get(i, []))
-        if backoff_schedule is not None and i in backoff_schedule:
-            nodes[i].forced_backoffs = list(backoff_schedule[i])
         if sat:
             c.arrivals += 1
             start_service(i, 0, 0)
         else:
-            schedule_arrival(i, 0, first=True)
+            schedule_arrival(i, 0)
 
+    stopped_early = 0  # the last event popped lies past the window and was not run
     while heap:
-        t, _, kind, i = heapq.heappop(heap)
+        t, _, kind, i = heappop(heap)
         if t >= w_end:
+            stopped_early = 1
             break
         nd = nodes[i]
 
         if kind == _ARRIVAL:
             c.arrivals += 1
             if not nd.busy:
-                emit(t, i, "arrive", "queue=0")
+                if tracing:
+                    emit(t, i, "arrive", "queue=0")
                 start_service(i, t, t)
-            elif 1 + len(nd.queue) < net.M:
+            elif 1 + len(nd.queue) < M:
                 nd.queue.append(t)
-                emit(t, i, "arrive", f"queue={len(nd.queue)}")
+                if tracing:
+                    emit(t, i, "arrive", f"queue={len(nd.queue)}")
             else:
                 c.blocked_arrivals += 1
-                emit(t, i, "blocked", f"queue={len(nd.queue)}")
-            schedule_arrival(i, t, first=False)
+                if tracing:
+                    emit(t, i, "blocked", f"queue={len(nd.queue)}")
+            schedule_arrival(i, t + 1)
 
         elif kind == _BACKOFF_END:
             nd.cca_counted = w_start <= t < w_end
             if nd.cca_counted:
                 c.cca_starts += 1
             nd.cca_end = t + _CCA
-            nd.cca_busy = any(rec[1] > t for rec in on_air.values())
+            nd.cca_busy = any(rec[1] > t for rec in on_air)
             in_cca.add(i)
-            emit(t, i, "cca_start", f"nb={nd.nb}")
-            push(t + _CCA, _CCA_END, i)
+            if tracing:
+                emit(t, i, "cca_start", f"nb={nd.nb}")
+            heappush(heap, (t + _CCA, seq(), _CCA_END, i))
 
         elif kind == _CCA_END:
             in_cca.discard(i)
             if nd.cca_busy:
                 if nd.cca_counted:
                     c.cca_busy += 1
-                emit(t, i, "cca_result", "busy")
+                if tracing:
+                    emit(t, i, "cca_result", "busy")
                 nd.nb += 1
-                nd.be = min(nd.be + 1, _MAX_BE)
+                if nd.be < _MAX_BE:
+                    nd.be += 1
                 if nd.nb > _MAX_NB:
                     frame_done(i, t, "access_drop")
                 else:
                     delay = nd.draw_backoff()
-                    emit(t, i, "backoff", f"delay={delay}")
-                    push(t + delay, _BACKOFF_END, i)
+                    if tracing:
+                        emit(t, i, "backoff", f"delay={delay}")
+                    heappush(heap, (t + delay, seq(), _BACKOFF_END, i))
             else:
-                emit(t, i, "cca_result", "idle")
-                push(t + _TURN, _TX_START, i)
+                if tracing:
+                    emit(t, i, "cca_result", "idle")
+                heappush(heap, (t + _TURN, seq(), _TX_START, i))
 
         elif kind == _TX_START:
             nd.tx_rec = add_on_air(t, t + two_l, i, "data")
-            emit(t, i, "tx_start", f"until={t + two_l}")
-            push(t + two_l, _TX_END, i)
+            if tracing:
+                emit(t, i, "tx_start", f"until={t + two_l}")
+            heappush(heap, (t + two_l, seq(), _TX_END, i))
 
         elif kind == _TX_END:
             rec = nd.tx_rec
             nd.tx_rec = None
             drop_on_air(t, rec)
             nd.data_end = t
-            emit(t, i, "tx_end", f"collided={int(rec[3])}")
+            if tracing:
+                emit(t, i, "tx_end", f"collided={int(rec[3])}")
             if rec[3]:
-                push(t + _ACK_TIMEOUT, _FAIL, i)
+                heappush(heap, (t + _ACK_TIMEOUT, seq(), _FAIL, i))
             else:
                 # sink got the frame; note repeats of one already received
                 if nd.sink_seen and w_start <= t < w_end:
                     c.duplicate_deliveries += 1
                 nd.sink_seen = True
-                push(t + _ACK_GAP, _ACK_START, i)
+                heappush(heap, (t + _ACK_GAP, seq(), _ACK_START, i))
 
         elif kind == _ACK_START:
             nd.ack_rec = add_on_air(t, t + _ACK_LEN, i, "ack")
-            emit(t, i, "ack_start", f"until={t + _ACK_LEN}")
-            push(t + _ACK_LEN, _ACK_END, i)
+            if tracing:
+                emit(t, i, "ack_start", f"until={t + _ACK_LEN}")
+            heappush(heap, (t + _ACK_LEN, seq(), _ACK_END, i))
 
         elif kind == _ACK_END:
             rec = nd.ack_rec
             nd.ack_rec = None
             drop_on_air(t, rec)
-            emit(t, i, "ack_end", f"collided={int(rec[3])}")
+            if tracing:
+                emit(t, i, "ack_end", f"collided={int(rec[3])}")
             if rec[3]:
-                push(nd.data_end + _ACK_TIMEOUT, _FAIL, i)
+                heappush(heap, (nd.data_end + _ACK_TIMEOUT, seq(), _FAIL, i))
             else:
                 frame_done(i, t, "deliver")
 
@@ -380,15 +441,18 @@ def run_replication(
             if nd.retries > _MAX_RETRIES:
                 frame_done(i, t, "retry_drop")
             else:
-                emit(t, i, "retry", f"count={nd.retries}")
+                if tracing:
+                    emit(t, i, "retry", f"count={nd.retries}")
                 nd.nb = 0
                 nd.be = _MIN_BE
                 delay = nd.draw_backoff()
-                emit(t, i, "backoff", f"delay={delay}")
-                push(t + delay, _BACKOFF_END, i)
+                if tracing:
+                    emit(t, i, "backoff", f"delay={delay}")
+                heappush(heap, (t + delay, seq(), _BACKOFF_END, i))
 
-    channel_busy_edge(w_end, False)  # close any open busy interval
+    close_busy_streak(w_end)  # close any open busy interval
     c.in_system_at_end = sum(int(nd.busy) + len(nd.queue) for nd in nodes)
+    c.events = seq() - len(heap) - stopped_early
     return c
 
 
@@ -418,13 +482,40 @@ def _one_replication(args) -> tuple[int, dict[str, float]]:
     return rep, _estimates(counters, net, horizon)
 
 
+# t quantile 0.975 for nu = 1..30 degrees of freedom
+_T975 = (
+    12.706205, 4.302653, 3.182446, 2.776445, 2.570582, 2.446912, 2.364624,
+    2.306004, 2.262157, 2.228139, 2.200985, 2.178813, 2.160369, 2.144787,
+    2.131450, 2.119905, 2.109816, 2.100922, 2.093024, 2.085963, 2.079614,
+    2.073873, 2.068658, 2.063899, 2.059539, 2.055529, 2.051831, 2.048407,
+    2.045230, 2.042272,
+)
+_Z975 = 1.959963984540054
+
+
+def t975(nu: int) -> float:
+    """Student-t 0.975 quantile with nu >= 1 degrees of freedom.
+
+    Exact to 1e-6 from a table up to nu = 30; above, the Cornish-Fisher
+    expansion about the normal quantile, within 1e-4 of the exact value.
+    """
+    if nu < 1:
+        raise ValueError("need at least one degree of freedom")
+    if nu <= len(_T975):
+        return _T975[nu - 1]
+    z = _Z975
+    return z + (z**3 + z) / (4 * nu) + (5 * z**5 + 16 * z**3 + 3 * z) / (96 * nu * nu)
+
+
 def run(cfg: SimConfig, jobs: int = 1) -> PerformanceReport:
-    """Run all replications and aggregate: means plus 95% half-widths."""
+    """Run all replications and aggregate: means plus Student-t 95% half-widths."""
     work = [
         (cfg.net, cfg.horizon_mini_slots, cfg.warmup, cfg.base_seed + rep, rep)
         for rep in range(cfg.replications)
     ]
     if jobs > 1 and cfg.replications > 1:
+        from concurrent.futures import ProcessPoolExecutor  # costs ~18 ms to import
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = sorted(pool.map(_one_replication, work))
     else:
@@ -444,7 +535,8 @@ def run(cfg: SimConfig, jobs: int = 1) -> PerformanceReport:
             continue
         means[name] = float(np.mean(clean))
         if len(clean) >= 2:
-            ci[name] = float(1.96 * np.std(clean, ddof=1) / math.sqrt(len(clean)))
+            t = t975(len(clean) - 1)
+            ci[name] = float(t * np.std(clean, ddof=1) / math.sqrt(len(clean)))
         else:
             ci[name] = 0.0
 

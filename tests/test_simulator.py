@@ -3,12 +3,17 @@
 The arrival/backoff hooks remove all randomness, so every assertion below is
 against event times worked out by hand from the protocol rules.
 """
+import dataclasses
+import hashlib
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from star154.core import NetworkConfig, Source, TrafficMode
-from star154.simulator import SimConfig, run, run_replication, trace
+from star154.simulator import SimConfig, _Node, run, run_replication, t975, trace
 
 U1 = lambda n, l, r: NetworkConfig(N=n, L=l, mode=TrafficMode.UNSAT1, r=r)
 
@@ -212,3 +217,112 @@ def test_estimates_match_counters():
     completed = c.w_deliveries + c.w_access_fail_drops + c.w_retry_fail_drops
     assert est["PS"] == c.w_deliveries / completed
     assert not math.isnan(est["TVS"])
+
+
+def test_events_count_the_lone_frame_timeline():
+    # arrival, backoff end, CCA end, TX start, TX end, ACK start, ACK end
+    kw = dict(arrival_schedule={0: [0], 1: []}, backoff_schedule={0: [0]})
+    assert run_replication(U1(2, 100, 0.01), 10000, 0, seed=0, **kw).events == 7
+    # a window ending at 230 stops on the ACK start at 240, which is not run
+    assert run_replication(U1(2, 100, 0.01), 230, 0, seed=0, **kw).events == 5
+
+
+def test_events_match_one_trace_line_per_event():
+    # every event writes exactly one of these lines; backoff draws and
+    # deliveries or access drops write extra lines inside an event
+    per_event = {
+        "arrive", "blocked", "cca_start", "cca_result", "tx_start", "tx_end",
+        "ack_start", "ack_end", "retry", "retry_drop",
+    }
+    net = NetworkConfig(N=6, L=40, mode=TrafficMode.UNSATM, r=0.15, M=3)
+    lines = []
+    c = run_replication(net, 30000, 1000, seed=8, trace_sink=lines, max_trace=10**6)
+    assert c == run_replication(net, 30000, 1000, seed=8)
+    assert c.events == sum(ln.split("\t")[2] in per_event for ln in lines) > 0
+
+
+# sha256 of the counters (all fields but events) of seeds 3, 4, 5 and of
+# trace() of seed 3, recorded from the Generator-based engine these draws replace
+PINNED = {
+    "unsat1": (
+        NetworkConfig(N=6, L=60, mode=TrafficMode.UNSAT1, r=0.1),
+        "e7501c115a7d1b4081211df919f651ecfee43fcfd498fb13156c18f7aef51ddc",
+        [2591, 2344, 2543],
+    ),
+    "sat": (
+        NetworkConfig(N=8, L=40, mode=TrafficMode.SATURATED),
+        "a15f0e93153f1d79c53594e9835d7b708e530fac44f4b3b2a667bcea5eb3049e",
+        [6516, 6402, 6393],
+    ),
+    "unsatm": (
+        NetworkConfig(N=6, L=50, mode=TrafficMode.UNSATM, r=0.1, M=4),
+        "ac610042743b55eb818298bf25978afb00c882fa0f5dd8206c48a2eca22c0964",
+        [5036, 4693, 4663],
+    ),
+}
+
+
+@pytest.mark.parametrize("mode", list(PINNED))
+def test_random_stream_and_event_order_are_pinned(mode):
+    net, expected, events = PINNED[mode]
+    h = hashlib.sha256()
+    counted = []
+    for seed in (3, 4, 5):
+        c = run_replication(net, 60000, 2000, seed)
+        values = [getattr(c, f.name) for f in dataclasses.fields(c) if f.name != "events"]
+        h.update(repr(values).encode())
+        counted.append(c.events)
+    cfg = SimConfig(net=net, horizon_mini_slots=60000, warmup_mini_slots=2000,
+                    replications=1, base_seed=3)
+    lines = trace(cfg, max_events=3000)
+    assert len(lines) == 3000
+    h.update("\n".join(lines).encode())
+    assert h.hexdigest() == expected
+    assert counted == events
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**63 - 1),
+    draws=st.lists(st.one_of(st.integers(1, 10), st.floats(1e-9, 0.999)),
+                   min_size=100, max_size=300),
+)
+def test_node_draws_reproduce_the_generator_stream(seed, draws):
+    # ints are backoff exponents, floats arrival probabilities; 100+ draws
+    # cross at least one refill of the node's raw buffer
+    node = _Node(np.random.PCG64(seed))
+    gen = np.random.Generator(np.random.PCG64(seed))
+    for d in draws:
+        if isinstance(d, int):
+            node.be = d
+            assert node.draw_backoff() == 20 * int(gen.integers(0, 1 << d))
+        else:
+            gap = int(math.log(1.0 - gen.random()) / math.log1p(-d))
+            assert node.next_arrival(7, d) == 7 + gap
+
+
+def test_t975_matches_the_printed_table():
+    printed = [
+        12.706, 4.303, 3.182, 2.776, 2.571, 2.447, 2.365, 2.306, 2.262, 2.228,
+        2.201, 2.179, 2.160, 2.145, 2.131, 2.120, 2.110, 2.101, 2.093, 2.086,
+        2.080, 2.074, 2.069, 2.064, 2.060, 2.056, 2.052, 2.048, 2.045, 2.042,
+    ]
+    for nu, value in enumerate(printed, start=1):
+        assert t975(nu) == pytest.approx(value, abs=1e-3)
+    for nu, value in [(31, 2.040), (40, 2.021), (60, 2.000), (120, 1.980), (10**6, 1.960)]:
+        assert t975(nu) == pytest.approx(value, abs=1e-3)
+    with pytest.raises(ValueError):
+        t975(0)
+
+
+def test_ci95_is_a_student_t_half_width():
+    cfg = SimConfig(
+        net=U1(5, 100, 0.05), horizon_mini_slots=20000,
+        warmup_mini_slots=2000, replications=3, base_seed=17,
+    )
+    rep = run(cfg)
+    th = []
+    for seed in (17, 18, 19):
+        th.append(run_replication(cfg.net, 20000, 2000, seed).success_payload_symbols / 20000)
+    assert rep.TH == pytest.approx(np.mean(th))
+    assert rep.ci95["TH"] == pytest.approx(4.302653 * np.std(th, ddof=1) / math.sqrt(3))
