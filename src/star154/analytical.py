@@ -18,6 +18,10 @@ from .core import (
 
 _, _STEP1, _STEP2, _STEP3, _STEP4 = ATTEMPT_STEPS
 
+# where the damped iteration starts: a rare attempt on an idle channel
+_INITIAL_TAU = 1e-4
+_INITIAL_A = 0.0
+
 
 class DivergenceError(RuntimeError):
     """A denominator became non-positive; the iterate left the valid regime."""
@@ -36,8 +40,6 @@ class SolverSettings:
     tolerance: float = 1e-12
     max_iterations: int = 100000
     damping: float = 0.5  # in (0, 1]; 1 = undamped substitution
-    initial_tau: float = 1e-4
-    initial_a: float = 0.0
     use_bisection: bool = False  # skip damped iteration entirely
 
     def __post_init__(self):
@@ -326,9 +328,7 @@ def solve(cfg: NetworkConfig, settings: SolverSettings = SolverSettings()) -> Fi
     if cfg.N < 2:
         raise ValueError("the analytical model needs at least 2 nodes")
     if cfg.mode is not TrafficMode.UNSATM:
-        tau, a, it, res, ok = _solve_pair(
-            cfg, None, settings, settings.initial_tau, settings.initial_a
-        )
+        tau, a, it, res, ok = _solve_pair(cfg, None, settings, _INITIAL_TAU, _INITIAL_A)
         fp = FixedPoint(tau=tau, a=a, iterations=it, residual=res, converged=ok)
         if not ok:
             raise NonConvergenceError(f"no convergence after {it} iterations", fp)
@@ -345,7 +345,7 @@ def _solve_multibuffer(cfg: NetworkConfig, settings: SolverSettings) -> FixedPoi
     TVS = float(CLEAN_SUCCESS_SYMBOLS + 2 * cfg.L)  # service time of one clean attempt
     p = utilization(cfg.r, cfg.L, TVS)
     p0 = empty_prob(p, cfg.M)
-    tau, a = settings.initial_tau, settings.initial_a
+    tau, a = _INITIAL_TAU, _INITIAL_A
     total_it = 0
     last_res = math.inf
     for _ in range(settings.max_iterations):

@@ -183,7 +183,8 @@ class PerformanceReport:
     Delays are in symbols. TS is None when no frame is ever delivered (the
     conditional mean is undefined then). TSW/TVSW are populated only for the
     multi-buffer mode, where queueing wait exists. ci95 holds Student-t 95%
-    half-widths per metric name for simulated reports.
+    half-widths per metric name for simulated reports; a metric with fewer
+    than two clean replications has no entry.
     """
 
     tau: float

@@ -81,24 +81,46 @@ class ResultRow:
 HEADER = [f.name for f in fields(ResultRow)]
 
 
+MAX_AXIS_VALUES = 100_000  # the most values one grid axis may hold
+
+
 def parse_range(text: str, kind=float) -> tuple:
-    """Parse '2', '2,5,10', or 'start:stop:step' (stop inclusive) into values."""
+    """Parse '2', '2,5,10', or 'start:stop:step' (stop inclusive) into values.
+
+    Every value must be finite and the result non-empty and no longer than
+    MAX_AXIS_VALUES; anything else raises ValueError.
+    """
     text = text.strip()
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
             raise ValueError(f"range needs start:stop:step, got {text!r}")
         start, stop, step = (float(p) for p in parts)
+        if not all(map(math.isfinite, (start, stop, step))):
+            raise ValueError(f"range bounds must be finite in {text!r}")
         if step <= 0:
             raise ValueError(f"step must be positive in {text!r}")
-        values = []
-        v = start
-        # tolerate float drift at the inclusive upper end
-        while v <= stop + 1e-9 * max(1.0, abs(stop)):
-            values.append(v)
-            v = start + len(values) * step
-        return tuple(kind(round(v, 12)) for v in values)
-    return tuple(kind(p) for p in text.split(","))
+        top = stop + 1e-9 * max(1.0, abs(stop))  # tolerate float drift at the inclusive end
+        span = (top - start) / step
+        # value k is start + k*step in floats: settle the estimate's last-bit
+        # errors, and stop counting where a tiny step no longer moves the value
+        count = math.floor(min(max(span, -1.0), MAX_AXIS_VALUES)) + 1
+        while count and start + (count - 1) * step > top:
+            count -= 1
+        while count <= MAX_AXIS_VALUES and start + count * step <= top:
+            count += 1
+        if count > MAX_AXIS_VALUES:
+            raise ValueError(f"range {text!r} has more than {MAX_AXIS_VALUES} values")
+        values = tuple(kind(round(start + k * step if k else start, 12)) for k in range(count))
+    else:
+        values = tuple(kind(p) for p in text.split(","))
+    if not values:
+        raise ValueError(f"no values in {text!r}")
+    if len(values) > MAX_AXIS_VALUES:
+        raise ValueError(f"{text!r} has more than {MAX_AXIS_VALUES} values")
+    if not all(-math.inf < v < math.inf for v in values):
+        raise ValueError(f"values must be finite in {text!r}")
+    return values
 
 
 def generate_grid(spec: SweepSpec) -> list[NetworkConfig]:

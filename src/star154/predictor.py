@@ -14,7 +14,7 @@ live inside the saved model file.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -50,16 +50,45 @@ class MLPArchitecture:
     def layer_sizes(self) -> tuple[int, ...]:
         return (self.input_dim, *self.hidden, self.output_dim)
 
+    @property
+    def n_params(self) -> int:
+        sizes = self.layer_sizes
+        return sum(fan_in * fan_out + fan_out for fan_in, fan_out in zip(sizes[:-1], sizes[1:]))
+
+
+def _layer_views(arch: MLPArchitecture, flat: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Per-layer weight matrices and bias vectors as views of one flat array.
+
+    The layout is the model file's: each layer's (fan_in, fan_out) weights
+    row-major, layer by layer, then each layer's biases.
+    """
+    if flat.shape != (arch.n_params,):
+        raise ValueError(f"expected {arch.n_params} parameters, got shape {flat.shape}")
+    sizes = arch.layer_sizes
+    weights, biases = [], []
+    pos = 0
+    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+        weights.append(flat[pos : pos + fan_in * fan_out].reshape(fan_in, fan_out))
+        pos += fan_in * fan_out
+    for fan_out in sizes[1:]:
+        biases.append(flat[pos : pos + fan_out])
+        pos += fan_out
+    return weights, biases
+
 
 @dataclass
 class MLPModel:
     arch: MLPArchitecture
-    weights: list[np.ndarray]  # weights[l]: (fan_in, fan_out)
-    biases: list[np.ndarray]
+    params: np.ndarray  # every weight and bias, float64, in model-file order
     in_min: np.ndarray
     in_max: np.ndarray
     out_min: float
     out_max: float
+    weights: list[np.ndarray] = field(init=False)  # weights[l]: (fan_in, fan_out) view of params
+    biases: list[np.ndarray] = field(init=False)  # biases[l]: (fan_out,) view of params
+
+    def __post_init__(self):
+        self.weights, self.biases = _layer_views(self.arch, self.params)
 
 
 @dataclass(frozen=True, slots=True)
@@ -94,26 +123,20 @@ class DivergenceDetected(RuntimeError):
 def init_model(arch: MLPArchitecture, seed: int) -> MLPModel:
     """Uniform [-1/sqrt(fan_in), +1/sqrt(fan_in)] weights, zero biases."""
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    sizes = arch.layer_sizes
-    weights, biases = [], []
-    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        bound = 1.0 / math.sqrt(fan_in)
-        weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
-        biases.append(np.zeros(fan_out))
-    return MLPModel(
-        arch=arch, weights=weights, biases=biases,
+    model = MLPModel(
+        arch=arch, params=np.zeros(arch.n_params),
         in_min=np.zeros(arch.input_dim), in_max=np.ones(arch.input_dim),
         out_min=0.0, out_max=1.0,
     )
+    for W in model.weights:
+        bound = 1.0 / math.sqrt(W.shape[0])
+        W[:] = rng.uniform(-bound, bound, size=W.shape)
+    return model
 
 
 def _sigmoid(v: np.ndarray) -> np.ndarray:
-    out = np.empty_like(v)
-    pos = v >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
-    ev = np.exp(v[~pos])
-    out[~pos] = ev / (1.0 + ev)
-    return out
+    # the tanh form cannot overflow for any finite v
+    return 0.5 * (1.0 + np.tanh(0.5 * v))
 
 
 def normalize_inputs(model: MLPModel, X: np.ndarray) -> np.ndarray:
@@ -150,21 +173,18 @@ def forward(model: MLPModel, x) -> float:
     return float(denormalize_target(model, yn)[0, 0])
 
 
-def _gradients(model: MLPModel, Xn: np.ndarray, yn: np.ndarray):
-    """Backprop gradients of mean squared error over the batch."""
+def _gradients(model: MLPModel, Xn: np.ndarray, yn: np.ndarray, grad_w, grad_b) -> None:
+    """Backprop gradient of mean squared error over the batch, written into
+    grad_w and grad_b: the _layer_views of one array shaped like model.params."""
     out, acts = _forward_normalized(model, Xn)
-    n = Xn.shape[0]
-    grad_w = [None] * len(model.weights)
-    grad_b = [None] * len(model.biases)
     # d(MSE)/d(out) with MSE = mean((out - y)^2)
-    delta = 2.0 * (out - yn) / n
+    delta = 2.0 * (out - yn) / Xn.shape[0]
     for l in range(len(model.weights) - 1, -1, -1):
-        grad_w[l] = acts[l].T @ delta
-        grad_b[l] = delta.sum(axis=0)
+        np.matmul(acts[l].T, delta, out=grad_w[l])
+        delta.sum(axis=0, out=grad_b[l])
         if l > 0:
             h = acts[l]  # sigmoid activations of layer l
             delta = (delta @ model.weights[l].T) * h * (1.0 - h)
-    return grad_w, grad_b, out
 
 
 def _mse(model: MLPModel, Xn: np.ndarray, yn: np.ndarray) -> float:
@@ -215,15 +235,15 @@ def train(
     Xn = normalize_inputs(model, Xt)
     yn = normalize_target(model, yt).reshape(-1, 1)
 
-    lr = cfg.learning_rate
+    lr, bs = cfg.learning_rate, cfg.batch_size
+    grad = np.empty_like(model.params)
+    grad_w, grad_b = _layer_views(model.arch, grad)
     for epoch in range(cfg.epochs):
         perm = rng.permutation(len(Xn))
-        for lo in range(0, len(perm), cfg.batch_size):
-            idx = perm[lo : lo + cfg.batch_size]
-            grad_w, grad_b, _ = _gradients(model, Xn[idx], yn[idx])
-            for l in range(len(model.weights)):
-                model.weights[l] -= lr * grad_w[l]
-                model.biases[l] -= lr * grad_b[l]
+        Xp, yp = Xn[perm], yn[perm]
+        for lo in range(0, len(Xp), bs):
+            _gradients(model, Xp[lo : lo + bs], yp[lo : lo + bs], grad_w, grad_b)
+            model.params -= lr * grad
         train_mse = _mse(model, Xn, yn)
         if not math.isfinite(train_mse):
             raise DivergenceDetected(f"training loss became {train_mse} at epoch {epoch}")
@@ -261,27 +281,20 @@ def gradient_check(model: MLPModel, x, y_target: float, epsilon: float = 1e-5) -
         raise ValueError("epsilon must be in (0, 1e-3]")
     Xn = np.asarray(x, dtype=float).reshape(1, -1)
     yn = np.array([[float(y_target)]])
-    grad_w, grad_b, _ = _gradients(model, Xn, yn)
+    grad = np.empty_like(model.params)
+    _gradients(model, Xn, yn, *_layer_views(model.arch, grad))
+    flat = model.params
     worst = 0.0
-
-    def probe(arr: np.ndarray, analytic: np.ndarray):
-        nonlocal worst
-        flat = arr.reshape(-1)
-        ana = analytic.reshape(-1)
-        for j in range(flat.size):
-            keep = flat[j]
-            flat[j] = keep + epsilon
-            hi = _mse(model, Xn, yn)
-            flat[j] = keep - epsilon
-            lo = _mse(model, Xn, yn)
-            flat[j] = keep
-            numeric = (hi - lo) / (2.0 * epsilon)
-            scale = max(abs(ana[j]) + abs(numeric), 1e-8)
-            worst = max(worst, abs(ana[j] - numeric) / scale)
-
-    for l in range(len(model.weights)):
-        probe(model.weights[l], grad_w[l])
-        probe(model.biases[l], grad_b[l])
+    for j in range(flat.size):
+        keep = flat[j]
+        flat[j] = keep + epsilon
+        hi = _mse(model, Xn, yn)
+        flat[j] = keep - epsilon
+        lo = _mse(model, Xn, yn)
+        flat[j] = keep
+        numeric = (hi - lo) / (2.0 * epsilon)
+        scale = max(abs(grad[j]) + abs(numeric), 1e-8)
+        worst = max(worst, abs(grad[j] - numeric) / scale)
     return worst
 
 
@@ -292,11 +305,7 @@ def save_model(model: MLPModel, path: str) -> None:
     for j in range(model.arch.input_dim):
         lines.append(f"{float(model.in_min[j])!r} {float(model.in_max[j])!r}")
     lines.append(f"{float(model.out_min)!r} {float(model.out_max)!r}")
-    for W in model.weights:
-        for row in W:
-            lines.extend(repr(float(v)) for v in row)
-    for b in model.biases:
-        lines.extend(repr(float(v)) for v in b)
+    lines.extend(map(repr, model.params.tolist()))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -332,10 +341,8 @@ def load_model(path: str) -> MLPModel:
         arch = MLPArchitecture(input_dim=sizes[0], hidden=tuple(sizes[1:4]), output_dim=sizes[4])
     except ValueError as e:
         raise bad(0, str(e)) from None
-    layers = list(zip(sizes[:-1], sizes[1:]))
     n_ranges = arch.input_dim + 1
-    n_params = sum(fan_in * fan_out + fan_out for fan_in, fan_out in layers)
-    expected = 1 + n_ranges + n_params
+    expected = 1 + n_ranges + arch.n_params
     if len(lines) < expected:
         raise ValueError(f"{path}: truncated: {len(lines)} of {expected} non-blank lines")
     if len(lines) > expected:
@@ -348,22 +355,14 @@ def load_model(path: str) -> MLPModel:
             raise bad(k, f"expected a range of two reals, got {lines[k]!r}") from None
         ranges.append((lo, hi))
     try:
-        flat = np.fromiter(map(float, lines[1 + n_ranges :]), dtype=float, count=n_params)
+        flat = np.fromiter(map(float, lines[1 + n_ranges :]), dtype=float, count=arch.n_params)
     except ValueError:
         k = next(k for k in range(1 + n_ranges, expected) if not _is_real(lines[k]))
         raise bad(k, f"expected one real, got {lines[k]!r}") from None
-    weights, biases = [], []
-    pos = 0
-    for fan_in, fan_out in layers:
-        weights.append(flat[pos : pos + fan_in * fan_out].reshape(fan_in, fan_out))
-        pos += fan_in * fan_out
-    for _, fan_out in layers:
-        biases.append(flat[pos : pos + fan_out])
-        pos += fan_out
     in_min, in_max = (np.array(col) for col in zip(*ranges[:-1]))
     out_min, out_max = ranges[-1]
     return MLPModel(
-        arch=arch, weights=weights, biases=biases,
+        arch=arch, params=flat,
         in_min=in_min, in_max=in_max, out_min=out_min, out_max=out_max,
     )
 

@@ -196,6 +196,10 @@ class _ScriptedNode(_Node):
         return self.arrivals.pop(0) if self.arrivals else None
 
 
+class _TraceFull(Exception):
+    """A traced replication wrote its last allowed trace line."""
+
+
 def run_replication(
     net: NetworkConfig,
     horizon: int,
@@ -207,6 +211,10 @@ def run_replication(
     backoff_schedule: dict[int, list[int]] | None = None,
 ) -> SimCounters:
     """Simulate one replication and return its counters.
+
+    With a trace_sink and max_trace > 0, one line per event (and per backoff
+    draw and frame outcome) is appended to trace_sink, and the replication
+    stops by raising _TraceFull once trace_sink holds max_trace lines.
 
     arrival_schedule/backoff_schedule are test hooks: explicit arrival slots
     per node (replacing the Bernoulli process) and explicit backoff draws in
@@ -243,8 +251,9 @@ def run_replication(
     tracing = trace_sink is not None and max_trace > 0
 
     def emit(t: int, node: int, event: str, detail: str):
-        if len(trace_sink) < max_trace:
-            trace_sink.append(f"{t}\t{node}\t{event}\t{detail}")
+        trace_sink.append(f"{t}\t{node}\t{event}\t{detail}")
+        if len(trace_sink) >= max_trace:
+            raise _TraceFull
 
     on_air: list[list] = []  # [start, end, node, collided, kind] per transmission
     in_cca: set[int] = set()
@@ -534,11 +543,9 @@ def run(cfg: SimConfig, jobs: int = 1) -> PerformanceReport:
             means[name] = math.nan
             continue
         means[name] = float(np.mean(clean))
-        if len(clean) >= 2:
+        if len(clean) >= 2:  # one value gives no interval: the name stays out of ci
             t = t975(len(clean) - 1)
             ci[name] = float(t * np.std(clean, ddof=1) / math.sqrt(len(clean)))
-        else:
-            ci[name] = 0.0
 
     def opt(name):
         v = means.get(name, math.nan)
@@ -554,11 +561,17 @@ def run(cfg: SimConfig, jobs: int = 1) -> PerformanceReport:
 def trace(cfg: SimConfig, max_events: int = 1000) -> list[str]:
     """Seed-reproducible event log of replication 0, one line per event.
 
-    Line format: mini-slot, node, event, detail, tab-separated.
+    Line format: mini-slot, node, event, detail, tab-separated. The
+    replication stops at the max_events-th line.
     """
     lines: list[str] = []
-    run_replication(
-        cfg.net, cfg.horizon_mini_slots, cfg.warmup, cfg.base_seed,
-        trace_sink=lines, max_trace=max_events,
-    )
+    if max_events <= 0:
+        return lines
+    try:
+        run_replication(
+            cfg.net, cfg.horizon_mini_slots, cfg.warmup, cfg.base_seed,
+            trace_sink=lines, max_trace=max_events,
+        )
+    except _TraceFull:
+        pass
     return lines

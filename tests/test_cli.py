@@ -72,6 +72,11 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         ["sweep", "--mode", "unsatm", "--nodes", "5", "--frame-bytes", "100",
          "--rate", "1e9", "--buffer", "3", "--out", out_csv],
         SOLVE[:-1] + ["1e9"],
+        # ranges that never end or hold too many values
+        ["sweep", "--mode", "sat", "--nodes", "2:inf:1", "--frame-bytes", "100",
+         "--out", out_csv],
+        ["sweep", "--mode", "sat", "--nodes", "1:1e12:1", "--frame-bytes", "100",
+         "--out", out_csv],
     ]
     for argv in cases:
         with pytest.raises(SystemExit) as exc:
@@ -123,6 +128,16 @@ def test_simulate_deterministic_with_trace(tmp_path, capsys):
     assert trace_path.read_bytes() == first
     assert first
     assert any(ln.startswith("# ci95 TH:") for ln in out1.splitlines())
+
+
+def test_simulate_one_replication_reports_no_interval(capsys):
+    code, out, _ = _run(capsys, SIM[:-3] + ["1", "--seed", "9"])
+    assert code == 0
+    lines = out.splitlines()
+    assert not any(ln.startswith("# ci95") for ln in lines)
+    row = dict(zip(HEADER, lines[lines.index(",".join(HEADER)) + 1].split(",")))
+    assert row["ci_TH"] == row["ci_PS"] == ""
+    assert float(row["TH"]) > 0.0
 
 
 def test_simulate_different_seed_changes_output(capsys):

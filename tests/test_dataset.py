@@ -2,6 +2,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from star154.analytical import SolverSettings
 from star154.core import NetworkConfig, PerformanceReport, Source, TrafficMode
@@ -10,6 +12,7 @@ from star154.dataset import (
     Engine,
     HEADER,
     KeyMismatchError,
+    MAX_AXIS_VALUES,
     MS_COLUMNS,
     ResultRow,
     SweepSpec,
@@ -50,6 +53,40 @@ def test_parse_range_rejects_malformed():
         parse_range("1:2:0")
     with pytest.raises(ValueError):
         parse_range("abc")
+
+
+@pytest.mark.parametrize("text", [
+    "2:inf:1", "nan:5:1", "1:2:inf", "-inf:1:1", "1,nan", "inf", "1e400",  # not finite
+    "1:1e12:1", "0:100000:1",  # more than MAX_AXIS_VALUES values
+    "1.000000001:1:1e-30",  # a step too small to move the value: the count never ends
+    "5:2:1", "",  # no values
+])
+def test_parse_range_rejects_unbounded_and_empty_ranges(text):
+    with pytest.raises(ValueError):
+        parse_range(text)
+
+
+def test_parse_range_limit_is_inclusive():
+    assert len(parse_range("1:100000:1", int)) == MAX_AXIS_VALUES
+
+
+_range_text = st.builds(
+    lambda a, b, c: f"{a}:{b}:{c}",
+    *(st.one_of(st.floats(), st.integers(-10**6, 10**6), st.sampled_from(["", "x", "1e400"]))
+      for _ in range(3)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.one_of(st.text(), _range_text), kind=st.sampled_from([float, int]))
+def test_parse_range_returns_bounded_finite_values_or_raises(text, kind):
+    try:
+        values = parse_range(text, kind)
+    except ValueError:
+        return
+    assert isinstance(values, tuple) and 0 < len(values) <= MAX_AXIS_VALUES
+    assert all(isinstance(v, kind) for v in values)
+    assert all(kind is int or math.isfinite(v) for v in values)
 
 
 # -- grid generation ----------------------------------------------------------

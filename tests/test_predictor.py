@@ -1,4 +1,5 @@
 """Network plumbing: init, gradients vs finite differences, persistence, training."""
+import hashlib
 import math
 import re
 
@@ -56,6 +57,16 @@ def test_init_shapes_and_bounds():
     assert all(not b.any() for b in m.biases)
     for w, fan_in in zip(m.weights, (4, 100, 80, 50)):
         assert np.abs(w).max() <= 1.0 / math.sqrt(fan_in)
+
+
+def test_weights_and_biases_are_views_of_params(tmp_path):
+    path = tmp_path / "m.txt"
+    save_model(init_model(SMALL, seed=3), str(path))
+    for m in (init_model(SMALL, seed=3), load_model(str(path))):
+        assert m.params.shape == (SMALL.n_params,) == (68,)  # 55 weights, 13 biases
+        assert all(np.shares_memory(m.params, v) for v in (*m.weights, *m.biases))
+        m.params[:] = 7.0
+        assert all((v == 7.0).all() for v in (*m.weights, *m.biases))
 
 
 def test_init_is_deterministic():
@@ -123,6 +134,21 @@ def test_training_is_deterministic():
     assert rep1 == rep2
     assert all(np.array_equal(a, b) for a, b in zip(m1.weights, m2.weights))
     assert all(np.array_equal(a, b) for a, b in zip(m1.biases, m2.biases))
+
+
+# sha256 of save_model's bytes after a 3-epoch desk-scale run; a refactor of
+# the trainer that keeps its arithmetic keeps this digest (a BLAS build that
+# rounds matrix products differently does not)
+TRAINED_MODEL_SHA256 = "959565dc4b59fed1514b398943e2bb00a4ea2a7c4d4998ac490c0235082de3c9"
+
+
+def test_trained_model_file_is_pinned(tmp_path):
+    X, y = _toy_data(200, seed=31)
+    m, _ = train(init_model(MLPArchitecture(hidden=DESK_HIDDEN), seed=31), X, y,
+                 TrainConfig(epochs=3, batch_size=8, learning_rate=0.2, seed=31))
+    path = tmp_path / "m.txt"
+    save_model(m, str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == TRAINED_MODEL_SHA256
 
 
 def test_full_batch_loss_decreases():
@@ -298,12 +324,10 @@ def _models(draw):
     )
     model = init_model(arch, seed=0)
 
-    def fill(shape):
-        return np.array(draw(st.lists(_reals, min_size=int(np.prod(shape)),
-                                      max_size=int(np.prod(shape))))).reshape(shape)
+    def fill(size):
+        return np.array(draw(st.lists(_reals, min_size=size, max_size=size)), dtype=float)
 
-    model.weights = [fill(w.shape) for w in model.weights]
-    model.biases = [fill(b.shape) for b in model.biases]
+    model.params[:] = fill(arch.n_params)
     model.in_min, model.in_max = fill(arch.input_dim), fill(arch.input_dim)
     model.out_min, model.out_max = draw(_reals), draw(_reals)
     return model
@@ -321,6 +345,7 @@ def test_model_file_round_trip_and_truncation_property(tmp_path, model):
     save_model(model, str(path))
     back = load_model(str(path))
     assert back.arch == model.arch
+    assert _bits([back.params]) == _bits([model.params])
     assert _bits(back.weights) == _bits(model.weights)
     assert _bits(back.biases) == _bits(model.biases)
     assert _bits([back.in_min, back.in_max]) == _bits([model.in_min, model.in_max])

@@ -6,6 +6,7 @@ against event times worked out by hand from the protocol rules.
 import dataclasses
 import hashlib
 import math
+import time
 
 import numpy as np
 import pytest
@@ -202,6 +203,18 @@ def test_trace_lines_are_wellformed_and_reproducible():
         assert event in known
         assert detail
     assert lines == trace(cfg, max_events=200)
+
+
+def test_trace_stops_at_its_last_line():
+    # simulating the whole 1e8 mini-slot horizon would take minutes
+    cfg = SimConfig(net=NetworkConfig(N=10, L=50, mode=TrafficMode.SATURATED),
+                    horizon_mini_slots=10**8, replications=1, base_seed=5)
+    start = time.perf_counter()
+    lines = trace(cfg, max_events=50)
+    assert trace(cfg, max_events=0) == trace(cfg, max_events=-1) == []
+    assert time.perf_counter() - start < 5.0
+    assert len(lines) == 50
+    assert lines == trace(cfg, max_events=80)[:50]
 
 
 def test_estimates_match_counters():
