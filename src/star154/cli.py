@@ -161,6 +161,13 @@ def _cmd_compare(args, parser) -> int:
 
 
 def _cmd_train(args, parser) -> int:
+    try:
+        cfg = predictor.TrainConfig(
+            learning_rate=args.lr, epochs=args.epochs, batch_size=args.batch,
+            seed=args.seed, validation_fraction=args.val_frac,
+        )
+    except ValueError as e:
+        parser.error(str(e))
     with _file_errors(parser, args.data):
         rows = dataset.read_csv(args.data)
     X, y = dataset.training_matrix(rows, args.target)
@@ -177,10 +184,6 @@ def _cmd_train(args, parser) -> int:
         hidden = predictor.DEFAULT_HIDDEN[args.target]
     model = predictor.init_model(
         predictor.MLPArchitecture(input_dim=4, hidden=hidden, output_dim=1), args.seed
-    )
-    cfg = predictor.TrainConfig(
-        learning_rate=args.lr, epochs=args.epochs, batch_size=args.batch,
-        seed=args.seed, validation_fraction=args.val_frac,
     )
     try:
         model, rep = predictor.train(model, X, y, cfg)

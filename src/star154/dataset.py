@@ -7,6 +7,7 @@ carry the _sym suffix (symbols); an optional export adds millisecond columns.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass, fields
 from enum import Enum
@@ -45,12 +46,24 @@ class SweepSpec:
     base_seed: int = 0
 
     def __post_init__(self):
-        if not self.N_values or not self.L_values:
+        axes = self.axes()
+        if not all(axes):
             raise ValueError("empty grid")
-        if self.mode is not TrafficMode.SATURATED and not self.r_values:
-            raise ValueError("empty grid")
-        if self.mode is TrafficMode.UNSATM and not self.M_values:
-            raise ValueError("empty grid")
+        size = math.prod(len(values) for values in axes)
+        if size > MAX_AXIS_VALUES:
+            raise ValueError(f"grid has {size} points, more than {MAX_AXIS_VALUES}")
+
+    def axes(self) -> tuple[tuple, tuple, tuple, tuple]:
+        """The N, L, r and M values of the grid.
+
+        Irrelevant axes collapse: saturated mode ignores r and M, the
+        single-buffer mode ignores M.
+        """
+        if self.mode is TrafficMode.SATURATED:
+            return self.N_values, self.L_values, (0.0,), (1,)
+        if self.mode is TrafficMode.UNSAT1:
+            return self.N_values, self.L_values, self.r_values, (1,)
+        return self.N_values, self.L_values, self.r_values, self.M_values
 
 
 @dataclass(frozen=True, slots=True)
@@ -81,7 +94,7 @@ class ResultRow:
 HEADER = [f.name for f in fields(ResultRow)]
 
 
-MAX_AXIS_VALUES = 100_000  # the most values one grid axis may hold
+MAX_AXIS_VALUES = 100_000  # the most values one grid axis, or a whole grid, may hold
 
 
 def parse_range(text: str, kind=float) -> tuple:
@@ -124,30 +137,15 @@ def parse_range(text: str, kind=float) -> tuple:
 
 
 def generate_grid(spec: SweepSpec) -> list[NetworkConfig]:
-    """Cartesian product in lexicographic (N, L, r, M) order.
-
-    Irrelevant axes collapse: saturated mode ignores r and M, the
-    single-buffer mode ignores M.
-    """
-    if spec.mode is TrafficMode.SATURATED:
-        r_values: tuple = (0.0,)
-        m_values: tuple = (1,)
-    elif spec.mode is TrafficMode.UNSAT1:
-        r_values = spec.r_values
-        m_values = (1,)
-    else:
-        r_values = spec.r_values
-        m_values = spec.M_values
-    grid = [
+    """Cartesian product of spec.axes() in lexicographic (N, L, r, M) order."""
+    n_values, l_values, r_values, m_values = spec.axes()
+    return [
         NetworkConfig(N=n, L=l, mode=spec.mode, r=r, M=m)
-        for n in spec.N_values
-        for l in spec.L_values
+        for n in n_values
+        for l in l_values
         for r in r_values
         for m in m_values
     ]
-    if not grid:
-        raise ValueError("empty grid")
-    return grid
 
 
 def _none_if_nan(v):
@@ -257,28 +255,37 @@ def _parse_opt_float(s: str, path: str, line: int) -> float | None:
 
 
 def read_csv(path: str) -> list[ResultRow]:
-    rows = []
+    """The rows of a results CSV; ValueError names the file and line of any fault.
+
+    Every record, the last one included, must end with a line end, so a file
+    cut inside a record is rejected instead of read as a shorter last value.
+    """
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or header[: len(HEADER)] != HEADER:
-            raise ValueError(f"{path}:1: unexpected header")
-        for line, rec in enumerate(reader, start=2):
-            if len(rec) < len(HEADER):
-                raise ValueError(f"{path}:{line}: expected {len(HEADER)} fields, got {len(rec)}")
-            try:
-                n, l, m = int(rec[1]), int(rec[2]), int(rec[4])
-                r = float(rec[3])
-            except ValueError:
-                raise ValueError(f"{path}:{line}: bad configuration fields") from None
-            if rec[14] not in ("true", "false"):
-                raise ValueError(f"{path}:{line}: converged must be true or false")
-            reals = {
-                name: _parse_opt_float(rec[i], path, line)
-                for i, name in enumerate(HEADER[6:], start=6) if name != "converged"
-            }
-            rows.append(ResultRow(mode=rec[0], N=n, L=l, r=r, M=m, source=rec[5],
-                                  converged=rec[14] == "true", **reals))
+        text = fh.read()
+    if text and not text.endswith("\n"):
+        line = text.count("\n") + 1
+        raise ValueError(f"{path}:{line}: last record has no line end (file cut short?)")
+    rows = []
+    reader = csv.reader(io.StringIO(text, newline=""))
+    header = next(reader, None)
+    if header is None or header[: len(HEADER)] != HEADER:
+        raise ValueError(f"{path}:1: unexpected header")
+    for line, rec in enumerate(reader, start=2):
+        if len(rec) < len(HEADER):
+            raise ValueError(f"{path}:{line}: expected {len(HEADER)} fields, got {len(rec)}")
+        try:
+            n, l, m = int(rec[1]), int(rec[2]), int(rec[4])
+            r = float(rec[3])
+        except ValueError:
+            raise ValueError(f"{path}:{line}: bad configuration fields") from None
+        if rec[14] not in ("true", "false"):
+            raise ValueError(f"{path}:{line}: converged must be true or false")
+        reals = {
+            name: _parse_opt_float(rec[i], path, line)
+            for i, name in enumerate(HEADER[6:], start=6) if name != "converged"
+        }
+        rows.append(ResultRow(mode=rec[0], N=n, L=l, r=r, M=m, source=rec[5],
+                              converged=rec[14] == "true", **reals))
     return rows
 
 

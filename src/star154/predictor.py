@@ -101,10 +101,12 @@ class TrainConfig:
     validation_fraction: float = 0.2
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
+        if not self.learning_rate > 0:  # NaN too
             raise ValueError("learning rate must be positive")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
+        if self.batch_size < 1:
+            raise ValueError("batch size must be >= 1")
         if not 0.0 <= self.validation_fraction < 1.0:
             raise ValueError("validation fraction must be in [0, 1)")
 

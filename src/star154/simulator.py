@@ -11,7 +11,9 @@ Busy CCAs escalate NB/BE and drop the frame after five failures; collisions
 consume retries and drop the frame after three retransmissions.
 
 The simulation is exact with respect to the per-mini-slot rules: events only
-skip over slots in which provably nothing happens.
+skip over slots in which provably nothing happens. Events run in time order,
+ties in the order they were scheduled; a node's next event bypasses the heap
+when no queued event can precede it.
 """
 from __future__ import annotations
 
@@ -121,7 +123,7 @@ class _Node:
     __slots__ = (
         "bitgen", "raw", "half", "queue", "frame_arrival", "frame_start",
         "sink_seen", "busy", "nb", "be", "retries", "cca_end", "cca_busy",
-        "cca_counted", "data_end", "tx_rec", "ack_rec",
+        "cca_counted", "data_end", "rec",
     )
 
     def __init__(self, bitgen: np.random.PCG64):
@@ -140,8 +142,7 @@ class _Node:
         self.cca_busy = False
         self.cca_counted = False
         self.data_end = -1
-        self.tx_rec = None
-        self.ack_rec = None
+        self.rec = None  # this node's record in on_air while it transmits
 
     def next_raw(self) -> int:
         raw = self.raw
@@ -241,6 +242,8 @@ def run_replication(
             for i, bg in enumerate(streams)
         ]
     c = SimCounters(measured_slots=horizon)
+    # the hottest window tallies live in locals and are stored in c at the end
+    cca_starts = cca_busy = channel_busy_symbols = 0
 
     # events are (time, insertion number, kind, node): equal times pop in
     # insertion order
@@ -255,40 +258,9 @@ def run_replication(
         if len(trace_sink) >= max_trace:
             raise _TraceFull
 
-    on_air: list[list] = []  # [start, end, node, collided, kind] per transmission
+    on_air: list[list] = []  # [end, collided, node] per transmission
     in_cca: set[int] = set()
-    busy_streak_start = -1  # start slot of the current channel-busy interval
-
-    def close_busy_streak(t: int):
-        nonlocal busy_streak_start
-        if busy_streak_start >= 0:
-            lo = max(busy_streak_start, w_start)
-            hi = min(t, w_end)
-            if hi > lo:
-                c.channel_busy_symbols += hi - lo
-            busy_streak_start = -1
-
-    def add_on_air(t: int, end: int, node: int, kind: str) -> list:
-        nonlocal busy_streak_start
-        collided = False
-        for other in on_air:
-            if other[1] > t:
-                other[3] = True
-                collided = True
-        # anyone mid-CCA hears this transmission start
-        for j in in_cca:
-            if nodes[j].cca_end > t:
-                nodes[j].cca_busy = True
-        if not on_air and busy_streak_start < 0:
-            busy_streak_start = t
-        rec = [t, end, node, collided, kind]
-        on_air.append(rec)
-        return rec
-
-    def drop_on_air(t: int, rec: list):
-        on_air.remove(rec)  # a node has one record on air at most, so only rec is equal
-        if not on_air:
-            close_busy_streak(t)
+    busy_since = 0  # start slot of the channel-busy interval while on_air is non-empty
 
     def start_service(i: int, t: int, arrival: int):
         nd = nodes[i]
@@ -306,7 +278,6 @@ def run_replication(
 
     def frame_done(i: int, t: int, outcome: str):
         nd = nodes[i]
-        in_window = w_start <= t < w_end
         service = t - nd.frame_start
         wait = nd.frame_start - nd.frame_arrival
         if outcome == "deliver":
@@ -315,7 +286,7 @@ def run_replication(
             c.access_fail_drops += 1
         else:
             c.retry_fail_drops += 1
-        if in_window:
+        if t >= w_start:  # events run only before w_end
             c.serviced += 1
             c.service_sum_all += service
             c.sojourn_sum_all += service + wait
@@ -349,15 +320,124 @@ def run_replication(
         else:
             schedule_arrival(i, 0)
 
-    stopped_early = 0  # the last event popped lies past the window and was not run
-    while heap:
-        t, _, kind, i = heappop(heap)
+    # A handler that ends by scheduling its own node's next event sets held_t
+    # and held_kind instead of pushing it, and the held event runs next
+    # without a trip through the heap. If the heap holds an event at held_t or
+    # earlier, that event must run first (at the same slot it was inserted
+    # first), so the held event is pushed after all.
+    held_kind = -1  # -1: nothing held
+    held_t = n_held = 0
+    stopped_early = 0  # the last event taken lies past the window and was not run
+    while True:
+        if held_kind >= 0:  # same node i, nd as the event that held it
+            t = held_t
+            kind = held_kind
+            held_kind = -1
+            n_held += 1
+        elif heap:
+            t, _, kind, i = heappop(heap)
+            nd = nodes[i]
+        else:
+            break
         if t >= w_end:
             stopped_early = 1
             break
-        nd = nodes[i]
 
-        if kind == _ARRIVAL:
+        if kind == _BACKOFF_END:
+            counted = nd.cca_counted = t >= w_start
+            if counted:
+                cca_starts += 1
+            nd.cca_end = held_t = t + _CCA
+            held_kind = _CCA_END
+            busy = False
+            for rec in on_air:
+                if rec[0] > t:
+                    busy = True
+                    break
+            nd.cca_busy = busy
+            in_cca.add(i)
+            if tracing:
+                emit(t, i, "cca_start", f"nb={nd.nb}")
+
+        elif kind == _CCA_END:
+            in_cca.discard(i)
+            if nd.cca_busy:
+                if nd.cca_counted:
+                    cca_busy += 1
+                if tracing:
+                    emit(t, i, "cca_result", "busy")
+                nd.nb += 1
+                if nd.be < _MAX_BE:
+                    nd.be += 1
+                if nd.nb > _MAX_NB:
+                    frame_done(i, t, "access_drop")
+                else:
+                    delay = nd.draw_backoff()
+                    if tracing:
+                        emit(t, i, "backoff", f"delay={delay}")
+                    held_t = t + delay
+                    held_kind = _BACKOFF_END
+            else:
+                held_t = t + _TURN
+                held_kind = _TX_START
+                if tracing:
+                    emit(t, i, "cca_result", "idle")
+
+        elif kind == _TX_START or kind == _ACK_START:
+            if kind == _TX_START:
+                held_t = t + two_l
+                held_kind = _TX_END
+            else:
+                held_t = t + _ACK_LEN
+                held_kind = _ACK_END
+            collided = False
+            for rec in on_air:
+                if rec[0] > t:
+                    rec[1] = True
+                    collided = True
+            # anyone mid-CCA hears this transmission start
+            for j in in_cca:
+                if nodes[j].cca_end > t:
+                    nodes[j].cca_busy = True
+            if not on_air:
+                busy_since = t
+            nd.rec = rec = [held_t, collided, i]
+            on_air.append(rec)
+            if tracing:
+                emit(t, i, "tx_start" if kind == _TX_START else "ack_start", f"until={held_t}")
+
+        elif kind == _TX_END or kind == _ACK_END:
+            rec = nd.rec
+            on_air.remove(rec)  # a node has one record on air at most, so only rec is equal
+            if not on_air:  # the channel-busy interval closes
+                lo = busy_since if busy_since > w_start else w_start
+                if t > lo:
+                    channel_busy_symbols += t - lo
+            collided = rec[1]
+            if kind == _TX_END:
+                nd.data_end = t
+                if tracing:
+                    emit(t, i, "tx_end", f"collided={int(collided)}")
+                if collided:
+                    held_t = t + _ACK_TIMEOUT
+                    held_kind = _FAIL
+                else:
+                    # sink got the frame; note repeats of one already received
+                    if nd.sink_seen and t >= w_start:
+                        c.duplicate_deliveries += 1
+                    nd.sink_seen = True
+                    held_t = t + _ACK_GAP
+                    held_kind = _ACK_START
+            else:
+                if tracing:
+                    emit(t, i, "ack_end", f"collided={int(collided)}")
+                if collided:
+                    held_t = nd.data_end + _ACK_TIMEOUT
+                    held_kind = _FAIL
+                else:
+                    frame_done(i, t, "deliver")
+
+        elif kind == _ARRIVAL:
             c.arrivals += 1
             if not nd.busy:
                 if tracing:
@@ -373,79 +453,7 @@ def run_replication(
                     emit(t, i, "blocked", f"queue={len(nd.queue)}")
             schedule_arrival(i, t + 1)
 
-        elif kind == _BACKOFF_END:
-            nd.cca_counted = w_start <= t < w_end
-            if nd.cca_counted:
-                c.cca_starts += 1
-            nd.cca_end = t + _CCA
-            nd.cca_busy = any(rec[1] > t for rec in on_air)
-            in_cca.add(i)
-            if tracing:
-                emit(t, i, "cca_start", f"nb={nd.nb}")
-            heappush(heap, (t + _CCA, seq(), _CCA_END, i))
-
-        elif kind == _CCA_END:
-            in_cca.discard(i)
-            if nd.cca_busy:
-                if nd.cca_counted:
-                    c.cca_busy += 1
-                if tracing:
-                    emit(t, i, "cca_result", "busy")
-                nd.nb += 1
-                if nd.be < _MAX_BE:
-                    nd.be += 1
-                if nd.nb > _MAX_NB:
-                    frame_done(i, t, "access_drop")
-                else:
-                    delay = nd.draw_backoff()
-                    if tracing:
-                        emit(t, i, "backoff", f"delay={delay}")
-                    heappush(heap, (t + delay, seq(), _BACKOFF_END, i))
-            else:
-                if tracing:
-                    emit(t, i, "cca_result", "idle")
-                heappush(heap, (t + _TURN, seq(), _TX_START, i))
-
-        elif kind == _TX_START:
-            nd.tx_rec = add_on_air(t, t + two_l, i, "data")
-            if tracing:
-                emit(t, i, "tx_start", f"until={t + two_l}")
-            heappush(heap, (t + two_l, seq(), _TX_END, i))
-
-        elif kind == _TX_END:
-            rec = nd.tx_rec
-            nd.tx_rec = None
-            drop_on_air(t, rec)
-            nd.data_end = t
-            if tracing:
-                emit(t, i, "tx_end", f"collided={int(rec[3])}")
-            if rec[3]:
-                heappush(heap, (t + _ACK_TIMEOUT, seq(), _FAIL, i))
-            else:
-                # sink got the frame; note repeats of one already received
-                if nd.sink_seen and w_start <= t < w_end:
-                    c.duplicate_deliveries += 1
-                nd.sink_seen = True
-                heappush(heap, (t + _ACK_GAP, seq(), _ACK_START, i))
-
-        elif kind == _ACK_START:
-            nd.ack_rec = add_on_air(t, t + _ACK_LEN, i, "ack")
-            if tracing:
-                emit(t, i, "ack_start", f"until={t + _ACK_LEN}")
-            heappush(heap, (t + _ACK_LEN, seq(), _ACK_END, i))
-
-        elif kind == _ACK_END:
-            rec = nd.ack_rec
-            nd.ack_rec = None
-            drop_on_air(t, rec)
-            if tracing:
-                emit(t, i, "ack_end", f"collided={int(rec[3])}")
-            if rec[3]:
-                heappush(heap, (nd.data_end + _ACK_TIMEOUT, seq(), _FAIL, i))
-            else:
-                frame_done(i, t, "deliver")
-
-        elif kind == _FAIL:
+        else:  # _FAIL
             nd.retries += 1
             if nd.retries > _MAX_RETRIES:
                 frame_done(i, t, "retry_drop")
@@ -457,11 +465,22 @@ def run_replication(
                 delay = nd.draw_backoff()
                 if tracing:
                     emit(t, i, "backoff", f"delay={delay}")
-                heappush(heap, (t + delay, seq(), _BACKOFF_END, i))
+                held_t = t + delay
+                held_kind = _BACKOFF_END
 
-    close_busy_streak(w_end)  # close any open busy interval
+        if held_kind >= 0 and heap and heap[0][0] <= held_t:
+            heappush(heap, (held_t, seq(), held_kind, i))
+            held_kind = -1
+
+    if on_air:  # close the busy interval still open at the end of the window
+        lo = busy_since if busy_since > w_start else w_start
+        if w_end > lo:
+            channel_busy_symbols += w_end - lo
+    c.cca_starts = cca_starts
+    c.cca_busy = cca_busy
+    c.channel_busy_symbols = channel_busy_symbols
     c.in_system_at_end = sum(int(nd.busy) + len(nd.queue) for nd in nodes)
-    c.events = seq() - len(heap) - stopped_early
+    c.events = seq() + n_held - len(heap) - stopped_early  # pushed or held, less unrun
     return c
 
 

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from star154.analytical import SolverSettings
+from star154 import dataset
 from star154.cli import build_parser, main
 from star154.core import NetworkConfig, TrafficMode
 from star154.dataset import HEADER, analytical_row, read_csv, write_csv
@@ -52,8 +53,10 @@ def test_solve_multibuffer_prints_queue_delays(capsys):
     assert any(ln.startswith("# TSW=") for ln in out.splitlines())
 
 
-def test_usage_errors_exit_2(tmp_path, capsys):
+def test_usage_errors_exit_2(tmp_path, capsys, training_csv):
     out_csv = str(tmp_path / "x.csv")
+    model = str(tmp_path / "m.txt")
+    train = ["train", "--data", training_csv, "--target", "ps", "--out", model]
     cases = [
         ["solve", "--mode", "unsat1", "--nodes", "10", "--frame-bytes", "100"],
         ["solve", "--mode", "unsatm", "--nodes", "10", "--frame-bytes", "100",
@@ -77,12 +80,31 @@ def test_usage_errors_exit_2(tmp_path, capsys):
          "--out", out_csv],
         ["sweep", "--mode", "sat", "--nodes", "1:1e12:1", "--frame-bytes", "100",
          "--out", out_csv],
+        # training settings TrainConfig rejects
+        train + ["--batch", "0"],
+        train + ["--batch", "-3"],
+        train + ["--epochs", "0"],
     ]
     for argv in cases:
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
         capsys.readouterr()
+    assert not os.path.exists(out_csv) and not os.path.exists(model)
+
+
+def test_oversized_sweep_grid_exits_2_before_it_is_built(monkeypatch, tmp_path, capsys):
+    # each axis is within its limit, the whole grid (1e10 points) is not
+    def no_grid(spec):
+        raise AssertionError("the grid was built")
+
+    monkeypatch.setattr(dataset, "generate_grid", no_grid)
+    code, _, err = _outcome(capsys, [
+        "sweep", "--mode", "sat", "--nodes", "1:100000:1", "--frame-bytes", "1:100000:1",
+        "--out", str(tmp_path / "x.csv"),
+    ])
+    assert code == 2
+    assert err.splitlines()[-1] == "star154: error: grid has 10000000000 points, more than 100000"
 
 
 @pytest.mark.parametrize("net", [

@@ -2,7 +2,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from star154.analytical import SolverSettings
@@ -130,6 +130,21 @@ def test_sweep_spec_rejects_empty_axes():
                   r_values=(), M_values=(1,))
 
 
+def test_sweep_spec_bounds_the_whole_grid():
+    axis = tuple(range(1, MAX_AXIS_VALUES + 1))
+    with pytest.raises(ValueError, match="grid has 200000 points"):
+        SweepSpec(mode=TrafficMode.SATURATED, N_values=axis, L_values=(30, 31),
+                  r_values=(), M_values=(1,))
+    with pytest.raises(ValueError, match="grid has 100100 points"):
+        SweepSpec(mode=TrafficMode.UNSATM, N_values=(2,), L_values=tuple(range(30, 130)),
+                  r_values=tuple(i / 1e4 for i in range(1, 1002)), M_values=(2,))
+    # the limit is inclusive, and axes the mode ignores do not count
+    SweepSpec(mode=TrafficMode.SATURATED, N_values=axis, L_values=(30,),
+              r_values=(0.01, 0.02), M_values=(2, 3))
+    SweepSpec(mode=TrafficMode.UNSAT1, N_values=axis[:1000], L_values=tuple(range(30, 130)),
+              r_values=(0.01,), M_values=(2, 3, 4))
+
+
 # -- CSV round trip -----------------------------------------------------------
 
 def _sample_rows():
@@ -193,6 +208,40 @@ def test_csv_floats_survive_exactly(tmp_path):
     assert back[0].TVS_sym == 678.3260755077755
 
 
+_finite = st.floats(allow_nan=False, allow_infinity=False)  # extremes, subnormals, -0.0
+
+
+@st.composite
+def _result_rows(draw):
+    return ResultRow(
+        mode=draw(st.sampled_from([m.value for m in TrafficMode])),
+        N=draw(st.integers(-2**70, 2**70)), L=draw(st.integers(-2**70, 2**70)),
+        r=draw(_finite), M=draw(st.integers(-2**70, 2**70)),
+        source=draw(st.sampled_from([s.value for s in Source])),
+        converged=draw(st.booleans()),
+        **{name: draw(st.none() | _finite) for name in HEADER[6:] if name != "converged"},
+    )
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(rows=st.lists(_result_rows(), max_size=3))
+def test_csv_round_trip_and_truncation_property(tmp_path, rows):
+    path = tmp_path / "rows.csv"
+    write_csv(rows, str(path))
+    assert repr(read_csv(str(path))) == repr(rows)  # float reprs: bit for bit
+    text = path.read_bytes()
+    cut = tmp_path / "cut.csv"
+    for keep in range(len(text)):
+        cut.write_bytes(text[:keep])
+        if keep and text[keep - 1:keep] == b"\n":  # a record boundary: the leading rows
+            records = text[:keep].count(b"\n") - 1
+            assert repr(read_csv(str(cut))) == repr(rows[:records])
+        else:
+            with pytest.raises(ValueError):
+                read_csv(str(cut))
+
+
 def test_read_csv_error_messages_carry_location(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("nope\n")
@@ -209,6 +258,11 @@ def test_read_csv_error_messages_carry_location(tmp_path):
     garbled.write_text(",".join(HEADER) + "\n" + row + "\n")
     with pytest.raises(ValueError, match=r"garbled\.csv:2.*zzz"):
         read_csv(str(garbled))
+
+    cut = tmp_path / "cut.csv"
+    cut.write_text(",".join(HEADER) + "\nunsat1,2,30,0.01,1,analytical,,,,,,,,,true,,0.00")
+    with pytest.raises(ValueError, match=r"cut\.csv:2.*no line end"):
+        read_csv(str(cut))
 
     flagged = tmp_path / "flagged.csv"
     row = "unsat1,2,30,0.01,1,analytical,,,,,,,,,maybe,,"

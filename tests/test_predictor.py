@@ -188,6 +188,15 @@ def test_divergence_is_reported():
         train(init_model(SMALL, seed=13), X, y, cfg)
 
 
+@pytest.mark.parametrize("bad", [
+    {"batch_size": 0}, {"batch_size": -3}, {"epochs": 0}, {"learning_rate": 0.0},
+    {"learning_rate": math.nan}, {"validation_fraction": 1.0},
+])
+def test_train_config_rejects_settings_that_cannot_train(bad):
+    with pytest.raises(ValueError):
+        TrainConfig(**bad)
+
+
 def test_train_input_validation():
     X, y = _toy_data(8, seed=1)
     with pytest.raises(ValueError):

@@ -120,6 +120,52 @@ def test_late_cca_hears_transmission_start(offset):
     assert c.cca_starts == 3
 
 
+def test_same_slot_events_run_in_insertion_order():
+    # each node's next step may skip the heap, but not past an event queued
+    # earlier for the same slot: at 20 node 1's backoff ends as node 0's CCA
+    # ends, and at 154 node 1's retry falls due as node 0's CCA ends; the
+    # queued event runs first both times. Expected lines and counters were
+    # recorded from the engine that pushed every event through the heap.
+    lines = []
+    c = run_replication(
+        NetworkConfig(N=3, L=30, mode=TrafficMode.UNSAT1, r=0.01), 2000, 0, seed=0,
+        trace_sink=lines, max_trace=10000,
+        arrival_schedule={0: [12], 1: [0], 2: [60]},
+        backoff_schedule={0: [0, 0, 3], 1: [1, 1, 0], 2: [0, 2]},
+    )
+    expected = """\
+        0 1 arrive queue=0 | 0 1 backoff delay=20 | 12 0 arrive queue=0
+        12 0 backoff delay=0 | 12 0 cca_start nb=0 | 20 1 cca_start nb=0
+        20 0 cca_result idle | 28 1 cca_result idle | 32 0 tx_start until=92
+        40 1 tx_start until=100 | 60 2 arrive queue=0 | 60 2 backoff delay=0
+        60 2 cca_start nb=0 | 68 2 cca_result busy | 68 2 backoff delay=40
+        92 0 tx_end collided=1 | 100 1 tx_end collided=1 | 108 2 cca_start nb=1
+        116 2 cca_result idle | 128 2 tx_start until=188 | 146 0 retry count=1
+        146 0 backoff delay=0 | 146 0 cca_start nb=0 | 154 1 retry count=1
+        154 1 backoff delay=20 | 154 0 cca_result busy | 154 0 backoff delay=60
+        174 1 cca_start nb=0 | 182 1 cca_result busy | 182 1 backoff delay=0
+        182 1 cca_start nb=1 | 188 2 tx_end collided=0 | 190 1 cca_result busy
+        190 1 backoff delay=320 | 208 2 ack_start until=230 | 214 0 cca_start nb=1
+        222 0 cca_result busy | 222 0 backoff delay=540 | 230 2 ack_end collided=0
+        230 2 deliver service=170 | 510 1 cca_start nb=2 | 518 1 cca_result idle
+        530 1 tx_start until=590 | 590 1 tx_end collided=0 | 610 1 ack_start until=632
+        632 1 ack_end collided=0 | 632 1 deliver service=632 | 762 0 cca_start nb=2
+        770 0 cca_result idle | 782 0 tx_start until=842 | 842 0 tx_end collided=0
+        862 0 ack_start until=884 | 884 0 ack_end collided=0 | 884 0 deliver service=872"""
+    assert lines == [
+        "\t".join(entry.split()) for row in expected.splitlines() for entry in row.split("|")
+    ]
+    assert dataclasses.asdict(c) == dict(
+        arrivals=3, blocked_arrivals=0, deliveries=3, access_fail_drops=0,
+        retry_fail_drops=0, in_system_at_end=0, events=41, measured_slots=2000,
+        w_deliveries=3, w_access_fail_drops=0, w_retry_fail_drops=0, cca_starts=10,
+        cca_busy=5, channel_busy_symbols=314, success_payload_symbols=180,
+        duplicate_deliveries=0, service_sum_delivered=1674.0,
+        sojourn_sum_delivered=1674.0, service_sum_all=1674.0, sojourn_sum_all=1674.0,
+        serviced=3,
+    )
+
+
 def test_collided_ack_causes_duplicate_delivery():
     # node 1's CCA (230-238) ends before node 0's ACK begins at 240, so it
     # transmits over the ACK; node 0 times out and resends a frame the sink
