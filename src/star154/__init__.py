@@ -16,7 +16,6 @@ from .core import (
 )
 from .analytical import (
     ChannelStationaryDistribution,
-    DivergenceError,
     FixedPoint,
     NonConvergenceError,
     SolverSettings,
@@ -48,7 +47,6 @@ __all__ = [
     "T1_SYMBOLS",
     "AttemptProbs",
     "ChannelStationaryDistribution",
-    "DivergenceError",
     "ElementaryProbs",
     "FixedPoint",
     "NetworkConfig",

@@ -1,10 +1,10 @@
 """Coupled fixed point of the node and channel models.
 
 The node side gives the per-mini-slot CCA probability tau as a function of the
-busy probability a; the channel side gives a as a function of tau. The solver
-finds the joint fixed point for each traffic mode. The multi-buffer mode adds
-a third coupled unknown, the mean service time, through the queue-empty
-probability p0.
+busy probability a; the channel side gives a as a function of tau. The
+multi-buffer mode also weights the arrival term by the queue-empty probability
+p0, a closed form of (tau, a) through the mean service time. So every traffic
+mode is one scalar equation F(tau) = 0, and one solver serves them all.
 """
 from __future__ import annotations
 
@@ -12,8 +12,8 @@ import math
 from dataclasses import dataclass
 
 from .core import (
-    ACK_WAIT_SAVING, ATTEMPT_STEPS, CLEAN_COLLISION_SYMBOLS, CLEAN_SUCCESS_SYMBOLS,
-    COLLISION_TAIL, NetworkConfig, TrafficMode, derived_probs,
+    ACK_WAIT_SAVING, ATTEMPT_STEPS, CLEAN_COLLISION_SYMBOLS, COLLISION_TAIL,
+    NetworkConfig, TrafficMode, derived_probs,
 )
 
 _, _STEP1, _STEP2, _STEP3, _STEP4 = ATTEMPT_STEPS
@@ -22,9 +22,7 @@ _, _STEP1, _STEP2, _STEP3, _STEP4 = ATTEMPT_STEPS
 _INITIAL_TAU = 1e-4
 _INITIAL_A = 0.0
 
-
-class DivergenceError(RuntimeError):
-    """A denominator became non-positive; the iterate left the valid regime."""
+MIN_NODES = 2  # the fewest nodes the closed forms accept
 
 
 class NonConvergenceError(RuntimeError):
@@ -189,6 +187,7 @@ def tau_update(
     D = probs.D
     retry_geo = 1.0 + D + D**2 + D**3
     numerator = retry_geo * (1.0 + a + a**2 + a**3 + a**4)
+    # bracket >= 78 symbols for every a, k in [0, 1], so the denominator is too
     denominator = bracket * retry_geo
     if cfg.mode is TrafficMode.UNSAT1:
         if cfg.r == 0.0:
@@ -200,30 +199,49 @@ def tau_update(
         if cfg.r == 0.0:
             return 0.0
         denominator += p0 * 2 * L / cfg.r
-    if denominator <= 0.0:
-        raise DivergenceError(f"non-positive denominator {denominator} at tau={tau_prev}, a={a}")
     return min(max(numerator / denominator, 0.0), 1.0)
 
 
-def _residual(tau: float, a: float, cfg: NetworkConfig, p0) -> float:
-    return max(
-        abs(tau_update(tau, a, cfg, p0) - tau),
-        abs(a_from_tau(tau, cfg.N, cfg.L) - a),
-    )
+def _queue(tau: float, a: float, cfg: NetworkConfig) -> tuple[float, float, float]:
+    """Queue utilization p, empty probability p0 and mean service time TVS at (tau, a).
+
+    Multi-buffer mode: the node model's mean service time at (tau, a) sets
+    the M/M/1/K load, and its empty probability weights the arrival term.
+    """
+    # local import; metrics depends on this module for throughput
+    from .metrics import attempt_probs, delays, retry_probs, service_times
+    from .queueing import empty_prob, utilization
+
+    probs = derived_probs(tau, a, cfg.N, cfg.L)
+    rp = retry_probs(attempt_probs(a, probs.k))
+    _, TVS = delays(rp, service_times(a, cfg.L))
+    p = utilization(cfg.r, cfg.L, TVS)
+    return p, empty_prob(p, cfg.M), TVS
 
 
-def _bisect(cfg: NetworkConfig, p0, settings: SolverSettings) -> tuple[float, float, int]:
-    """Root of F(tau) = tau_update(tau, a_from_tau(tau)) - tau on [0, 1].
+def _update(tau: float, a: float, cfg: NetworkConfig) -> float:
+    """tau_update at (tau, a), with p0(tau, a) supplied in multi-buffer mode."""
+    p0 = _queue(tau, a, cfg)[1] if cfg.mode is TrafficMode.UNSATM else None
+    return tau_update(tau, a, cfg, p0)
+
+
+def _F(tau: float, cfg: NetworkConfig) -> float:
+    """The map every route solves: F(tau) = tau_update(tau, a(tau), p0) - tau."""
+    return _update(tau, a_from_tau(tau, cfg.N, cfg.L), cfg) - tau
+
+
+def _residual(tau: float, a: float, cfg: NetworkConfig) -> float:
+    return max(abs(_update(tau, a, cfg) - tau), abs(a_from_tau(tau, cfg.N, cfg.L) - a))
+
+
+def _bisect(cfg: NetworkConfig, settings: SolverSettings) -> tuple[float, float, int]:
+    """Root of F on [0, 1].
 
     F(0) >= 0 and F(1) <= 0 for every valid configuration, so the root is
     bracketed from the start.
     """
-
-    def F(t: float) -> float:
-        return tau_update(t, a_from_tau(t, cfg.N, cfg.L), cfg, p0) - t
-
     lo, hi = 0.0, 1.0
-    f_lo = F(lo)
+    f_lo = _F(lo, cfg)
     if f_lo == 0.0:
         return 0.0, 0.0, 1
     it = 0
@@ -231,7 +249,7 @@ def _bisect(cfg: NetworkConfig, p0, settings: SolverSettings) -> tuple[float, fl
     # residual itself meets tolerance.
     for it in range(1, 201):
         mid = 0.5 * (lo + hi)
-        f_mid = F(mid)
+        f_mid = _F(mid, cfg)
         if f_mid == 0.0 or abs(f_mid) < settings.tolerance * 1e-2:
             lo = hi = mid
             break
@@ -243,8 +261,8 @@ def _bisect(cfg: NetworkConfig, p0, settings: SolverSettings) -> tuple[float, fl
     return tau, a_from_tau(tau, cfg.N, cfg.L), it
 
 
-def _polish(cfg: NetworkConfig, p0, tau: float) -> float:
-    """Newton-polish the root of F(t) = tau_update(t, a(t), .) - t.
+def _polish(cfg: NetworkConfig, tau: float) -> float:
+    """Newton-polish the root of F.
 
     A residual-based stop leaves the landed position off by roughly
     residual / |1 - slope of the update map|, which crosses 1e-9 when the
@@ -253,62 +271,58 @@ def _polish(cfg: NetworkConfig, p0, tau: float) -> float:
     noise, so the damped route and the bisection route agree on where the
     root is. Never moves to a point with a larger |F|.
     """
-
-    def F(t: float) -> float:
-        return tau_update(t, a_from_tau(t, cfg.N, cfg.L), cfg, p0) - t
-
     h = 1e-7  # far above F's rounding noise, far below its curvature scale
-    best_t, best_f = tau, abs(F(tau))
+    best_t, best_f = tau, abs(_F(tau, cfg))
     t = tau
     for _ in range(2):
-        f_t = F(t)
+        f_t = _F(t, cfg)
         if f_t == 0.0:
             return t
         lo, hi = max(t - h, 0.0), min(t + h, 1.0)
-        slope = (F(hi) - F(lo)) / (hi - lo)
+        slope = (_F(hi, cfg) - _F(lo, cfg)) / (hi - lo)
         if not math.isfinite(slope) or slope == 0.0:
             break
         t_new = t - f_t / slope
         if not 0.0 <= t_new <= 1.0:
             break
         t = t_new
-        f_new = abs(F(t))
+        f_new = abs(_F(t, cfg))
         if f_new < best_f:
             best_t, best_f = t, f_new
     return best_t
 
 
 def _solve_pair(
-    cfg: NetworkConfig, p0, settings: SolverSettings, tau0: float, a0: float
+    cfg: NetworkConfig, settings: SolverSettings
 ) -> tuple[float, float, int, float, bool]:
-    """Inner damped iteration on (tau, a) at fixed p0."""
+    """Damped iteration on (tau, a), or bisection: tau, a, iterations, residual, ok."""
     if settings.use_bisection:
-        tau, a, it = _bisect(cfg, p0, settings)
-        tau = _polish(cfg, p0, tau)
+        tau, a, it = _bisect(cfg, settings)
+        tau = _polish(cfg, tau)
         a = a_from_tau(tau, cfg.N, cfg.L)
-        res = _residual(tau, a, cfg, p0)
+        res = _residual(tau, a, cfg)
         return tau, a, it, res, res <= settings.tolerance
     d = settings.damping
-    tau, a = tau0, a0
+    tau, a = _INITIAL_TAU, _INITIAL_A
     flips = 0
     prev_step = 0.0
     res = math.inf
     for it in range(1, settings.max_iterations + 1):
-        rhs = tau_update(tau, a, cfg, p0)
+        rhs = _update(tau, a, cfg)
         res = max(abs(rhs - tau), abs(a_from_tau(tau, cfg.N, cfg.L) - a))
         if res <= settings.tolerance:
-            tau = _polish(cfg, p0, tau)
+            tau = _polish(cfg, tau)
             a = a_from_tau(tau, cfg.N, cfg.L)
-            return tau, a, it, _residual(tau, a, cfg, p0), True
+            return tau, a, it, _residual(tau, a, cfg), True
         step = rhs - tau
         # oscillation watchdog: 50 consecutive sign flips of the tau step
         if step * prev_step < 0.0:
             flips += 1
             if flips >= 50:
-                tau, a, bit = _bisect(cfg, p0, settings)
-                tau = _polish(cfg, p0, tau)
+                tau, a, bit = _bisect(cfg, settings)
+                tau = _polish(cfg, tau)
                 a = a_from_tau(tau, cfg.N, cfg.L)
-                res = _residual(tau, a, cfg, p0)
+                res = _residual(tau, a, cfg)
                 return tau, a, it + bit, res, res <= settings.tolerance
         else:
             flips = 0
@@ -321,63 +335,16 @@ def _solve_pair(
 def solve(cfg: NetworkConfig, settings: SolverSettings = SolverSettings()) -> FixedPoint:
     """Find the fixed point of the coupled node/channel model for cfg.
 
-    Raises NonConvergenceError (carrying the last iterate) if the iteration
-    budget runs out, and DivergenceError if an iterate leaves the model's
-    domain.
+    Raises NonConvergenceError, carrying the last iterate, if the iteration
+    budget runs out.
     """
-    if cfg.N < 2:
-        raise ValueError("the analytical model needs at least 2 nodes")
-    if cfg.mode is not TrafficMode.UNSATM:
-        tau, a, it, res, ok = _solve_pair(cfg, None, settings, _INITIAL_TAU, _INITIAL_A)
-        fp = FixedPoint(tau=tau, a=a, iterations=it, residual=res, converged=ok)
-        if not ok:
-            raise NonConvergenceError(f"no convergence after {it} iterations", fp)
-        return fp
-    return _solve_multibuffer(cfg, settings)
-
-
-def _solve_multibuffer(cfg: NetworkConfig, settings: SolverSettings) -> FixedPoint:
-    """Outer loop on (TVS, p, p0) with warm-started inner (tau, a) solves."""
-    # local import; metrics depends on this module for throughput
-    from .metrics import attempt_probs, delays, retry_probs, service_times
-    from .queueing import empty_prob, utilization
-
-    TVS = float(CLEAN_SUCCESS_SYMBOLS + 2 * cfg.L)  # service time of one clean attempt
-    p = utilization(cfg.r, cfg.L, TVS)
-    p0 = empty_prob(p, cfg.M)
-    tau, a = _INITIAL_TAU, _INITIAL_A
-    total_it = 0
-    last_res = math.inf
-    for _ in range(settings.max_iterations):
-        tau, a, it, res, ok = _solve_pair(cfg, p0, settings, tau, a)
-        total_it += it
-        if not ok:
-            fp = FixedPoint(
-                tau=tau, a=a, iterations=total_it, residual=res, converged=False,
-                p=p, p0=p0, TVS=TVS,
-            )
-            raise NonConvergenceError("inner (tau, a) iteration stalled", fp)
-        probs = derived_probs(tau, a, cfg.N, cfg.L)
-        rp = retry_probs(attempt_probs(a, probs.k))
-        _, TVS = delays(rp, service_times(a, cfg.L))
-        p = utilization(cfg.r, cfg.L, TVS)
-        p0_new = empty_prob(p, cfg.M)
-        last_res = abs(p0_new - p0)
-        p0 = p0_new
-        if last_res <= settings.tolerance:
-            res = max(res, _residual(tau, a, cfg, p0))
-            fp = FixedPoint(
-                tau=tau, a=a, iterations=total_it, residual=res,
-                converged=res <= settings.tolerance, p=p, p0=p0, TVS=TVS,
-            )
-            if not fp.converged:
-                # p0 moved less than tolerance but (tau, a) drifted: one more
-                # inner pass would fix it; treat as non-converged only if the
-                # budget is truly gone
-                continue
-            return fp
-    fp = FixedPoint(
-        tau=tau, a=a, iterations=total_it, residual=last_res, converged=False,
-        p=p, p0=p0, TVS=TVS,
-    )
-    raise NonConvergenceError("outer queue loop did not settle", fp)
+    if cfg.N < MIN_NODES:
+        raise ValueError(f"the analytical model needs at least {MIN_NODES} nodes")
+    tau, a, it, res, ok = _solve_pair(cfg, settings)
+    p = p0 = TVS = None
+    if cfg.mode is TrafficMode.UNSATM:
+        p, p0, TVS = _queue(tau, a, cfg)
+    fp = FixedPoint(tau=tau, a=a, iterations=it, residual=res, converged=ok, p=p, p0=p0, TVS=TVS)
+    if not ok:
+        raise NonConvergenceError(f"no convergence after {it} iterations", fp)
+    return fp

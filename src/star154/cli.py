@@ -14,7 +14,7 @@ import functools
 import sys
 
 from .core import NetworkConfig, PerformanceReport, TrafficMode
-from .analytical import NonConvergenceError, SolverSettings, solve
+from .analytical import MIN_NODES, NonConvergenceError, SolverSettings, solve
 from .metrics import report as metrics_report
 from . import dataset, predictor, simulator
 
@@ -86,6 +86,8 @@ def _add_net_flags(p: argparse.ArgumentParser) -> None:
 
 def _cmd_solve(args, parser) -> int:
     cfg = _net_config(args, parser)
+    if cfg.N < MIN_NODES:
+        parser.error(f"the analytical model needs at least {MIN_NODES} nodes, got {cfg.N}")
     settings = SolverSettings(
         tolerance=args.tol, max_iterations=args.max_iter,
         damping=args.damping, use_bisection=args.bisection,
@@ -151,6 +153,8 @@ def _cmd_compare(args, parser) -> int:
     except dataset.KeyMismatchError as e:
         print(str(e), file=sys.stderr)
         return 1
+    except ValueError as e:  # no rows of a side's own source, or two for one configuration
+        parser.exit(2, f"{parser.prog}: error: {e}\n")
     with _file_errors(parser, args.out):
         dataset.write_diff_csv(diffs, args.out)
     print(f"wrote {len(diffs)} comparisons to {args.out}")

@@ -15,7 +15,7 @@ from enum import Enum
 import numpy as np
 
 from .core import CONSTANTS, NetworkConfig, PerformanceReport, TrafficMode
-from .analytical import NonConvergenceError, SolverSettings, solve
+from .analytical import MIN_NODES, NonConvergenceError, SolverSettings, solve
 from .metrics import report as metrics_report
 from . import predictor, simulator
 
@@ -52,6 +52,10 @@ class SweepSpec:
         size = math.prod(len(values) for values in axes)
         if size > MAX_AXIS_VALUES:
             raise ValueError(f"grid has {size} points, more than {MAX_AXIS_VALUES}")
+        if self.engine is not Engine.SIMULATED and min(self.N_values) < MIN_NODES:
+            raise ValueError(
+                f"the analytical model needs at least {MIN_NODES} nodes, got {min(self.N_values)}"
+            )
 
     def axes(self) -> tuple[tuple, tuple, tuple, tuple]:
         """The N, L, r and M values of the grid.
@@ -271,8 +275,8 @@ def read_csv(path: str) -> list[ResultRow]:
     if header is None or header[: len(HEADER)] != HEADER:
         raise ValueError(f"{path}:1: unexpected header")
     for line, rec in enumerate(reader, start=2):
-        if len(rec) < len(HEADER):
-            raise ValueError(f"{path}:{line}: expected {len(HEADER)} fields, got {len(rec)}")
+        if len(rec) != len(header):
+            raise ValueError(f"{path}:{line}: expected {len(header)} fields, got {len(rec)}")
         try:
             n, l, m = int(rec[1]), int(rec[2]), int(rec[4])
             r = float(rec[3])
@@ -324,17 +328,34 @@ class DiffRow:
     rel_diff: dict[str, float | None]
 
 
+def _rows_by_key(rows: list[ResultRow], source: str) -> dict[tuple, ResultRow]:
+    """The rows of one source by configuration key; rows of other sources are left out."""
+    keyed = {}
+    for row in rows:
+        if row.source != source:
+            continue
+        if row.key in keyed:
+            raise ValueError(f"{source} input has two {source} rows for {row.key}")
+        keyed[row.key] = row
+    if not keyed:
+        raise ValueError(f"{source} input has no {source} rows")
+    return keyed
+
+
 def compare(
     analytical_rows: list[ResultRow], simulated_rows: list[ResultRow]
 ) -> tuple[list[DiffRow], dict[str, dict[str, float]]]:
     """Per-configuration metric differences plus summary quantiles.
 
-    abs diffs are analytical minus simulated; rel diffs are scaled by the
-    analytical magnitude. The summary maps metric -> quantiles of |abs| and
-    |rel| over configurations where both sides have the metric.
+    Each side keeps only the rows of its own source, so the rows of one
+    sweep that ran both engines can serve as both. A side with no such rows, or with two for one
+    configuration, raises ValueError; unmatched configurations raise
+    KeyMismatchError. abs diffs are analytical minus simulated; rel diffs are
+    scaled by the analytical magnitude. The summary maps metric -> quantiles
+    of |abs| and |rel| over configurations where both sides have the metric.
     """
-    ana = {row.key: row for row in analytical_rows}
-    sim = {row.key: row for row in simulated_rows}
+    ana = _rows_by_key(analytical_rows, "analytical")
+    sim = _rows_by_key(simulated_rows, "simulated")
     if set(ana) != set(sim):
         raise KeyMismatchError(set(ana) - set(sim), set(sim) - set(ana))
     diffs = []

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from star154.analytical import (
-    DivergenceError,
     NonConvergenceError,
     SolverSettings,
     a_from_tau,
@@ -22,6 +21,7 @@ from oracles import exact_a_from_tau, exact_tau_update, exact_throughput, exact_
 
 UNSAT = lambda n, l, r: NetworkConfig(N=n, L=l, mode=TrafficMode.UNSAT1, r=r)
 SAT = lambda n, l: NetworkConfig(N=n, L=l, mode=TrafficMode.SATURATED)
+MULTI = NetworkConfig(N=20, L=60, mode=TrafficMode.UNSATM, r=0.08, M=4)
 
 
 # -- busy probability ---------------------------------------------------------
@@ -173,11 +173,11 @@ def _bisect_oracle(cfg, p0=None, lo=0.0, hi=1.0):
 
 
 def test_solver_residual_at_convergence():
-    for cfg in [UNSAT(10, 100, 0.05), UNSAT(2, 30, 0.001), SAT(10, 50), SAT(2, 100)]:
+    for cfg in [UNSAT(10, 100, 0.05), UNSAT(2, 30, 0.001), SAT(10, 50), SAT(2, 100), MULTI]:
         fp = solve(cfg)
         assert fp.converged
         assert fp.residual <= 1e-12
-        assert abs(tau_update(fp.tau, fp.a, cfg) - fp.tau) <= 1e-12
+        assert abs(tau_update(fp.tau, fp.a, cfg, fp.p0) - fp.tau) <= 1e-12
         assert abs(a_from_tau(fp.tau, cfg.N, cfg.L) - fp.a) <= 1e-12
 
 
@@ -189,7 +189,7 @@ def test_solver_agrees_with_bisection_oracle():
 
 def test_solver_invariant_under_damping_and_bisection():
     settings = SolverSettings()
-    for cfg in [UNSAT(10, 100, 0.05), SAT(5, 30)]:
+    for cfg in [UNSAT(10, 100, 0.05), SAT(5, 30), MULTI]:
         base = solve(cfg, settings)
         halved = solve(cfg, replace(settings, damping=0.25))
         bisected = solve(cfg, SolverSettings(use_bisection=True))

@@ -80,6 +80,12 @@ def test_usage_errors_exit_2(tmp_path, capsys, training_csv):
          "--out", out_csv],
         ["sweep", "--mode", "sat", "--nodes", "1:1e12:1", "--frame-bytes", "100",
          "--out", out_csv],
+        # node counts the analytical model cannot take
+        ["solve", "--mode", "sat", "--nodes", "1", "--frame-bytes", "100"],
+        SOLVE[:4] + ["1"] + SOLVE[5:],
+        ["sweep", "--mode", "sat", "--nodes", "1,2", "--frame-bytes", "100", "--out", out_csv],
+        ["sweep", "--mode", "unsat1", "--nodes", "1", "--frame-bytes", "100", "--rate", "0.05",
+         "--engine", "both", "--out", out_csv],
         # training settings TrainConfig rejects
         train + ["--batch", "0"],
         train + ["--batch", "-3"],
@@ -230,6 +236,12 @@ def test_compare_flow(tmp_path, capsys):
     assert diff_csv.exists()
 
 
+def _as_simulated(path, out):
+    """A copy of the analytical CSV at path with every row relabelled as simulated."""
+    out.write_text(Path(path).read_text().replace(",analytical,", ",simulated,"))
+    return out
+
+
 def test_compare_rejects_mismatched_grids(tmp_path, capsys):
     a_csv = tmp_path / "a.csv"
     b_csv = tmp_path / "b.csv"
@@ -238,11 +250,37 @@ def test_compare_rejects_mismatched_grids(tmp_path, capsys):
     _run(capsys, ["sweep", "--mode", "unsat1", "--nodes", "4",
                   "--frame-bytes", "100", "--rate", "0.05", "--out", str(b_csv)])
     code, _, err = _run(capsys, [
-        "compare", "--analytical", str(a_csv), "--simulated", str(b_csv),
+        "compare", "--analytical", str(a_csv),
+        "--simulated", str(_as_simulated(b_csv, tmp_path / "b_sim.csv")),
         "--out", str(tmp_path / "d.csv"),
     ])
     assert code == 1
     assert "unmatched" in err
+
+
+def test_compare_takes_each_side_from_its_own_source(tmp_path, capsys):
+    both_csv = tmp_path / "both.csv"
+    diff_csv = tmp_path / "diff.csv"
+    assert main([
+        "sweep", "--mode", "unsat1", "--nodes", "3", "--frame-bytes", "100",
+        "--rate", "0.05", "--engine", "both", "--horizon", "30000",
+        "--warmup", "3000", "--reps", "2", "--seed", "4", "--out", str(both_csv),
+    ]) == 0
+    compare = ["compare", "--analytical", str(both_csv), "--simulated", str(both_csv),
+               "--out", str(diff_csv)]
+    code, out, _ = _run(capsys, compare)
+    assert code == 0 and "wrote 1 comparisons" in out
+    # one file serves both sides, and the diffs are analytical minus simulated
+    ana, sim = read_csv(str(both_csv))
+    assert ana.source == "analytical" and sim.source == "simulated"
+    abs_tau = float(diff_csv.read_text().splitlines()[1].split(",")[5])
+    assert abs_tau == ana.tau - sim.tau and abs_tau != 0.0
+
+    # an analytical-only file is no simulated side
+    ana_csv = tmp_path / "ana.csv"
+    write_csv([ana], str(ana_csv))
+    _exit_2_with_one_line(capsys, compare[:3] + ["--simulated", str(ana_csv)] + compare[5:],
+                          "star154: error: simulated input has no simulated rows")
 
 
 @pytest.fixture(scope="module")
@@ -366,12 +404,12 @@ def test_predict_rejects_a_model_of_another_shape(tmp_path, capsys):
 @pytest.mark.parametrize("command", ["sweep", "train", "compare", "simulate"])
 def test_output_path_in_missing_directory_exits_2(command, tmp_path, capsys, training_csv):
     out = str(tmp_path / "missing" / "out.txt")
+    sim_csv = str(_as_simulated(training_csv, tmp_path / "sim.csv"))
     argv = {
         "sweep": ["sweep", "--mode", "sat", "--nodes", "5", "--frame-bytes", "50", "--out", out],
         "train": ["train", "--data", training_csv, "--target", "ps", "--hidden", "3,3,2",
                   "--epochs", "1", "--out", out],
-        "compare": ["compare", "--analytical", training_csv, "--simulated", training_csv,
-                    "--out", out],
+        "compare": ["compare", "--analytical", training_csv, "--simulated", sim_csv, "--out", out],
         "simulate": SIM + ["--trace", out],
     }[command]
     _exit_2_with_one_line(capsys, argv, out, "No such file or directory")

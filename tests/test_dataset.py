@@ -130,8 +130,19 @@ def test_sweep_spec_rejects_empty_axes():
                   r_values=(), M_values=(1,))
 
 
+def test_sweep_spec_needs_two_nodes_only_for_the_analytical_engine():
+    def spec(engine):
+        return SweepSpec(mode=TrafficMode.SATURATED, N_values=(2, 1), L_values=(50,),
+                         r_values=(), M_values=(1,), engine=engine)
+
+    for engine in (Engine.ANALYTICAL, Engine.BOTH):
+        with pytest.raises(ValueError, match="at least 2 nodes, got 1"):
+            spec(engine)
+    assert [cfg.N for cfg in generate_grid(spec(Engine.SIMULATED))] == [2, 1]
+
+
 def test_sweep_spec_bounds_the_whole_grid():
-    axis = tuple(range(1, MAX_AXIS_VALUES + 1))
+    axis = tuple(range(2, MAX_AXIS_VALUES + 2))
     with pytest.raises(ValueError, match="grid has 200000 points"):
         SweepSpec(mode=TrafficMode.SATURATED, N_values=axis, L_values=(30, 31),
                   r_values=(), M_values=(1,))
@@ -264,6 +275,12 @@ def test_read_csv_error_messages_carry_location(tmp_path):
     with pytest.raises(ValueError, match=r"cut\.csv:2.*no line end"):
         read_csv(str(cut))
 
+    long = tmp_path / "long.csv"
+    row = "unsat1,2,30,0.01,1,analytical,,,,,,,,,true,,"
+    long.write_text(",".join(HEADER) + "\n" + row + "\n" + row + ",junk,more\n")
+    with pytest.raises(ValueError, match=r"long\.csv:3: expected 17 fields, got 19"):
+        read_csv(str(long))
+
     flagged = tmp_path / "flagged.csv"
     row = "unsat1,2,30,0.01,1,analytical,,,,,,,,,maybe,,"
     flagged.write_text(",".join(HEADER) + "\n" + row + "\n")
@@ -376,6 +393,22 @@ def test_compare_identical_inputs_yield_zero_diffs():
             assert d.abs_diff[metric] in (0.0, None)
     assert summary["tau"]["max_abs"] == 0.0
     assert summary["PS"]["median_rel"] == 0.0
+
+
+def test_compare_keeps_each_side_to_its_own_source():
+    base = dict(mode="unsat1", N=2, L=100, r=0.05, M=1)
+    a = ResultRow(**base, source="analytical", tau=0.002)
+    s = ResultRow(**base, source="simulated", tau=0.001)
+    # one mixed list serves both sides, in either order
+    for rows in ([a, s], [s, a]):
+        diffs, _ = compare(rows, rows)
+        assert diffs[0].abs_diff["tau"] == pytest.approx(0.001)
+    with pytest.raises(ValueError, match="simulated input has no simulated rows"):
+        compare([a], [a])
+    with pytest.raises(ValueError, match="analytical input has no analytical rows"):
+        compare([s], [s])
+    with pytest.raises(ValueError, match="analytical input has two analytical rows"):
+        compare([a, a], [s])
 
 
 def test_compare_mismatched_keys_lists_orphans():
