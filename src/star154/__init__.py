@@ -2,82 +2,44 @@
 
 Three independent routes to the same metrics: closed-form fixed-point
 analysis, mini-slot Monte Carlo simulation, and a learned inverse predictor.
+
+Importing the package loads none of its modules: each public name below is
+imported from its module on first access (PEP 562).
 """
-from .core import (
-    CONSTANTS,
-    ElementaryProbs,
-    NetworkConfig,
-    PerformanceReport,
-    ProtocolConstants,
-    Source,
-    T1_SYMBOLS,
-    TrafficMode,
-    derived_probs,
-)
-from .analytical import (
-    ChannelStationaryDistribution,
-    FixedPoint,
-    NonConvergenceError,
-    SolverSettings,
-    a_from_tau,
-    channel_stationary,
-    solve,
-    tau_update,
-    throughput,
-)
-from .metrics import (
-    AttemptProbs,
-    RetryProbs,
-    ServiceTimes,
-    attempt_probs,
-    delays,
-    queue_adjusted,
-    reliability,
-    report,
-    retry_probs,
-    service_times,
-)
-from .queueing import QueueStats, empty_prob, queue_stats, utilization
-from .simulator import SimConfig, SimCounters, run, run_replication, trace
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CONSTANTS",
-    "T1_SYMBOLS",
-    "AttemptProbs",
-    "ChannelStationaryDistribution",
-    "ElementaryProbs",
-    "FixedPoint",
-    "NetworkConfig",
-    "NonConvergenceError",
-    "PerformanceReport",
-    "ProtocolConstants",
-    "QueueStats",
-    "RetryProbs",
-    "ServiceTimes",
-    "SimConfig",
-    "SimCounters",
-    "SolverSettings",
-    "Source",
-    "TrafficMode",
-    "a_from_tau",
-    "attempt_probs",
-    "channel_stationary",
-    "delays",
-    "derived_probs",
-    "empty_prob",
-    "queue_adjusted",
-    "queue_stats",
-    "reliability",
-    "report",
-    "retry_probs",
-    "run",
-    "run_replication",
-    "service_times",
-    "solve",
-    "tau_update",
-    "throughput",
-    "trace",
-    "utilization",
-]
+# public name -> the submodule that defines it
+_SUBMODULE_OF = {
+    **dict.fromkeys((
+        "CONSTANTS", "T1_SYMBOLS", "ElementaryProbs", "NetworkConfig", "PerformanceReport",
+        "ProtocolConstants", "Source", "TrafficMode", "derived_probs",
+    ), "core"),
+    **dict.fromkeys((
+        "ChannelStationaryDistribution", "FixedPoint", "NonConvergenceError", "SolverSettings",
+        "a_from_tau", "channel_stationary", "solve", "tau_update", "throughput",
+    ), "analytical"),
+    **dict.fromkeys((
+        "AttemptProbs", "RetryProbs", "ServiceTimes", "attempt_probs", "delays",
+        "queue_adjusted", "reliability", "report", "retry_probs", "service_times",
+    ), "metrics"),
+    **dict.fromkeys(("QueueStats", "empty_prob", "queue_stats", "utilization"), "queueing"),
+    **dict.fromkeys(("SimConfig", "SimCounters", "run", "run_replication", "trace"), "simulator"),
+}
+
+__all__ = list(_SUBMODULE_OF)
+
+
+def __getattr__(name: str):
+    try:
+        module = _SUBMODULE_OF[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

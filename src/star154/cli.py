@@ -4,6 +4,9 @@ Units are symbols (1 symbol = 16 us) for delays and frames per frame duration
 for the arrival rate. Exit codes: 0 success, 1 computational failure
 (non-convergence), 2 usage error or a missing, unreadable or malformed input
 file.
+
+Each command imports only the modules it runs, so building the parser and
+the analytical commands never load numpy.
 """
 from __future__ import annotations
 
@@ -13,10 +16,7 @@ import csv
 import functools
 import sys
 
-from .core import NetworkConfig, PerformanceReport, TrafficMode
-from .analytical import MIN_NODES, NonConvergenceError, SolverSettings, solve
-from .metrics import report as metrics_report
-from . import dataset, predictor, simulator
+from .core import TASKS, Engine, NetworkConfig, PerformanceReport, TrafficMode
 
 _MODES = {m.value: m for m in TrafficMode}
 
@@ -59,6 +59,8 @@ def _file_errors(parser, path: str):
 
 def _print_report(cfg: NetworkConfig, rep: PerformanceReport) -> None:
     """Human summary plus a one-row CSV block on stdout."""
+    from . import dataset
+
     print(f"# mode={cfg.mode.value} N={cfg.N} L={cfg.L} bytes r={cfg.r} M={cfg.M}")
     print(f"# tau={rep.tau!r} a={rep.a!r}")
     print(f"# TH={rep.TH!r} PS={rep.PS!r}")
@@ -85,6 +87,9 @@ def _add_net_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _cmd_solve(args, parser) -> int:
+    from .analytical import MIN_NODES, NonConvergenceError, SolverSettings, solve
+    from .metrics import report as metrics_report
+
     cfg = _net_config(args, parser)
     if cfg.N < MIN_NODES:
         parser.error(f"the analytical model needs at least {MIN_NODES} nodes, got {cfg.N}")
@@ -103,6 +108,8 @@ def _cmd_solve(args, parser) -> int:
 
 
 def _cmd_simulate(args, parser) -> int:
+    from . import simulator
+
     cfg = _net_config(args, parser)
     sim_cfg = simulator.SimConfig(
         net=cfg, horizon_mini_slots=args.horizon, warmup_mini_slots=args.warmup,
@@ -118,6 +125,9 @@ def _cmd_simulate(args, parser) -> int:
 
 
 def _cmd_sweep(args, parser) -> int:
+    from . import dataset
+    from .analytical import SolverSettings
+
     mode = _MODES[args.mode]
     if mode is not TrafficMode.SATURATED and args.rate is None:
         parser.error(f"--rate is required for mode {args.mode}")
@@ -128,7 +138,7 @@ def _cmd_sweep(args, parser) -> int:
             L_values=dataset.parse_range(args.frame_bytes, int),
             r_values=dataset.parse_range(args.rate, float) if args.rate else (),
             M_values=dataset.parse_range(args.buffer, int) if args.buffer else (1,),
-            engine=dataset.Engine(args.engine),
+            engine=Engine(args.engine),
             solver=SolverSettings(tolerance=args.tol, max_iterations=args.max_iter),
             horizon=args.horizon, warmup=args.warmup,
             replications=args.reps, base_seed=args.seed,
@@ -144,6 +154,8 @@ def _cmd_sweep(args, parser) -> int:
 
 
 def _cmd_compare(args, parser) -> int:
+    from . import dataset
+
     with _file_errors(parser, args.analytical):
         ana = dataset.read_csv(args.analytical)
     with _file_errors(parser, args.simulated):
@@ -165,6 +177,8 @@ def _cmd_compare(args, parser) -> int:
 
 
 def _cmd_train(args, parser) -> int:
+    from . import dataset, predictor
+
     try:
         cfg = predictor.TrainConfig(
             learning_rate=args.lr, epochs=args.epochs, batch_size=args.batch,
@@ -203,6 +217,8 @@ def _cmd_train(args, parser) -> int:
 
 
 def _cmd_predict(args, parser) -> int:
+    from . import predictor
+
     values = args.input.split(",")
     if len(values) != 4:
         parser.error(f"--input needs 4 comma-separated reals, got {len(values)}")
@@ -218,6 +234,11 @@ def _cmd_predict(args, parser) -> int:
                 f"{args.model}: model has {arch.input_dim} inputs and {arch.output_dim} "
                 f"outputs; predict needs {len(x)} inputs and 1 output"
             )
+    outside = predictor.outside_training_range(model, x)
+    if outside:
+        print(f"{parser.prog}: warning: " + "; ".join(
+            f"input {j + 1} = {v!r} outside the training range [{lo!r}, {hi!r}]"
+            for j, v, lo, hi in outside) + "; the answer is an extrapolation", file=sys.stderr)
     print(repr(predictor.forward(model, x)))
     return 0
 
@@ -226,8 +247,9 @@ def _cmd_predict(args, parser) -> int:
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and shared after that.
 
-    Building it costs more than a whole predict call; sharing is safe because
-    parse_args returns a fresh Namespace and leaves the parser unchanged.
+    Building it imports nothing beyond core, but costs more than a whole
+    predict call; sharing is safe because parse_args returns a fresh
+    Namespace and leaves the parser unchanged.
     """
     parser = argparse.ArgumentParser(
         prog="star154",
@@ -261,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--frame-bytes", required=True, help="L values, same syntax")
     p.add_argument("--rate", default=None, help="r values, same syntax")
     p.add_argument("--buffer", default=None, help="M values, same syntax (unsatm)")
-    p.add_argument("--engine", choices=[e.value for e in dataset.Engine], default="analytical")
+    p.add_argument("--engine", choices=[e.value for e in Engine], default="analytical")
     p.add_argument("--out", required=True, help="output CSV path")
     p.add_argument("--tol", type=float, default=1e-12)
     p.add_argument("--max-iter", type=int, default=100000)
@@ -281,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train an inverse predictor on sweep CSV data")
     p.add_argument("--data", required=True, help="training CSV from the sweep subcommand")
-    p.add_argument("--target", required=True, choices=sorted(predictor.TASKS),
+    p.add_argument("--target", required=True, choices=sorted(TASKS),
                    help="n: (r,L,PS,TVS)->N; ps: (r,L,N,TVS)->PS; tvs: (r,L,PS,N)->TVS")
     p.add_argument("--hidden", default=None, help="three hidden sizes, e.g. 100,80,50")
     p.add_argument("--desk-scale", action="store_true",

@@ -6,12 +6,9 @@ on air at 250 kb/s.
 """
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-
-log = logging.getLogger(__name__)
 
 
 class TrafficMode(str, Enum):
@@ -80,6 +77,9 @@ CLEAN_COLLISION_SYMBOLS = ATTEMPT_STEPS[0] + COLLISION_TAIL
 T2_COEFFS = (CLEAN_SUCCESS_SYMBOLS, *ATTEMPT_STEPS[1:], T1_SYMBOLS + SUCCESS_TAIL)
 
 L_NOMINAL_RANGE = (30, 127)  # bytes; values outside only draw a warning
+# frame lengths outside L_NOMINAL_RANGE already warned about in this process:
+# each distinct L warns once, so a sweep does not repeat it per grid point
+_warned_lengths: set[int] = set()
 
 
 @dataclass(frozen=True, slots=True)
@@ -104,8 +104,12 @@ class NetworkConfig:
         if not isinstance(self.L, int) or self.L < 1:
             raise ValueError(f"frame length must be a positive integer, got {self.L}")
         lo, hi = L_NOMINAL_RANGE
-        if not lo <= self.L <= hi:
-            log.warning("frame length %d bytes outside nominal [%d, %d]", self.L, lo, hi)
+        if not lo <= self.L <= hi and self.L not in _warned_lengths:
+            _warned_lengths.add(self.L)
+            import logging  # only here: most runs never warn
+
+            logging.getLogger(__name__).warning(
+                "frame length %d bytes outside nominal [%d, %d]", self.L, lo, hi)
         if self.mode is TrafficMode.UNSAT1 and self.M != 1:
             raise ValueError("single-buffer mode requires M = 1")
         if self.mode is TrafficMode.UNSATM and self.M <= 1:
@@ -174,6 +178,22 @@ class Source(str, Enum):
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.value
+
+
+class Engine(str, Enum):
+    """Which routes a sweep runs at every grid point."""
+
+    ANALYTICAL = "analytical"
+    SIMULATED = "sim"
+    BOTH = "both"
+
+
+# inverse predictor task name -> (feature column names, target column name)
+TASKS: dict[str, tuple[tuple[str, str, str, str], str]] = {
+    "n": (("r", "L", "PS", "TVS"), "N"),
+    "ps": (("r", "L", "N", "TVS"), "PS"),
+    "tvs": (("r", "L", "PS", "N"), "TVS"),
+}
 
 
 @dataclass(frozen=True, slots=True)

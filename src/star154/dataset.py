@@ -10,25 +10,19 @@ import csv
 import io
 import math
 from dataclasses import dataclass, fields
-from enum import Enum
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .core import CONSTANTS, NetworkConfig, PerformanceReport, TrafficMode
+from .core import CONSTANTS, TASKS, Engine, NetworkConfig, PerformanceReport, TrafficMode
 from .analytical import MIN_NODES, NonConvergenceError, SolverSettings, solve
 from .metrics import report as metrics_report
-from . import predictor, simulator
+
+if TYPE_CHECKING:
+    import numpy as np
 
 MS_COLUMNS = ["TS_ms", "TVS_ms", "TSW_ms", "TVSW_ms"]
 SYMBOL_MS = CONSTANTS.symbolDurationMicroseconds / 1000  # one symbol in milliseconds
 
 DIFF_METRICS = ["tau", "a", "TH", "PS", "TS_sym", "TVS_sym"]
-
-
-class Engine(str, Enum):
-    ANALYTICAL = "analytical"
-    SIMULATED = "sim"
-    BOTH = "both"
 
 
 @dataclass(frozen=True, slots=True)
@@ -182,6 +176,8 @@ def analytical_row(cfg: NetworkConfig, settings: SolverSettings) -> ResultRow:
 
 
 def simulated_row(cfg: NetworkConfig, spec: SweepSpec, jobs: int = 1) -> ResultRow:
+    from . import simulator  # loads numpy: only the simulated engine needs it
+
     sim_cfg = simulator.SimConfig(
         net=cfg, horizon_mini_slots=spec.horizon, warmup_mini_slots=spec.warmup,
         replications=spec.replications, base_seed=spec.base_seed,
@@ -293,7 +289,7 @@ def read_csv(path: str) -> list[ResultRow]:
     return rows
 
 
-# ResultRow attribute of each predictor.TASKS column that is not named alike
+# ResultRow attribute of each TASKS column that is not named alike
 _TASK_COLUMNS = {"TVS": "TVS_sym"}
 
 
@@ -302,7 +298,9 @@ def training_matrix(rows: list[ResultRow], target: str) -> tuple[np.ndarray, np.
 
     Rows that did not converge or lack one of the task's columns are skipped.
     """
-    features, target_col = predictor.TASKS[target]
+    import numpy as np
+
+    features, target_col = TASKS[target]
     columns = [_TASK_COLUMNS.get(name, name) for name in (*features, target_col)]
     table = [[getattr(row, c) for c in columns] for row in rows if row.converged]
     table = np.array([v for v in table if None not in v], dtype=float).reshape(-1, len(columns))
@@ -342,6 +340,28 @@ def _rows_by_key(rows: list[ResultRow], source: str) -> dict[tuple, ResultRow]:
     return keyed
 
 
+def _spread(values: list[float], kind: str) -> dict[str, float]:
+    """Median, 90th percentile and maximum of values, named by kind.
+
+    Bit for bit what numpy's median, percentile (linear method) and max
+    return, without loading numpy; all three are NaN if any value is.
+    """
+    names = (f"median_{kind}", f"p90_{kind}", f"max_{kind}")
+    if any(math.isnan(v) for v in values):
+        return dict.fromkeys(names, math.nan)
+    s = sorted(values)
+    n = len(s)
+    mid = n // 2
+    median = s[mid] if n % 2 else (s[mid - 1] + s[mid]) / 2
+    pos = (n - 1) * 0.9
+    k = math.floor(pos)
+    t = pos - k
+    lo, hi = s[k], s[min(k + 1, n - 1)]
+    # numpy interpolates from the nearer neighbour
+    p90 = hi - (hi - lo) * (1 - t) if t >= 0.5 else lo + (hi - lo) * t
+    return dict(zip(names, (median, p90, s[-1])))
+
+
 def compare(
     analytical_rows: list[ResultRow], simulated_rows: list[ResultRow]
 ) -> tuple[list[DiffRow], dict[str, dict[str, float]]]:
@@ -378,17 +398,9 @@ def compare(
         rel_vals = [abs(d.rel_diff[metric]) for d in diffs if d.rel_diff[metric] is not None]
         if not abs_vals:
             continue
-        entry = {
-            "median_abs": float(np.median(abs_vals)),
-            "p90_abs": float(np.percentile(abs_vals, 90)),
-            "max_abs": float(np.max(abs_vals)),
-        }
+        entry = _spread(abs_vals, "abs")
         if rel_vals:
-            entry.update(
-                median_rel=float(np.median(rel_vals)),
-                p90_rel=float(np.percentile(rel_vals, 90)),
-                max_rel=float(np.max(rel_vals)),
-            )
+            entry.update(_spread(rel_vals, "rel"))
         summary[metric] = entry
     return diffs, summary
 

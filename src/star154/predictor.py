@@ -18,12 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# task name -> (feature column names, target column name)
-TASKS: dict[str, tuple[tuple[str, str, str, str], str]] = {
-    "n": (("r", "L", "PS", "TVS"), "N"),
-    "ps": (("r", "L", "N", "TVS"), "PS"),
-    "tvs": (("r", "L", "PS", "N"), "TVS"),
-}
+from .core import TASKS  # re-exported: the task table lives in core
 
 # default hidden sizes per task; the small variant keeps test runs quick
 DEFAULT_HIDDEN: dict[str, tuple[int, int, int]] = {
@@ -173,6 +168,17 @@ def forward(model: MLPModel, x) -> float:
         raise ValueError(f"expected {model.arch.input_dim} inputs, got {x.shape[1]}")
     yn, _ = _forward_normalized(model, normalize_inputs(model, x))
     return float(denormalize_target(model, yn)[0, 0])
+
+
+def outside_training_range(model: MLPModel, x) -> list[tuple[int, float, float, float]]:
+    """(index, value, low, high) of each input outside the model's training range.
+
+    The range of each input is the min-max of the training split, as stored
+    in the model file; NaN counts as outside.
+    """
+    bounds = zip(model.in_min.tolist(), model.in_max.tolist())
+    return [(j, v, lo, hi) for j, (v, (lo, hi)) in enumerate(zip(x, bounds))
+            if not lo <= v <= hi]
 
 
 def _gradients(model: MLPModel, Xn: np.ndarray, yn: np.ndarray, grad_w, grad_b) -> None:

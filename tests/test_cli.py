@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from star154.analytical import SolverSettings
@@ -11,7 +12,7 @@ from star154 import dataset
 from star154.cli import build_parser, main
 from star154.core import NetworkConfig, TrafficMode
 from star154.dataset import HEADER, analytical_row, read_csv, write_csv
-from star154.predictor import MLPArchitecture, init_model, save_model
+from star154.predictor import MLPArchitecture, forward, init_model, save_model
 
 
 def _run(capsys, argv):
@@ -356,6 +357,27 @@ def _exit_2_with_one_line(capsys, argv, *expected):
     assert err.count("\n") == 1 and err.startswith("star154: error: ")
     for text in expected:
         assert text in err
+
+
+def test_predict_warns_on_inputs_outside_the_training_range(tmp_path, capsys):
+    model = init_model(MLPArchitecture(hidden=(3, 3, 2)), seed=5)
+    model.in_min, model.in_max = np.array([0.02, 30, 0.0, 0.0]), np.array([0.1, 120, 1.0, 5e3])
+    path = tmp_path / "model.txt"
+    save_model(model, str(path))
+    predict = ["predict", "--model", str(path), "--input"]
+    code, out, err = _outcome(capsys, predict + ["0.05,100,0.9,400"])
+    assert (code, err) == (0, "")
+    assert out == repr(forward(model, [0.05, 100, 0.9, 400])) + "\n"
+
+    code, out, err = _outcome(capsys, predict + ["5,100,7,-1e6"])
+    assert code == 0
+    assert out == repr(forward(model, [5, 100, 7, -1e6])) + "\n"  # answered as before
+    assert err.count("\n") == 1 and err.startswith("star154: warning: ")
+    for text in ("input 1 = 5.0 outside the training range [0.02, 0.1]",
+                 "input 3 = 7.0 outside the training range [0.0, 1.0]",
+                 "input 4 = -1000000.0 outside the training range [0.0, 5000.0]"):
+        assert text in err
+    assert "input 2" not in err
 
 
 def test_bad_model_file_exits_2(tmp_path, capsys, small_model):

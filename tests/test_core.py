@@ -6,6 +6,7 @@ import pytest
 
 from star154 import core
 from star154.analytical import _channel_terms
+from star154.dataset import SweepSpec, generate_grid
 from star154.core import (
     CONSTANTS,
     NetworkConfig,
@@ -67,11 +68,28 @@ def test_config_rejects_arrival_probability_above_one():
     NetworkConfig(N=2, L=30, mode=TrafficMode.SATURATED, r=1e9)
 
 
-def test_frame_length_outside_nominal_warns_but_works(caplog):
+@pytest.fixture
+def fresh_length_warnings(monkeypatch):
+    """No frame length warned about yet, whatever ran earlier in this process."""
+    monkeypatch.setattr(core, "_warned_lengths", set())
+
+
+def test_frame_length_outside_nominal_warns_but_works(caplog, fresh_length_warnings):
     with caplog.at_level(logging.WARNING):
         cfg = NetworkConfig(N=2, L=200, mode=TrafficMode.SATURATED)
     assert cfg.frame_symbols == 400
     assert any("outside nominal" in rec.message for rec in caplog.records)
+
+
+def test_frame_length_warns_once_per_distinct_length(caplog, fresh_length_warnings):
+    spec = SweepSpec(mode=TrafficMode.UNSATM, N_values=tuple(range(2, 502)),
+                     L_values=(20, 50, 100, 200), r_values=(0.1,), M_values=(2,))
+    with caplog.at_level(logging.WARNING):
+        grid = generate_grid(spec)
+    assert len(grid) == 2000
+    warned = [rec.getMessage() for rec in caplog.records if "outside nominal" in rec.getMessage()]
+    assert warned == ["frame length 20 bytes outside nominal [30, 127]",
+                      "frame length 200 bytes outside nominal [30, 127]"]
 
 
 def test_arrival_probability_per_slot():

@@ -1,6 +1,7 @@
 """Grids, CSV persistence, and the analytical-vs-simulated diff pipeline."""
 import math
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -409,6 +410,26 @@ def test_compare_keeps_each_side_to_its_own_source():
         compare([s], [s])
     with pytest.raises(ValueError, match="analytical input has two analytical rows"):
         compare([a, a], [s])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)), min_size=1, max_size=40))
+def test_compare_summary_matches_numpy_bit_for_bit(pairs):
+    base = dict(mode="unsat1", L=100, r=0.05, M=1)
+    ana = [ResultRow(**base, N=n, source="analytical", tau=av) for n, (av, _) in enumerate(pairs)]
+    sim = [ResultRow(**base, N=n, source="simulated", tau=sv) for n, (_, sv) in enumerate(pairs)]
+    _, summary = compare(ana, sim)
+    abs_vals = [abs(av - sv) for av, sv in pairs]
+    rel_vals = [abs((av - sv) / abs(av)) for av, sv in pairs if av != 0]
+    with np.errstate(all="ignore"):  # inf relative diffs: numpy warns, the values stand
+        expected = {"median_abs": np.median(abs_vals), "p90_abs": np.percentile(abs_vals, 90),
+                    "max_abs": np.max(abs_vals)}
+        if rel_vals:
+            expected.update(median_rel=np.median(rel_vals), p90_rel=np.percentile(rel_vals, 90),
+                            max_rel=np.max(rel_vals))
+    # reprs: bit-identical floats, NaN included (an inf relative diff can make p90 NaN)
+    assert {k: repr(v) for k, v in summary["tau"].items()} == {
+        k: repr(float(v)) for k, v in expected.items()}
 
 
 def test_compare_mismatched_keys_lists_orphans():
