@@ -18,9 +18,8 @@ from .core import (
 
 _, _STEP1, _STEP2, _STEP3, _STEP4 = ATTEMPT_STEPS
 
-# where the damped iteration starts: a rare attempt on an idle channel
+# where the damped iteration starts: a rare attempt
 _INITIAL_TAU = 1e-4
-_INITIAL_A = 0.0
 
 MIN_NODES = 2  # the fewest nodes the closed forms accept
 
@@ -49,7 +48,7 @@ class SolverSettings:
 
 @dataclass(frozen=True, slots=True)
 class FixedPoint:
-    """Converged (tau, a) pair plus multi-buffer auxiliaries and diagnostics."""
+    """Solved tau, its busy probability a, multi-buffer auxiliaries and diagnostics."""
 
     tau: float
     a: float
@@ -219,23 +218,26 @@ def _queue(tau: float, a: float, cfg: NetworkConfig) -> tuple[float, float, floa
     return p, empty_prob(p, cfg.M), TVS
 
 
-def _update(tau: float, a: float, cfg: NetworkConfig) -> float:
-    """tau_update at (tau, a), with p0(tau, a) supplied in multi-buffer mode."""
-    p0 = _queue(tau, a, cfg)[1] if cfg.mode is TrafficMode.UNSATM else None
-    return tau_update(tau, a, cfg, p0)
-
-
 def _F(tau: float, cfg: NetworkConfig) -> float:
-    """The map every route solves: F(tau) = tau_update(tau, a(tau), p0) - tau."""
-    return _update(tau, a_from_tau(tau, cfg.N, cfg.L), cfg) - tau
+    """The map every route solves: F(tau) = tau_update(tau, a(tau), p0(tau)) - tau."""
+    a = a_from_tau(tau, cfg.N, cfg.L)
+    p0 = _queue(tau, a, cfg)[1] if cfg.mode is TrafficMode.UNSATM else None
+    return tau_update(tau, a, cfg, p0) - tau
 
 
-def _residual(tau: float, a: float, cfg: NetworkConfig) -> float:
-    return max(abs(_update(tau, a, cfg) - tau), abs(a_from_tau(tau, cfg.N, cfg.L) - a))
+def _damped(cfg: NetworkConfig, settings: SolverSettings) -> tuple[float, int, float | None]:
+    """tau <- clip(tau + d F(tau)) until |F| meets tolerance: tau, iterations, F(tau) or None."""
+    tau = _INITIAL_TAU
+    for it in range(1, settings.max_iterations + 1):
+        f = _F(tau, cfg)
+        if abs(f) <= settings.tolerance:
+            return tau, it, f
+        tau = min(max(tau + settings.damping * f, 0.0), 1.0)
+    return tau, settings.max_iterations, None
 
 
-def _bisect(cfg: NetworkConfig, settings: SolverSettings) -> tuple[float, float, int]:
-    """Root of F on [0, 1].
+def _bisect(cfg: NetworkConfig, settings: SolverSettings) -> tuple[float, int, float]:
+    """Root of F on [0, 1]: tau, halvings and F(tau).
 
     F(0) >= 0 and F(1) <= 0 for every valid configuration, so the root is
     bracketed from the start.
@@ -243,93 +245,48 @@ def _bisect(cfg: NetworkConfig, settings: SolverSettings) -> tuple[float, float,
     lo, hi = 0.0, 1.0
     f_lo = _F(lo, cfg)
     if f_lo == 0.0:
-        return 0.0, 0.0, 1
-    it = 0
-    # 200 halvings take the interval below 1e-60; stop earlier once the
-    # residual itself meets tolerance.
+        return 0.0, 1, 0.0
+    # 200 halvings take the interval below 1e-60; stop once |F| is 1% of tolerance
     for it in range(1, 201):
         mid = 0.5 * (lo + hi)
         f_mid = _F(mid, cfg)
         if f_mid == 0.0 or abs(f_mid) < settings.tolerance * 1e-2:
-            lo = hi = mid
-            break
+            return mid, it, f_mid
         if (f_mid > 0.0) == (f_lo > 0.0):
             lo, f_lo = mid, f_mid
         else:
             hi = mid
     tau = 0.5 * (lo + hi)
-    return tau, a_from_tau(tau, cfg.N, cfg.L), it
+    return tau, it, _F(tau, cfg)
 
 
-def _polish(cfg: NetworkConfig, tau: float) -> float:
-    """Newton-polish the root of F.
+def _polish(cfg: NetworkConfig, tau: float, f: float) -> tuple[float, float]:
+    """Newton-polish the root of F from tau, where F(tau) = f: best tau and its |F|.
 
-    A residual-based stop leaves the landed position off by roughly
-    residual / |1 - slope of the update map|, which crosses 1e-9 when the
-    map contracts slowly. Two guarded Newton steps with a wide
-    finite-difference stencil push the position error down to evaluation
-    noise, so the damped route and the bisection route agree on where the
-    root is. Never moves to a point with a larger |F|.
+    A residual stop leaves tau off by about residual / |1 - slope of the
+    update map|, which crosses 1e-9 when the map contracts slowly. Two
+    guarded Newton steps with a wide finite-difference stencil push that
+    error down to evaluation noise, so every route lands on the same root.
+    Never moves to a point with a larger |F|.
     """
     h = 1e-7  # far above F's rounding noise, far below its curvature scale
-    best_t, best_f = tau, abs(_F(tau, cfg))
+    best_t, best_f = tau, abs(f)
     t = tau
     for _ in range(2):
-        f_t = _F(t, cfg)
-        if f_t == 0.0:
-            return t
+        if f == 0.0:
+            return t, 0.0
         lo, hi = max(t - h, 0.0), min(t + h, 1.0)
         slope = (_F(hi, cfg) - _F(lo, cfg)) / (hi - lo)
         if not math.isfinite(slope) or slope == 0.0:
             break
-        t_new = t - f_t / slope
+        t_new = t - f / slope
         if not 0.0 <= t_new <= 1.0:
             break
         t = t_new
-        f_new = abs(_F(t, cfg))
-        if f_new < best_f:
-            best_t, best_f = t, f_new
-    return best_t
-
-
-def _solve_pair(
-    cfg: NetworkConfig, settings: SolverSettings
-) -> tuple[float, float, int, float, bool]:
-    """Damped iteration on (tau, a), or bisection: tau, a, iterations, residual, ok."""
-    if settings.use_bisection:
-        tau, a, it = _bisect(cfg, settings)
-        tau = _polish(cfg, tau)
-        a = a_from_tau(tau, cfg.N, cfg.L)
-        res = _residual(tau, a, cfg)
-        return tau, a, it, res, res <= settings.tolerance
-    d = settings.damping
-    tau, a = _INITIAL_TAU, _INITIAL_A
-    flips = 0
-    prev_step = 0.0
-    res = math.inf
-    for it in range(1, settings.max_iterations + 1):
-        rhs = _update(tau, a, cfg)
-        res = max(abs(rhs - tau), abs(a_from_tau(tau, cfg.N, cfg.L) - a))
-        if res <= settings.tolerance:
-            tau = _polish(cfg, tau)
-            a = a_from_tau(tau, cfg.N, cfg.L)
-            return tau, a, it, _residual(tau, a, cfg), True
-        step = rhs - tau
-        # oscillation watchdog: 50 consecutive sign flips of the tau step
-        if step * prev_step < 0.0:
-            flips += 1
-            if flips >= 50:
-                tau, a, bit = _bisect(cfg, settings)
-                tau = _polish(cfg, tau)
-                a = a_from_tau(tau, cfg.N, cfg.L)
-                res = _residual(tau, a, cfg)
-                return tau, a, it + bit, res, res <= settings.tolerance
-        else:
-            flips = 0
-        prev_step = step
-        tau = min(max(tau + d * step, 0.0), 1.0)
-        a = a_from_tau(tau, cfg.N, cfg.L)
-    return tau, a, settings.max_iterations, res, False
+        f = _F(t, cfg)
+        if abs(f) < best_f:
+            best_t, best_f = t, abs(f)
+    return best_t, best_f
 
 
 def solve(cfg: NetworkConfig, settings: SolverSettings = SolverSettings()) -> FixedPoint:
@@ -340,10 +297,13 @@ def solve(cfg: NetworkConfig, settings: SolverSettings = SolverSettings()) -> Fi
     """
     if cfg.N < MIN_NODES:
         raise ValueError(f"the analytical model needs at least {MIN_NODES} nodes")
-    tau, a, it, res, ok = _solve_pair(cfg, settings)
-    p = p0 = TVS = None
-    if cfg.mode is TrafficMode.UNSATM:
-        p, p0, TVS = _queue(tau, a, cfg)
+    route = _bisect if settings.use_bisection else _damped
+    tau, it, f = route(cfg, settings)
+    # a spent budget reports its last iterate as it stands; a landed route is polished
+    tau, res = (tau, abs(_F(tau, cfg))) if f is None else _polish(cfg, tau, f)
+    a = a_from_tau(tau, cfg.N, cfg.L)
+    ok = res <= settings.tolerance
+    p, p0, TVS = _queue(tau, a, cfg) if cfg.mode is TrafficMode.UNSATM else (None, None, None)
     fp = FixedPoint(tau=tau, a=a, iterations=it, residual=res, converged=ok, p=p, p0=p0, TVS=TVS)
     if not ok:
         raise NonConvergenceError(f"no convergence after {it} iterations", fp)

@@ -177,6 +177,8 @@ def _cmd_compare(args, parser) -> int:
 
 
 def _cmd_train(args, parser) -> int:
+    import numpy as np
+
     from . import dataset, predictor
 
     try:
@@ -189,6 +191,9 @@ def _cmd_train(args, parser) -> int:
     with _file_errors(parser, args.data):
         rows = dataset.read_csv(args.data)
     X, y = dataset.training_matrix(rows, args.target)
+    if not (np.isfinite(X).all() and np.isfinite(y).all()):
+        parser.exit(2, f"{parser.prog}: error: {args.data}: non-finite value in a "
+                       f"column of task {args.target}\n")
     if len(X) < 10:
         print(f"only {len(X)} usable rows in {args.data}", file=sys.stderr)
         return 1

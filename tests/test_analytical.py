@@ -4,7 +4,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from star154 import analytical
 from star154.analytical import (
     NonConvergenceError,
     SolverSettings,
@@ -235,6 +238,54 @@ def test_solver_reports_nonconvergence_with_partial_state():
     partial = err.value.fixed_point
     assert not partial.converged
     assert 0.0 <= partial.tau <= 1.0
+    # residual and a describe the reported iterate, not the one before it
+    assert partial.a == a_from_tau(partial.tau, cfg.N, cfg.L)
+    assert partial.residual == abs(tau_update(partial.tau, partial.a, cfg) - partial.tau)
+    assert partial.residual > 1e-12
+
+
+@pytest.mark.parametrize("cfg", [
+    NetworkConfig(N=10, L=50, mode=TrafficMode.UNSATM, r=0.08, M=5), UNSAT(10, 100, 0.05),
+    SAT(10, 100),
+], ids=["unsatm", "unsat1", "sat"])
+def test_solver_evaluates_each_point_once(cfg, monkeypatch):
+    seen = {"tau_update": [], "a_from_tau": []}
+
+    def recording(name, fn):
+        def wrapper(tau, *args):
+            seen[name].append(tau)
+            return fn(tau, *args)
+        return wrapper
+
+    for name in seen:
+        monkeypatch.setattr(analytical, name, recording(name, getattr(analytical, name)))
+    assert solve(cfg).converged
+    updates, busies = seen["tau_update"], seen["a_from_tau"]
+    assert len(updates) == len(set(updates))
+    # one more a_from_tau: the reported a at the polished root
+    assert len(busies) <= len(updates) + 1
+
+
+@st.composite
+def _configs(draw):
+    mode = draw(st.sampled_from(list(TrafficMode)))
+    n, l = draw(st.integers(2, 40)), draw(st.integers(30, 127))
+    if mode is TrafficMode.SATURATED:
+        return SAT(n, l)
+    r = draw(st.floats(0.0, 0.2))
+    m = draw(st.integers(2, 8)) if mode is TrafficMode.UNSATM else 1
+    return NetworkConfig(N=n, L=l, mode=mode, r=r, M=m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cfg=_configs())
+def test_solver_routes_converge_and_agree_property(cfg):
+    base = solve(cfg)
+    assert base.converged and base.residual <= 1e-12
+    for other in (solve(cfg, SolverSettings(damping=0.25)),
+                  solve(cfg, SolverSettings(use_bisection=True))):
+        assert abs(other.tau - base.tau) <= 1e-9
+        assert abs(other.a - base.a) <= 1e-9
 
 
 def test_solver_rejects_single_node():

@@ -33,7 +33,7 @@ def test_solve_reports_metrics_and_csv(capsys):
     assert code == 0
     lines = out.splitlines()
     assert lines[0] == "# mode=unsat1 N=10 L=100 bytes r=0.05 M=1"
-    assert any(ln.startswith("# tau=0.000517064355202135") for ln in lines)
+    assert any(ln.startswith("# tau=0.0005170643552020996") for ln in lines)
     idx = lines.index(",".join(HEADER))
     assert lines[idx + 1].startswith("unsat1,10,100,0.05,1,analytical,")
     assert lines[-1].startswith("# converged in ")
@@ -391,20 +391,29 @@ def test_bad_model_file_exits_2(tmp_path, capsys, small_model):
 
 
 def test_bad_csv_file_exits_2(tmp_path, capsys, training_csv):
-    garbled = tmp_path / "garbled.csv"
-    lines = Path(training_csv).read_text().splitlines(keepends=True)
-    fields = lines[5].split(",")
-    fields[2] = "fifty"
-    lines[5] = ",".join(fields)
-    garbled.write_text("".join(lines))
+    def with_cell(name, column, value):  # the training CSV with one cell of line 6 replaced
+        lines = Path(training_csv).read_text().splitlines(keepends=True)
+        fields = lines[5].split(",")
+        fields[HEADER.index(column)] = value
+        lines[5] = ",".join(fields)
+        path = tmp_path / name
+        path.write_text("".join(lines))
+        return path
+
+    garbled = with_cell("garbled.csv", "L", "fifty")
+    non_finite = with_cell("non_finite.csv", "PS", "nan")
     binary = tmp_path / "binary.csv"
     binary.write_bytes(b"\xff\xfe\x00garbage\n")
     missing = str(tmp_path / "missing.csv")
-    for path, problem in ((garbled, ":6: bad configuration fields"), (binary, "can't decode"),
-                          (missing, "No such file")):
+    model = tmp_path / "m.txt"
+    for path, target, problem in (
+        (garbled, "ps", ":6: bad configuration fields"), (binary, "ps", "can't decode"),
+        (missing, "ps", "No such file"), (non_finite, "n", "non-finite value"),
+    ):
         _exit_2_with_one_line(
-            capsys, ["train", "--data", str(path), "--target", "ps",
-                     "--out", str(tmp_path / "m.txt")], str(path), problem)
+            capsys, ["train", "--data", str(path), "--target", target, "--desk-scale",
+                     "--epochs", "1", "--out", str(model)], str(path), problem)
+        assert not model.exists()
     _exit_2_with_one_line(
         capsys, ["compare", "--analytical", training_csv, "--simulated", str(garbled),
                  "--out", str(tmp_path / "d.csv")], str(garbled))
