@@ -40,8 +40,10 @@ class SolverSettings:
     use_bisection: bool = False  # skip damped iteration entirely
 
     def __post_init__(self):
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+        if not 0.0 < self.tolerance < math.inf:  # NaN too
+            raise ValueError(f"tolerance must be finite and > 0, got {self.tolerance}")
+        if self.max_iterations < 1:
+            raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
         if not 0.0 < self.damping <= 1.0:
             raise ValueError("damping must be in (0, 1]")
 
@@ -296,7 +298,7 @@ def solve(cfg: NetworkConfig, settings: SolverSettings = SolverSettings()) -> Fi
     budget runs out.
     """
     if cfg.N < MIN_NODES:
-        raise ValueError(f"the analytical model needs at least {MIN_NODES} nodes")
+        raise ValueError(f"the analytical model needs at least {MIN_NODES} nodes, got {cfg.N}")
     route = _bisect if settings.use_bisection else _damped
     tau, it, f = route(cfg, settings)
     # a spent budget reports its last iterate as it stands; a landed route is polished

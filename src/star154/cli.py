@@ -2,8 +2,11 @@
 
 Units are symbols (1 symbol = 16 us) for delays and frames per frame duration
 for the arrival rate. Exit codes: 0 success, 1 computational failure
-(non-convergence), 2 usage error or a missing, unreadable or malformed input
-file.
+(non-convergence) or a closed stdout, 2 usage error or a missing, unreadable,
+malformed or untrainable input file.
+
+Each command-line value is checked once, by the config type that holds it;
+commands build those inside _usage_errors, which makes a rejection exit 2.
 
 Each command imports only the modules it runs, so building the parser and
 the analytical commands never load numpy.
@@ -14,6 +17,7 @@ import argparse
 import contextlib
 import csv
 import functools
+import os
 import sys
 
 from .core import TASKS, Engine, NetworkConfig, PerformanceReport, TrafficMode
@@ -21,21 +25,27 @@ from .core import TASKS, Engine, NetworkConfig, PerformanceReport, TrafficMode
 _MODES = {m.value: m for m in TrafficMode}
 
 
-def _net_config(args, parser) -> NetworkConfig:
+def _mode(args, parser) -> TrafficMode:
     mode = _MODES[args.mode]
     if mode is not TrafficMode.SATURATED and args.rate is None:
         parser.error(f"--rate is required for mode {args.mode}")
-    buffer = args.buffer if args.buffer is not None else 1
-    if mode is TrafficMode.UNSATM and buffer <= 1:
-        parser.error("--buffer must be > 1 for mode unsatm")
-    if mode is TrafficMode.UNSAT1 and args.buffer not in (None, 1):
-        parser.error("--buffer must be 1 for mode unsat1")
+    return mode
+
+
+def _net_config(args, parser) -> NetworkConfig:
+    mode = _mode(args, parser)
+    return NetworkConfig(
+        N=args.nodes, L=args.frame_bytes, mode=mode,
+        r=args.rate if args.rate is not None else 0.0,
+        M=1 if mode is TrafficMode.SATURATED or args.buffer is None else args.buffer,
+    )
+
+
+@contextlib.contextmanager
+def _usage_errors(parser):
+    """Turn a ValueError raised while a command builds its configuration into exit 2."""
     try:
-        return NetworkConfig(
-            N=args.nodes, L=args.frame_bytes, mode=mode,
-            r=args.rate if args.rate is not None else 0.0,
-            M=buffer if mode is TrafficMode.UNSATM else 1,
-        )
+        yield
     except ValueError as e:
         parser.error(str(e))
 
@@ -87,21 +97,20 @@ def _add_net_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _cmd_solve(args, parser) -> int:
-    from .analytical import MIN_NODES, NonConvergenceError, SolverSettings, solve
+    from .analytical import NonConvergenceError, SolverSettings, solve
     from .metrics import report as metrics_report
 
-    cfg = _net_config(args, parser)
-    if cfg.N < MIN_NODES:
-        parser.error(f"the analytical model needs at least {MIN_NODES} nodes, got {cfg.N}")
-    settings = SolverSettings(
-        tolerance=args.tol, max_iterations=args.max_iter,
-        damping=args.damping, use_bisection=args.bisection,
-    )
-    try:
-        fp = solve(cfg, settings)
-    except NonConvergenceError as e:
-        print(f"did not converge: {e} (last tau={e.fixed_point.tau!r})", file=sys.stderr)
-        return 1
+    with _usage_errors(parser):
+        cfg = _net_config(args, parser)
+        settings = SolverSettings(
+            tolerance=args.tol, max_iterations=args.max_iter,
+            damping=args.damping, use_bisection=args.bisection,
+        )
+        try:
+            fp = solve(cfg, settings)
+        except NonConvergenceError as e:
+            print(f"did not converge: {e} (last tau={e.fixed_point.tau!r})", file=sys.stderr)
+            return 1
     _print_report(cfg, metrics_report(cfg, fp))
     print(f"# converged in {fp.iterations} iterations, residual {fp.residual!r}")
     return 0
@@ -110,11 +119,12 @@ def _cmd_solve(args, parser) -> int:
 def _cmd_simulate(args, parser) -> int:
     from . import simulator
 
-    cfg = _net_config(args, parser)
-    sim_cfg = simulator.SimConfig(
-        net=cfg, horizon_mini_slots=args.horizon, warmup_mini_slots=args.warmup,
-        replications=args.reps, base_seed=args.seed,
-    )
+    with _usage_errors(parser):
+        cfg = _net_config(args, parser)
+        sim_cfg = simulator.SimConfig(
+            net=cfg, horizon_mini_slots=args.horizon, warmup_mini_slots=args.warmup,
+            replications=args.reps, base_seed=args.seed,
+        )
     if args.trace:
         lines = simulator.trace(sim_cfg, max_events=args.trace_events)
         with _file_errors(parser, args.trace), open(args.trace, "w") as fh:
@@ -128,12 +138,9 @@ def _cmd_sweep(args, parser) -> int:
     from . import dataset
     from .analytical import SolverSettings
 
-    mode = _MODES[args.mode]
-    if mode is not TrafficMode.SATURATED and args.rate is None:
-        parser.error(f"--rate is required for mode {args.mode}")
-    try:
+    with _usage_errors(parser):
         spec = dataset.SweepSpec(
-            mode=mode,
+            mode=_mode(args, parser),
             N_values=dataset.parse_range(args.nodes, int),
             L_values=dataset.parse_range(args.frame_bytes, int),
             r_values=dataset.parse_range(args.rate, float) if args.rate else (),
@@ -144,8 +151,6 @@ def _cmd_sweep(args, parser) -> int:
             replications=args.reps, base_seed=args.seed,
         )
         rows = dataset.run_sweep(spec, jobs=args.jobs)  # builds the grid's configs
-    except ValueError as e:
-        parser.error(str(e))
     with _file_errors(parser, args.out):
         dataset.write_csv(rows, args.out, ms=args.ms)
     bad = sum(not row.converged for row in rows)
@@ -177,42 +182,33 @@ def _cmd_compare(args, parser) -> int:
 
 
 def _cmd_train(args, parser) -> int:
-    import numpy as np
-
     from . import dataset, predictor
 
-    try:
+    with _usage_errors(parser):
         cfg = predictor.TrainConfig(
             learning_rate=args.lr, epochs=args.epochs, batch_size=args.batch,
             seed=args.seed, validation_fraction=args.val_frac,
         )
-    except ValueError as e:
-        parser.error(str(e))
+        if args.hidden:
+            hidden = tuple(int(h) for h in args.hidden.split(","))
+            if len(hidden) != 3:
+                parser.error("--hidden needs three comma-separated sizes")
+        elif args.desk_scale:
+            hidden = predictor.DESK_HIDDEN
+        else:
+            hidden = predictor.DEFAULT_HIDDEN[args.target]
+        arch = predictor.MLPArchitecture(input_dim=4, hidden=hidden, output_dim=1)
     with _file_errors(parser, args.data):
         rows = dataset.read_csv(args.data)
     X, y = dataset.training_matrix(rows, args.target)
-    if not (np.isfinite(X).all() and np.isfinite(y).all()):
-        parser.exit(2, f"{parser.prog}: error: {args.data}: non-finite value in a "
-                       f"column of task {args.target}\n")
-    if len(X) < 10:
-        print(f"only {len(X)} usable rows in {args.data}", file=sys.stderr)
-        return 1
-    if args.hidden:
-        hidden = tuple(int(h) for h in args.hidden.split(","))
-        if len(hidden) != 3:
-            parser.error("--hidden needs three comma-separated sizes")
-    elif args.desk_scale:
-        hidden = predictor.DESK_HIDDEN
-    else:
-        hidden = predictor.DEFAULT_HIDDEN[args.target]
-    model = predictor.init_model(
-        predictor.MLPArchitecture(input_dim=4, hidden=hidden, output_dim=1), args.seed
-    )
+    model = predictor.init_model(arch, args.seed)
     try:
         model, rep = predictor.train(model, X, y, cfg)
     except predictor.DivergenceDetected as e:
         print(str(e), file=sys.stderr)
         return 1
+    except ValueError as e:  # data train cannot use: non-finite, constant, too few rows
+        parser.exit(2, f"{parser.prog}: error: {args.data}: {e}\n")
     with _file_errors(parser, args.out):
         predictor.save_model(model, args.out)
     print(f"# target={args.target} hidden={list(hidden)} samples={len(X)}")
@@ -224,13 +220,10 @@ def _cmd_train(args, parser) -> int:
 def _cmd_predict(args, parser) -> int:
     from . import predictor
 
-    values = args.input.split(",")
-    if len(values) != 4:
-        parser.error(f"--input needs 4 comma-separated reals, got {len(values)}")
-    try:
-        x = [float(v) for v in values]
-    except ValueError:
-        parser.error(f"bad --input value in {args.input!r}")
+    with _usage_errors(parser):
+        x = [float(v) for v in args.input.split(",")]
+        if len(x) != 4:
+            parser.error(f"--input needs 4 comma-separated reals, got {len(x)}")
     with _file_errors(parser, args.model):
         model = predictor.load_model(args.model)
         arch = model.arch
@@ -332,7 +325,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.fn(args, parser)
+    try:
+        code = args.fn(args, parser)
+        sys.stdout.flush()
+    except BrokenPipeError:  # stdout's reader is gone; keep the exit flush from failing too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -175,14 +175,14 @@ def analytical_row(cfg: NetworkConfig, settings: SolverSettings) -> ResultRow:
     return report_row(cfg, metrics_report(cfg, fp))
 
 
-def simulated_row(cfg: NetworkConfig, spec: SweepSpec, jobs: int = 1) -> ResultRow:
+def simulated_row(cfg: NetworkConfig, spec: SweepSpec) -> ResultRow:
     from . import simulator  # loads numpy: only the simulated engine needs it
 
     sim_cfg = simulator.SimConfig(
         net=cfg, horizon_mini_slots=spec.horizon, warmup_mini_slots=spec.warmup,
         replications=spec.replications, base_seed=spec.base_seed,
     )
-    return report_row(cfg, simulator.run(sim_cfg, jobs=jobs))
+    return report_row(cfg, simulator.run(sim_cfg))
 
 
 def _sweep_item(args) -> ResultRow:

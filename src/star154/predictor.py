@@ -96,14 +96,16 @@ class TrainConfig:
     validation_fraction: float = 0.2
 
     def __post_init__(self):
-        if not self.learning_rate > 0:  # NaN too
-            raise ValueError("learning rate must be positive")
+        if not 0.0 < self.learning_rate < math.inf:  # NaN too
+            raise ValueError(f"learning rate must be finite and > 0, got {self.learning_rate}")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch size must be >= 1")
         if not 0.0 <= self.validation_fraction < 1.0:
             raise ValueError("validation fraction must be in [0, 1)")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -231,13 +233,15 @@ def train(
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float).reshape(-1)
     if len(X) < 10:
-        raise ValueError("need at least 10 samples")
+        raise ValueError(f"need at least 10 usable rows, got {len(X)}")
     if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
-        raise ValueError("non-finite training data")
+        raise ValueError("non-finite value in the training data")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((cfg.seed, 1))))
     order = rng.permutation(len(X))
     n_val = int(round(cfg.validation_fraction * len(X)))
     val_idx, train_idx = order[:n_val], order[n_val:]
+    if len(train_idx) < 2:
+        raise ValueError(f"{len(train_idx)} training and {n_val} validation rows: need 2 to scale")
     Xt, yt = X[train_idx], y[train_idx]
     fit_normalization(model, Xt, yt)
     Xn = normalize_inputs(model, Xt)

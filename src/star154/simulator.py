@@ -64,6 +64,8 @@ class SimConfig:
             raise ValueError("need at least one replication")
         if self.warmup_mini_slots is not None and self.warmup_mini_slots < 0:
             raise ValueError("warmup cannot be negative")
+        if self.base_seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.base_seed}")
 
     @property
     def warmup(self) -> int:

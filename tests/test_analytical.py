@@ -1,4 +1,5 @@
 """Fixed-point machinery against exact-arithmetic and bisection oracles."""
+import math
 from dataclasses import replace
 from fractions import Fraction
 
@@ -229,6 +230,16 @@ def test_solver_multibuffer_agrees_with_nested_bisection():
     cfg = NetworkConfig(N=5, L=100, mode=TrafficMode.UNSATM, r=0.03, M=3)
     fp = solve(cfg)
     assert abs(fp.tau - _bisect_oracle(cfg, p0=fp.p0)) < 1e-9
+
+
+@pytest.mark.parametrize("bad", [
+    {"tolerance": math.nan}, {"tolerance": math.inf},
+    {"max_iterations": 0}, {"max_iterations": -5},
+])
+def test_solver_settings_reject_values_no_solve_can_meet(bad):
+    # an infinite tolerance would accept the start point as the answer
+    with pytest.raises(ValueError):
+        SolverSettings(**bad)
 
 
 def test_solver_reports_nonconvergence_with_partial_state():

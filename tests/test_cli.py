@@ -58,6 +58,14 @@ def test_usage_errors_exit_2(tmp_path, capsys, training_csv):
     out_csv = str(tmp_path / "x.csv")
     model = str(tmp_path / "m.txt")
     train = ["train", "--data", training_csv, "--target", "ps", "--out", model]
+    # training data train cannot use: one frame length, one node count, 4 rows
+    one_l, one_n, few = (str(tmp_path / f"{name}.csv") for name in ("one_l", "one_n", "few"))
+    for path, nodes, frame_bytes, rate in ((one_l, "2:10:2", "50", "0.02:0.12:0.02"),
+                                           (one_n, "4", "50,100", "0.02:0.12:0.02"),
+                                           (few, "2,4", "50,100", "0.02")):
+        assert main(["sweep", "--mode", "unsat1", "--nodes", nodes, "--frame-bytes", frame_bytes,
+                     "--rate", rate, "--out", path]) == 0
+    capsys.readouterr()
     cases = [
         ["solve", "--mode", "unsat1", "--nodes", "10", "--frame-bytes", "100"],
         ["solve", "--mode", "unsatm", "--nodes", "10", "--frame-bytes", "100",
@@ -91,12 +99,38 @@ def test_usage_errors_exit_2(tmp_path, capsys, training_csv):
         train + ["--batch", "0"],
         train + ["--batch", "-3"],
         train + ["--epochs", "0"],
+        # solver settings SolverSettings rejects; an infinite tolerance accepts any start
+        SOLVE + ["--tol", "-1"],
+        SOLVE + ["--damping", "2"],
+        SOLVE + ["--max-iter", "-5"],
+        SOLVE + ["--tol", "nan"],
+        SOLVE + ["--tol", "inf"],
+        ["sweep", "--mode", "sat", "--nodes", "5", "--frame-bytes", "50", "--max-iter", "-1",
+         "--out", out_csv],
+        # simulation settings SimConfig rejects
+        SIM[:9] + ["--horizon", "0"],
+        SIM + ["--reps", "0"],
+        SIM + ["--warmup", "-5"],
+        SIM + ["--seed", "-1"],
+        # layer sizes and training settings
+        train + ["--hidden", "a,b,c"],
+        train + ["--hidden", "0,4,4"],
+        train + ["--lr", "inf"],
     ]
     for argv in cases:
         with pytest.raises(SystemExit) as exc:
             main(argv)
-        assert exc.value.code == 2
-        capsys.readouterr()
+        assert exc.value.code == 2, argv
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1].startswith("star154: error: "), argv
+        assert "Traceback" not in err
+    # such data is reported like a malformed data file
+    for data, problem in ((one_l, "a feature is constant"), (one_n, "target is constant"),
+                          (few, "need at least 10 usable rows, got 4")):
+        _exit_2_with_one_line(
+            capsys, ["train", "--data", data, "--target", "n", "--out", model], data, problem)
+    _exit_2_with_one_line(capsys, train + ["--val-frac", "0.999"], training_csv,
+                          "0 training and 60 validation rows")
     assert not os.path.exists(out_csv) and not os.path.exists(model)
 
 
@@ -458,6 +492,23 @@ def test_shared_parser_carries_no_state_between_calls(capsys, small_model):
     assert [code for code, _, _ in isolated] == [0, 2, 0, 0]
     assert shared == isolated
     assert build_parser() is build_parser()
+
+
+@pytest.mark.parametrize("unbuffered", [True, False])
+def test_closed_stdout_exits_1_without_a_traceback(unbuffered):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:  # each print fails at once; buffered, the final flush fails
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the command writes a byte
+    try:
+        proc = subprocess.run([sys.executable, "-m", "star154", *SOLVE], stdout=write_end,
+                              stderr=subprocess.PIPE, text=True, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, "")
 
 
 def test_python_dash_m_runs_the_cli():

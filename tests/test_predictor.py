@@ -191,6 +191,7 @@ def test_divergence_is_reported():
 @pytest.mark.parametrize("bad", [
     {"batch_size": 0}, {"batch_size": -3}, {"epochs": 0}, {"learning_rate": 0.0},
     {"learning_rate": math.nan}, {"validation_fraction": 1.0},
+    {"learning_rate": math.inf}, {"seed": -1},
 ])
 def test_train_config_rejects_settings_that_cannot_train(bad):
     with pytest.raises(ValueError):
@@ -205,6 +206,11 @@ def test_train_input_validation():
     y[3] = math.nan
     with pytest.raises(ValueError):
         train(init_model(SMALL, seed=1), X, y, TrainConfig())
+    # a validation split that leaves fewer than two rows to scale on
+    X, y = _toy_data(32, seed=1)
+    for fraction, n_train in ((0.99, 0), (0.96, 1)):
+        with pytest.raises(ValueError, match=f"^{n_train} training and {32 - n_train} validation"):
+            train(init_model(SMALL, seed=1), X, y, TrainConfig(validation_fraction=fraction))
 
 
 def test_evaluate_perfect_predictions():

@@ -251,6 +251,11 @@ def test_trace_lines_are_wellformed_and_reproducible():
     assert lines == trace(cfg, max_events=200)
 
 
+def test_sim_config_rejects_a_negative_seed():
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        SimConfig(net=U1(5, 100, 0.05), horizon_mini_slots=1000, base_seed=-1)
+
+
 def test_trace_stops_at_its_last_line():
     # simulating the whole 1e8 mini-slot horizon would take minutes
     cfg = SimConfig(net=NetworkConfig(N=10, L=50, mode=TrafficMode.SATURATED),
