@@ -5,8 +5,9 @@ for the arrival rate. Exit codes: 0 success, 1 computational failure
 (non-convergence) or a closed stdout, 2 usage error or a missing, unreadable,
 malformed or untrainable input file.
 
-Each command-line value is checked once, by the config type that holds it;
-commands build those inside _usage_errors, which makes a rejection exit 2.
+Each command-line value is checked once, by the config type that holds it or
+the function that consumes it; commands build and call those inside
+_usage_errors, which makes a rejection exit 2.
 
 Each command imports only the modules it runs, so building the parser and
 the analytical commands never load numpy.
@@ -43,7 +44,7 @@ def _net_config(args, parser) -> NetworkConfig:
 
 @contextlib.contextmanager
 def _usage_errors(parser):
-    """Turn a ValueError raised while a command builds its configuration into exit 2."""
+    """Turn a ValueError raised while a command checks its command-line values into exit 2."""
     try:
         yield
     except ValueError as e:
@@ -125,11 +126,11 @@ def _cmd_simulate(args, parser) -> int:
             net=cfg, horizon_mini_slots=args.horizon, warmup_mini_slots=args.warmup,
             replications=args.reps, base_seed=args.seed,
         )
+        lines = simulator.trace(sim_cfg, max_events=args.trace_events) if args.trace else None
+        rep = simulator.run(sim_cfg, jobs=args.jobs)
     if args.trace:
-        lines = simulator.trace(sim_cfg, max_events=args.trace_events)
         with _file_errors(parser, args.trace), open(args.trace, "w") as fh:
             fh.write("\n".join(lines) + ("\n" if lines else ""))
-    rep = simulator.run(sim_cfg, jobs=args.jobs)
     _print_report(cfg, rep)
     return 0
 

@@ -194,6 +194,8 @@ def _sweep_item(args) -> ResultRow:
 
 def run_sweep(spec: SweepSpec, jobs: int = 1) -> list[ResultRow]:
     """Solve and/or simulate every grid point; order is by config key."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     work = []
     for cfg in generate_grid(spec):
         if spec.engine in (Engine.ANALYTICAL, Engine.BOTH):

@@ -242,6 +242,8 @@ def train(
     val_idx, train_idx = order[:n_val], order[n_val:]
     if len(train_idx) < 2:
         raise ValueError(f"{len(train_idx)} training and {n_val} validation rows: need 2 to scale")
+    if n_val == 1:
+        raise ValueError("1 validation row: need 0 or at least 2 to correlate")
     Xt, yt = X[train_idx], y[train_idx]
     fit_normalization(model, Xt, yt)
     Xn = normalize_inputs(model, Xt)
@@ -311,13 +313,19 @@ def gradient_check(model: MLPModel, x, y_target: float, epsilon: float = 1e-5) -
 
 
 def save_model(model: MLPModel, path: str) -> None:
-    """Plain-text persistence; every real is written with full precision."""
+    """Plain-text persistence, exact for every real.
+
+    Line 1 is ``mlp-v2`` and the five layer sizes. Then one range line per
+    input and one for the target, each ``min max`` as decimal reprs, and one
+    line of every parameter as little-endian float64 bytes in hex (16 hex
+    digits each, in the order of MLPModel.params).
+    """
     sizes = model.arch.layer_sizes
-    lines = ["mlp-v1 " + " ".join(str(s) for s in sizes)]
+    lines = ["mlp-v2 " + " ".join(str(s) for s in sizes)]
     for j in range(model.arch.input_dim):
         lines.append(f"{float(model.in_min[j])!r} {float(model.in_max[j])!r}")
     lines.append(f"{float(model.out_min)!r} {float(model.out_max)!r}")
-    lines.extend(map(repr, model.params.tolist()))
+    lines.append(model.params.astype("<f8").tobytes().hex())
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -325,8 +333,9 @@ def save_model(model: MLPModel, path: str) -> None:
 def load_model(path: str) -> MLPModel:
     """Read a file written by save_model; a malformed file raises ValueError.
 
-    Blank lines are ignored. The header holds ``mlp-v1`` and the five layer
-    sizes, each range line holds exactly two reals, every other line one.
+    Blank lines are ignored. The header holds ``mlp-v2`` and the five layer
+    sizes, each range line holds exactly two reals, and the last line the
+    parameters in hex, 16 digits each.
     """
     try:
         with open(path) as fh:
@@ -344,7 +353,9 @@ def load_model(path: str) -> MLPModel:
     if not lines:
         raise ValueError(f"{path}: empty model file")
     head = lines[0].split()
-    if head[0] != "mlp-v1":
+    if head[0] == "mlp-v1":
+        raise bad(0, "model format mlp-v1 is no longer read; retrain with star154 train")
+    if head[0] != "mlp-v2":
         raise bad(0, f"not a model file: header {head[0]!r}")
     try:
         sizes = [int(s) for s in head[1:]]
@@ -354,7 +365,7 @@ def load_model(path: str) -> MLPModel:
     except ValueError as e:
         raise bad(0, str(e)) from None
     n_ranges = arch.input_dim + 1
-    expected = 1 + n_ranges + arch.n_params
+    expected = 1 + n_ranges + 1  # header, ranges, parameters
     if len(lines) < expected:
         raise ValueError(f"{path}: truncated: {len(lines)} of {expected} non-blank lines")
     if len(lines) > expected:
@@ -366,22 +377,21 @@ def load_model(path: str) -> MLPModel:
         except ValueError:
             raise bad(k, f"expected a range of two reals, got {lines[k]!r}") from None
         ranges.append((lo, hi))
+    k, digits = expected - 1, lines[-1]
+    if len(digits) != 16 * arch.n_params:
+        raise bad(k, f"parameters: expected {16 * arch.n_params} hex digits, got {len(digits)}")
     try:
-        flat = np.fromiter(map(float, lines[1 + n_ranges :]), dtype=float, count=arch.n_params)
-    except ValueError:
-        k = next(k for k in range(1 + n_ranges, expected) if not _is_real(lines[k]))
-        raise bad(k, f"expected one real, got {lines[k]!r}") from None
+        # fromhex skips whitespace between byte pairs, so count the bytes too
+        payload = bytearray.fromhex(digits)
+    except ValueError as e:
+        raise bad(k, f"parameters: {e}") from None
+    if len(payload) != 8 * arch.n_params:
+        raise bad(k, f"parameters: expected {8 * arch.n_params} bytes, got {len(payload)}")
+    # a bytearray keeps the array writable; astype is a no-op on little-endian hosts
+    flat = np.frombuffer(payload, dtype="<f8").astype(float, copy=False)
     in_min, in_max = (np.array(col) for col in zip(*ranges[:-1]))
     out_min, out_max = ranges[-1]
     return MLPModel(
         arch=arch, params=flat,
         in_min=in_min, in_max=in_max, out_min=out_min, out_max=out_max,
     )
-
-
-def _is_real(token: str) -> bool:
-    try:
-        float(token)
-    except ValueError:
-        return False
-    return True

@@ -539,6 +539,8 @@ def t975(nu: int) -> float:
 
 def run(cfg: SimConfig, jobs: int = 1) -> PerformanceReport:
     """Run all replications and aggregate: means plus Student-t 95% half-widths."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     work = [
         (cfg.net, cfg.horizon_mini_slots, cfg.warmup, cfg.base_seed + rep, rep)
         for rep in range(cfg.replications)
@@ -585,8 +587,10 @@ def trace(cfg: SimConfig, max_events: int = 1000) -> list[str]:
     Line format: mini-slot, node, event, detail, tab-separated. The
     replication stops at the max_events-th line.
     """
+    if max_events < 0:
+        raise ValueError(f"trace events must be >= 0, got {max_events}")
     lines: list[str] = []
-    if max_events <= 0:
+    if max_events == 0:
         return lines
     try:
         run_replication(

@@ -57,6 +57,7 @@ def test_solve_multibuffer_prints_queue_delays(capsys):
 def test_usage_errors_exit_2(tmp_path, capsys, training_csv):
     out_csv = str(tmp_path / "x.csv")
     model = str(tmp_path / "m.txt")
+    trace = str(tmp_path / "t.txt")
     train = ["train", "--data", training_csv, "--target", "ps", "--out", model]
     # training data train cannot use: one frame length, one node count, 4 rows
     one_l, one_n, few = (str(tmp_path / f"{name}.csv") for name in ("one_l", "one_n", "few"))
@@ -116,6 +117,12 @@ def test_usage_errors_exit_2(tmp_path, capsys, training_csv):
         train + ["--hidden", "a,b,c"],
         train + ["--hidden", "0,4,4"],
         train + ["--lr", "inf"],
+        # worker counts and trace lengths the simulator and the sweep reject
+        SIM + ["--jobs", "0"],
+        SIM + ["--jobs", "-2", "--trace", trace],
+        SIM + ["--trace", trace, "--trace-events", "-1"],
+        ["sweep", "--mode", "sat", "--nodes", "5", "--frame-bytes", "50", "--jobs", "0",
+         "--out", out_csv],
     ]
     for argv in cases:
         with pytest.raises(SystemExit) as exc:
@@ -131,7 +138,9 @@ def test_usage_errors_exit_2(tmp_path, capsys, training_csv):
             capsys, ["train", "--data", data, "--target", "n", "--out", model], data, problem)
     _exit_2_with_one_line(capsys, train + ["--val-frac", "0.999"], training_csv,
                           "0 training and 60 validation rows")
-    assert not os.path.exists(out_csv) and not os.path.exists(model)
+    _exit_2_with_one_line(capsys, train + ["--val-frac", "0.01"], training_csv,
+                          "1 validation row: need 0 or at least 2 to correlate")
+    assert not any(map(os.path.exists, (out_csv, model, trace)))
 
 
 def test_oversized_sweep_grid_exits_2_before_it_is_built(monkeypatch, tmp_path, capsys):
@@ -417,8 +426,11 @@ def test_predict_warns_on_inputs_outside_the_training_range(tmp_path, capsys):
 def test_bad_model_file_exits_2(tmp_path, capsys, small_model):
     truncated = tmp_path / "truncated.txt"
     truncated.write_text("".join(small_model.read_text().splitlines(keepends=True)[:-3]))
+    v1 = tmp_path / "v1.txt"
+    v1.write_text(small_model.read_text().replace("mlp-v2", "mlp-v1", 1))
+    retrain = ":1: model format mlp-v1 is no longer read; retrain with star154 train"
     for path, problem in ((truncated, "truncated"), (tmp_path / "missing.txt", "No such file"),
-                          (tmp_path, "Is a directory")):
+                          (tmp_path, "Is a directory"), (v1, retrain)):
         _exit_2_with_one_line(
             capsys, ["predict", "--model", str(path), "--input", "0.05,100,0.9,400"],
             str(path), problem)

@@ -136,10 +136,13 @@ def test_training_is_deterministic():
     assert all(np.array_equal(a, b) for a, b in zip(m1.biases, m2.biases))
 
 
-# sha256 of save_model's bytes after a 3-epoch desk-scale run; a refactor of
-# the trainer that keeps its arithmetic keeps this digest (a BLAS build that
-# rounds matrix products differently does not)
-TRAINED_MODEL_SHA256 = "959565dc4b59fed1514b398943e2bb00a4ea2a7c4d4998ac490c0235082de3c9"
+# sha256 of save_model's bytes after a 3-epoch desk-scale run, and of the
+# little-endian float64 bytes of the parameters, in_min, in_max and
+# (out_min, out_max) that file loads back as; a refactor of the trainer that
+# keeps its arithmetic keeps both digests, a change of file format only the
+# first (a BLAS build that rounds matrix products differently keeps neither)
+TRAINED_MODEL_SHA256 = "b62deccd2599d733454d448f3569c631adf394fcc86d7c6538ea2bc2e21db72d"
+TRAINED_ARRAYS_SHA256 = "0499f2e34b569ff20598c3fb5fdd1ff03b9d82b35f18a59573570cd844b99313"
 
 
 def test_trained_model_file_is_pinned(tmp_path):
@@ -149,6 +152,10 @@ def test_trained_model_file_is_pinned(tmp_path):
     path = tmp_path / "m.txt"
     save_model(m, str(path))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == TRAINED_MODEL_SHA256
+    back = load_model(str(path))
+    arrays = (back.params, back.in_min, back.in_max, np.array([back.out_min, back.out_max]))
+    digest = hashlib.sha256(b"".join(a.astype("<f8").tobytes() for a in arrays))
+    assert digest.hexdigest() == TRAINED_ARRAYS_SHA256
 
 
 def test_full_batch_loss_decreases():
@@ -211,6 +218,10 @@ def test_train_input_validation():
     for fraction, n_train in ((0.99, 0), (0.96, 1)):
         with pytest.raises(ValueError, match=f"^{n_train} training and {32 - n_train} validation"):
             train(init_model(SMALL, seed=1), X, y, TrainConfig(validation_fraction=fraction))
+    # one validation row cannot be correlated; it is refused before any training
+    with pytest.raises(ValueError, match="^1 validation row: need 0 or at least 2 to correlate"):
+        train(init_model(SMALL, seed=1), X, y, TrainConfig(validation_fraction=0.02),
+              on_epoch=lambda epoch, mse: pytest.fail("trained on a split it then refuses"))
 
 
 def test_evaluate_perfect_predictions():
@@ -278,28 +289,39 @@ def _edit_line(text: str, index: int, line: str) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _edit_params(text: str, start: int, digits: str) -> str:
+    """The model file with the parameter line's digits from start on replaced."""
+    lines = text.splitlines()
+    lines[-1] = lines[-1][:start] + digits + lines[-1][start + len(digits):]
+    return "\n".join(lines) + "\n"
+
+
 @pytest.mark.parametrize("edit, problem", [
     (lambda t: "", "empty model file"),
     (lambda t: "\n  \n", "empty model file"),
-    (lambda t: _edit_line(t, 0, "mlp-v1 4 5 4 3"), "expected 5 layer sizes"),
-    (lambda t: _edit_line(t, 0, "mlp-v1 4 5 x 3 1"), "invalid literal"),
-    (lambda t: _edit_line(t, 0, "mlp-v1 4 5 0 3 1"), "layer sizes must be >= 1"),
-    (lambda t: _edit_line(t, 0, "mlp-v1 4 5 4 3 2"), "truncated"),
+    (lambda t: _edit_line(t, 0, "mlp-v2 4 5 4 3"), "expected 5 layer sizes"),
+    (lambda t: _edit_line(t, 0, "mlp-v2 4 5 x 3 1"), "invalid literal"),
+    (lambda t: _edit_line(t, 0, "mlp-v2 4 5 0 3 1"), "layer sizes must be >= 1"),
+    # 72 parameters, 1152 hex digits, where the file holds SMALL's 68
+    (lambda t: _edit_line(t, 0, "mlp-v2 4 5 4 3 2"), "expected 1152 hex digits, got 1088"),
+    (lambda t: _edit_line(t, 0, "mlp-v1 4 5 4 3 1"),
+     "model format mlp-v1 is no longer read; retrain with star154 train"),
     (lambda t: _edit_line(t, 2, "0.5"), "range of two reals"),
     (lambda t: _edit_line(t, 2, "0.5 0.7 0.9"), "range of two reals"),
     (lambda t: _edit_line(t, 3, "0.5 zero"), "range of two reals"),
-    (lambda t: _edit_line(t, 9, "0.1 0.2"), "expected one real"),
-    (lambda t: _edit_line(t, -1, "nope"), "expected one real"),
+    (lambda t: t.rstrip("\n")[:-2] + "\n", "expected 1088 hex digits, got 1086"),
+    (lambda t: _edit_params(t, 40, "0.5"), "non-hexadecimal number found in fromhex"),
+    (lambda t: _edit_params(t, 40, "  "), "expected 544 bytes, got 543"),
     (lambda t: t + "\n0.5\n", "trailing data"),
 ], ids=["empty", "blank", "four-sizes", "non-integer-size", "zero-size", "wrong-size",
-        "one-real-range", "three-real-range", "non-numeric-range", "two-real-weight",
-        "non-numeric-bias", "trailing"])
+        "v1-header", "one-real-range", "three-real-range", "non-numeric-range",
+        "short-parameter-line", "non-hex-parameter", "spaced-parameter-byte", "trailing"])
 def test_load_names_the_file_and_the_problem(tmp_path, edit, problem):
     good = tmp_path / "good.txt"
     save_model(init_model(SMALL, seed=0), str(good))
     bad = tmp_path / "bad.txt"
     bad.write_text(edit(good.read_text()))
-    with pytest.raises(ValueError, match=problem) as exc:
+    with pytest.raises(ValueError, match=re.escape(problem)) as exc:
         load_model(str(bad))
     assert str(exc.value).startswith(str(bad))
 
@@ -308,15 +330,25 @@ def test_load_ignores_blank_lines_and_reports_file_line_numbers(tmp_path):
     m = init_model(SMALL, seed=4)
     good = tmp_path / "good.txt"
     save_model(m, str(good))
-    lines = good.read_text().splitlines()
-    spaced = tmp_path / "spaced.txt"
-    spaced.write_text("\n" + "\n \t\n".join(lines) + "\n\n")
-    back = load_model(str(spaced))
+    text = good.read_text()
+
+    def spaced(text):  # a blank line before every line: line i of text is line 2i + 2
+        path = tmp_path / "spaced.txt"
+        path.write_text("\n" + "\n \t\n".join(text.splitlines()) + "\n\n")
+        return str(path)
+
+    back = load_model(spaced(text))
     assert all(np.array_equal(a, b) for a, b in zip(back.weights, m.weights))
-    lines[7] = "x"
-    spaced.write_text("\n" + "\n \t\n".join(lines) + "\n\n")
-    with pytest.raises(ValueError, match=rf"^{re.escape(str(spaced))}:16: expected one real"):
-        load_model(str(spaced))
+    for line, bad_text, problem in (
+        (2, _edit_line(text, 0, "mlp-v1 4 5 4 3 1"), "model format mlp-v1 is no longer read"),
+        (14, _edit_params(text, 7, "x"), "non-hexadecimal number found in fromhex() arg at position 7"),
+        (14, _edit_params(text, 16, "  "), "parameters: expected 544 bytes, got 543"),
+        (14, text.rstrip("\n") + "00\n", "parameters: expected 1088 hex digits, got 1090"),
+    ):
+        path = spaced(bad_text)
+        with pytest.raises(ValueError) as exc:
+            load_model(path)
+        assert str(exc.value).startswith(f"{path}:{line}: ") and problem in str(exc.value)
 
 
 def test_load_rejects_binary_files(tmp_path):
@@ -354,8 +386,8 @@ def _bits(arrays):
 
 @settings(max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(model=_models())
-def test_model_file_round_trip_and_truncation_property(tmp_path, model):
+@given(model=_models(), data=st.data())
+def test_model_file_round_trip_and_truncation_property(tmp_path, model, data):
     path = tmp_path / "m.txt"
     save_model(model, str(path))
     back = load_model(str(path))
@@ -369,10 +401,17 @@ def test_model_file_round_trip_and_truncation_property(tmp_path, model):
     again = tmp_path / "again.txt"
     save_model(back, str(again))
     assert again.read_bytes() == path.read_bytes()
-    lines = path.read_text().splitlines(keepends=True)
+    text = path.read_text()
+    lines = text.splitlines(keepends=True)
     cut = tmp_path / "cut.txt"
     for keep in range(len(lines)):
         cut.write_text("".join(lines[:keep]))
+        with pytest.raises(ValueError):
+            load_model(str(cut))
+    # cuts inside the parameter line, each dropping at least its last digit
+    params_at = len(text) - len(lines[-1])
+    for offset in data.draw(st.lists(st.integers(0, len(lines[-1]) - 2), max_size=8)):
+        cut.write_text(text[: params_at + offset])
         with pytest.raises(ValueError):
             load_model(str(cut))
 
