@@ -18,6 +18,7 @@ import argparse
 import contextlib
 import csv
 import functools
+import math
 import os
 import sys
 
@@ -68,17 +69,20 @@ def _file_errors(parser, path: str):
     parser.exit(2, f"{parser.prog}: error: {problem}\n")
 
 
+def _shown(value: float | None) -> str:
+    return "undefined" if value is None else repr(value)
+
+
 def _print_report(cfg: NetworkConfig, rep: PerformanceReport) -> None:
-    """Human summary plus a one-row CSV block on stdout."""
+    """Human summary plus a one-row CSV block on stdout; an undefined metric shows as undefined."""
     from . import dataset
 
     print(f"# mode={cfg.mode.value} N={cfg.N} L={cfg.L} bytes r={cfg.r} M={cfg.M}")
-    print(f"# tau={rep.tau!r} a={rep.a!r}")
-    print(f"# TH={rep.TH!r} PS={rep.PS!r}")
-    ts = "undefined" if rep.TS is None else repr(rep.TS)
-    print(f"# TS={ts} TVS={rep.TVS!r} symbols")
+    print(f"# tau={_shown(rep.tau)} a={_shown(rep.a)}")
+    print(f"# TH={_shown(rep.TH)} PS={_shown(rep.PS)}")
+    print(f"# TS={_shown(rep.TS)} TVS={_shown(rep.TVS)} symbols")
     if rep.TSW is not None:
-        print(f"# TSW={rep.TSW!r} TVSW={rep.TVSW!r} symbols")
+        print(f"# TSW={_shown(rep.TSW)} TVSW={_shown(rep.TVSW)} symbols")
     for name in ("TH", "PS"):
         if name in rep.ci95:
             print(f"# ci95 {name}: +/-{rep.ci95[name]!r}")
@@ -225,6 +229,9 @@ def _cmd_predict(args, parser) -> int:
         x = [float(v) for v in args.input.split(",")]
         if len(x) != 4:
             parser.error(f"--input needs 4 comma-separated reals, got {len(x)}")
+        for j, v in enumerate(x):
+            if not math.isfinite(v):
+                raise ValueError(f"--input value {j + 1} is {v!r}; predict needs finite reals")
     with _file_errors(parser, args.model):
         model = predictor.load_model(args.model)
         arch = model.arch

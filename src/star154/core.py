@@ -116,14 +116,13 @@ class NetworkConfig:
             raise ValueError("multi-buffer mode requires M > 1")
         if self.M < 1:
             raise ValueError(f"buffer capacity must be >= 1, got {self.M}")
-        if self.mode is not TrafficMode.SATURATED:
-            if not (self.r >= 0.0) or not math.isfinite(self.r):
-                raise ValueError(f"arrival rate must be finite and >= 0, got {self.r}")
-            if self.r > 2 * self.L:
-                raise ValueError(
-                    f"arrival rate {self.r} exceeds 2L = {2 * self.L}: the per-mini-slot "
-                    "arrival probability r/2L would exceed 1"
-                )
+        if not (self.r >= 0.0) or not math.isfinite(self.r):
+            raise ValueError(f"arrival rate must be finite and >= 0, got {self.r}")
+        if self.mode is not TrafficMode.SATURATED and self.r > 2 * self.L:
+            raise ValueError(
+                f"arrival rate {self.r} exceeds 2L = {2 * self.L}: the per-mini-slot "
+                "arrival probability r/2L would exceed 1"
+            )
 
     @property
     def frame_symbols(self) -> int:
@@ -188,6 +187,21 @@ class Engine(str, Enum):
     BOTH = "both"
 
 
+DELAYS = ("TS", "TVS", "TSW", "TVSW")  # the delay metrics, in report and column order
+
+
+def parallel_map(fn, items: list, jobs: int) -> list:
+    """[fn(item) for item in items], spread over up to `jobs` worker processes."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    if jobs > 1 and len(items) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # costs ~18 ms to import
+
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(fn, items))
+    return [fn(item) for item in items]
+
+
 # inverse predictor task name -> (feature column names, target column name)
 TASKS: dict[str, tuple[tuple[str, str, str, str], str]] = {
     "n": (("r", "L", "PS", "TVS"), "N"),
@@ -200,19 +214,19 @@ TASKS: dict[str, tuple[tuple[str, str, str, str], str]] = {
 class PerformanceReport:
     """The eight performance metrics of one scenario.
 
-    Delays are in symbols. TS is None when no frame is ever delivered (the
-    conditional mean is undefined then). TSW/TVSW are populated only for the
-    multi-buffer mode, where queueing wait exists. ci95 holds Student-t 95%
-    half-widths per metric name for simulated reports; a metric with fewer
-    than two clean replications has no entry.
+    Delays are in symbols. None marks an undefined metric: TS when no frame
+    is delivered, or any metric no replication of a simulation defines.
+    TSW/TVSW are populated only for the multi-buffer mode. ci95 holds
+    Student-t 95% half-widths per metric name for simulated reports; a
+    metric with fewer than two clean replications has no entry.
     """
 
     tau: float
-    a: float
+    a: float | None
     TH: float
-    PS: float
+    PS: float | None
     TS: float | None
-    TVS: float
+    TVS: float | None
     source: Source
     TSW: float | None = None
     TVSW: float | None = None

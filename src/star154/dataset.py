@@ -12,14 +12,17 @@ import math
 from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING
 
-from .core import CONSTANTS, TASKS, Engine, NetworkConfig, PerformanceReport, TrafficMode
+from .core import (
+    CONSTANTS, DELAYS, TASKS, Engine, NetworkConfig, PerformanceReport, TrafficMode, parallel_map,
+)
 from .analytical import MIN_NODES, NonConvergenceError, SolverSettings, solve
 from .metrics import report as metrics_report
 
 if TYPE_CHECKING:
     import numpy as np
 
-MS_COLUMNS = ["TS_ms", "TVS_ms", "TSW_ms", "TVSW_ms"]
+_SYM_COLUMNS = {name: f"{name}_sym" for name in DELAYS}  # ResultRow attribute of each delay
+MS_COLUMNS = [f"{name}_ms" for name in DELAYS]
 SYMBOL_MS = CONSTANTS.symbolDurationMicroseconds / 1000  # one symbol in milliseconds
 
 DIFF_METRICS = ["tau", "a", "TH", "PS", "TS_sym", "TVS_sym"]
@@ -146,32 +149,29 @@ def generate_grid(spec: SweepSpec) -> list[NetworkConfig]:
     ]
 
 
-def _none_if_nan(v):
-    return None if isinstance(v, float) and math.isnan(v) else v
+def _row(cfg: NetworkConfig, source: str, **metrics) -> ResultRow:
+    """A result row of cfg's scenario; metrics left out stay None."""
+    return ResultRow(mode=cfg.mode.value, N=cfg.N, L=cfg.L, r=cfg.r, M=cfg.M, source=source,
+                     **metrics)
 
 
 def report_row(cfg: NetworkConfig, rep: PerformanceReport) -> ResultRow:
-    """The result row of one report; NaN (an estimate with no samples) becomes None."""
-    return ResultRow(
-        mode=cfg.mode.value, N=cfg.N, L=cfg.L, r=cfg.r, M=cfg.M, source=rep.source.value,
-        tau=_none_if_nan(rep.tau), a=_none_if_nan(rep.a),
-        TH=_none_if_nan(rep.TH), PS=_none_if_nan(rep.PS),
-        TS_sym=_none_if_nan(rep.TS), TVS_sym=_none_if_nan(rep.TVS),
-        TSW_sym=_none_if_nan(rep.TSW), TVSW_sym=_none_if_nan(rep.TVSW),
-        ci_TH=_none_if_nan(rep.ci95.get("TH")), ci_PS=_none_if_nan(rep.ci95.get("PS")),
+    """The result row of one report; an undefined metric stays None, an empty CSV cell."""
+    return _row(
+        cfg, rep.source.value, tau=rep.tau, a=rep.a, TH=rep.TH, PS=rep.PS,
+        **{column: getattr(rep, name) for name, column in _SYM_COLUMNS.items()},
+        ci_TH=rep.ci95.get("TH"), ci_PS=rep.ci95.get("PS"),
     )
 
 
 def analytical_row(cfg: NetworkConfig, settings: SolverSettings) -> ResultRow:
-    base = dict(mode=cfg.mode.value, N=cfg.N, L=cfg.L, r=cfg.r, M=cfg.M,
-                source="analytical")
     try:
         fp = solve(cfg, settings)
     except NonConvergenceError as e:
         fp = e.fixed_point
-        return ResultRow(**base, tau=fp.tau, a=fp.a, converged=False)
+        return _row(cfg, "analytical", tau=fp.tau, a=fp.a, converged=False)
     except (ValueError, ArithmeticError):
-        return ResultRow(**base, converged=False)
+        return _row(cfg, "analytical", converged=False)
     return report_row(cfg, metrics_report(cfg, fp))
 
 
@@ -194,21 +194,13 @@ def _sweep_item(args) -> ResultRow:
 
 def run_sweep(spec: SweepSpec, jobs: int = 1) -> list[ResultRow]:
     """Solve and/or simulate every grid point; order is by config key."""
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
     work = []
     for cfg in generate_grid(spec):
         if spec.engine in (Engine.ANALYTICAL, Engine.BOTH):
             work.append((cfg, "analytical", spec))
         if spec.engine in (Engine.SIMULATED, Engine.BOTH):
             work.append((cfg, "simulated", spec))
-    if jobs > 1 and len(work) > 1:
-        from concurrent.futures import ProcessPoolExecutor  # costs ~18 ms to import
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_sweep_item, work))
-    else:
-        rows = [_sweep_item(w) for w in work]
+    rows = parallel_map(_sweep_item, work, jobs)
     rows.sort(key=lambda row: (row.N, row.L, row.r, row.M, row.source))
     return rows
 
@@ -223,23 +215,26 @@ def _format(v) -> str:
     return str(v)
 
 
-def _record(row: ResultRow, ms: bool) -> list[str]:
-    """The CSV fields of one row, in HEADER order (plus MS_COLUMNS if ms)."""
+def _record(row: ResultRow, ms: bool) -> list:
+    """The CSV values of one row, in HEADER order (plus MS_COLUMNS if ms)."""
     # an integer rate still prints as a real
     values = [float(row.r) if name == "r" else getattr(row, name) for name in HEADER]
     if ms:
-        values += [
-            None if v is None else v * SYMBOL_MS
-            for v in (row.TS_sym, row.TVS_sym, row.TSW_sym, row.TVSW_sym)
-        ]
-    return [_format(v) for v in values]
+        delays = (getattr(row, column) for column in _SYM_COLUMNS.values())
+        values += [None if v is None else v * SYMBOL_MS for v in delays]
+    return values
+
+
+def _write_table(fh, header: list[str], records) -> None:
+    """Write the header and the records, every value through _format, to an open text file."""
+    writer = csv.writer(fh)
+    writer.writerow(header)
+    writer.writerows([_format(v) for v in rec] for rec in records)
 
 
 def write_rows(fh, rows: list[ResultRow], ms: bool = False) -> None:
     """Write the header and one record per row to an open text file."""
-    writer = csv.writer(fh)
-    writer.writerow(HEADER + MS_COLUMNS if ms else HEADER)
-    writer.writerows(_record(row, ms) for row in rows)
+    _write_table(fh, HEADER + MS_COLUMNS if ms else HEADER, (_record(row, ms) for row in rows))
 
 
 def write_csv(rows: list[ResultRow], path: str, ms: bool = False) -> None:
@@ -247,13 +242,16 @@ def write_csv(rows: list[ResultRow], path: str, ms: bool = False) -> None:
         write_rows(fh, rows, ms)
 
 
-def _parse_opt_float(s: str, path: str, line: int) -> float | None:
+def _parse_real(s: str, column: str, path: str, line: int) -> float | None:
     if s == "":
         return None
     try:
-        return float(s)
+        v = float(s)
     except ValueError:
         raise ValueError(f"{path}:{line}: bad number {s!r}") from None
+    if not math.isfinite(v):
+        raise ValueError(f"{path}:{line}: non-finite value {s!r} in column {column}")
+    return v
 
 
 def read_csv(path: str) -> list[ResultRow]:
@@ -261,6 +259,7 @@ def read_csv(path: str) -> list[ResultRow]:
 
     Every record, the last one included, must end with a line end, so a file
     cut inside a record is rejected instead of read as a shorter last value.
+    A non-finite real (nan, inf) is refused in any column.
     """
     with open(path, newline="") as fh:
         text = fh.read()
@@ -280,19 +279,17 @@ def read_csv(path: str) -> list[ResultRow]:
             r = float(rec[3])
         except ValueError:
             raise ValueError(f"{path}:{line}: bad configuration fields") from None
+        if not math.isfinite(r):
+            raise ValueError(f"{path}:{line}: non-finite value {rec[3]!r} in column r")
         if rec[14] not in ("true", "false"):
             raise ValueError(f"{path}:{line}: converged must be true or false")
         reals = {
-            name: _parse_opt_float(rec[i], path, line)
+            name: _parse_real(rec[i], name, path, line)
             for i, name in enumerate(HEADER[6:], start=6) if name != "converged"
         }
         rows.append(ResultRow(mode=rec[0], N=n, L=l, r=r, M=m, source=rec[5],
                               converged=rec[14] == "true", **reals))
     return rows
-
-
-# ResultRow attribute of each TASKS column that is not named alike
-_TASK_COLUMNS = {"TVS": "TVS_sym"}
 
 
 def training_matrix(rows: list[ResultRow], target: str) -> tuple[np.ndarray, np.ndarray]:
@@ -303,7 +300,7 @@ def training_matrix(rows: list[ResultRow], target: str) -> tuple[np.ndarray, np.
     import numpy as np
 
     features, target_col = TASKS[target]
-    columns = [_TASK_COLUMNS.get(name, name) for name in (*features, target_col)]
+    columns = [_SYM_COLUMNS.get(name, name) for name in (*features, target_col)]
     table = [[getattr(row, c) for c in columns] for row in rows if row.converged]
     table = np.array([v for v in table if None not in v], dtype=float).reshape(-1, len(columns))
     return table[:, :-1], table[:, -1]
@@ -408,15 +405,15 @@ def compare(
 
 
 def write_diff_csv(diffs: list[DiffRow], path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        header = ["mode", "N", "L", "r", "M"]
+    header = ["mode", "N", "L", "r", "M"]
+    records = []
+    for metric in DIFF_METRICS:
+        header += [f"abs_{metric}", f"rel_{metric}"]
+    for d in diffs:
+        mode, n, l, r, m = d.key
+        rec = [mode, n, l, float(r), m]
         for metric in DIFF_METRICS:
-            header += [f"abs_{metric}", f"rel_{metric}"]
-        writer.writerow(header)
-        for d in diffs:
-            mode, n, l, r, m = d.key
-            rec = [mode, n, l, float(r), m]
-            for metric in DIFF_METRICS:
-                rec += [d.abs_diff[metric], d.rel_diff[metric]]
-            writer.writerow(_format(v) for v in rec)
+            rec += [d.abs_diff[metric], d.rel_diff[metric]]
+        records.append(rec)
+    with open(path, "w", newline="") as fh:
+        _write_table(fh, header, records)

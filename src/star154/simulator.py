@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CONSTANTS, NetworkConfig, PerformanceReport, Source, TrafficMode
+from .core import CONSTANTS, NetworkConfig, PerformanceReport, Source, TrafficMode, parallel_map
 
 # protocol timing in symbols and limits, bound once as plain ints for the event loop
 _CCA = CONSTANTS.ccaSymbols
@@ -504,12 +504,12 @@ def _estimates(c: SimCounters, net: NetworkConfig, horizon: int) -> dict[str, fl
     return est
 
 
-def _one_replication(args) -> tuple[int, dict[str, float]]:
+def _one_replication(args) -> dict[str, float]:
     net, horizon, warmup, seed, rep = args
     counters = run_replication(net, horizon, warmup, seed)
     if not counters.conservation_ok():  # pragma: no cover - engine invariant
         raise AssertionError(f"frame conservation violated in replication {rep}")
-    return rep, _estimates(counters, net, horizon)
+    return _estimates(counters, net, horizon)
 
 
 # t quantile 0.975 for nu = 1..30 degrees of freedom
@@ -538,47 +538,25 @@ def t975(nu: int) -> float:
 
 
 def run(cfg: SimConfig, jobs: int = 1) -> PerformanceReport:
-    """Run all replications and aggregate: means plus Student-t 95% half-widths."""
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    """Means and Student-t 95% half-widths over all replications; None where none defines one."""
     work = [
         (cfg.net, cfg.horizon_mini_slots, cfg.warmup, cfg.base_seed + rep, rep)
         for rep in range(cfg.replications)
     ]
-    if jobs > 1 and cfg.replications > 1:
-        from concurrent.futures import ProcessPoolExecutor  # costs ~18 ms to import
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = sorted(pool.map(_one_replication, work))
-    else:
-        results = [_one_replication(w) for w in work]
-
     per_metric: dict[str, list[float]] = {}
-    for _, est in results:
+    for est in parallel_map(_one_replication, work, jobs):
         for name, value in est.items():
             per_metric.setdefault(name, []).append(value)
 
-    means: dict[str, float] = {}
+    means: dict[str, float | None] = {}
     ci: dict[str, float] = {}
     for name, values in per_metric.items():
         clean = [v for v in values if not math.isnan(v)]
-        if not clean:
-            means[name] = math.nan
-            continue
-        means[name] = float(np.mean(clean))
+        means[name] = float(np.mean(clean)) if clean else None
         if len(clean) >= 2:  # one value gives no interval: the name stays out of ci
             t = t975(len(clean) - 1)
             ci[name] = float(t * np.std(clean, ddof=1) / math.sqrt(len(clean)))
-
-    def opt(name):
-        v = means.get(name, math.nan)
-        return None if math.isnan(v) else v
-
-    return PerformanceReport(
-        tau=means["tau"], a=means["a"], TH=means["TH"], PS=means["PS"],
-        TS=opt("TS"), TVS=means["TVS"], TSW=opt("TSW"), TVSW=opt("TVSW"),
-        source=Source.SIMULATED, ci95=ci,
-    )
+    return PerformanceReport(**means, source=Source.SIMULATED, ci95=ci)
 
 
 def trace(cfg: SimConfig, max_events: int = 1000) -> list[str]:

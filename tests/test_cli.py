@@ -85,6 +85,12 @@ def test_usage_errors_exit_2(tmp_path, capsys, training_csv):
         ["sweep", "--mode", "unsatm", "--nodes", "5", "--frame-bytes", "100",
          "--rate", "1e9", "--buffer", "3", "--out", out_csv],
         SOLVE[:-1] + ["1e9"],
+        # saturated mode ignores the rate but still refuses a meaningless one
+        ["solve", "--mode", "sat", "--nodes", "10", "--frame-bytes", "100", "--rate=nan"],
+        ["solve", "--mode", "sat", "--nodes", "10", "--frame-bytes", "100", "--rate=-1"],
+        ["solve", "--mode", "sat", "--nodes", "10", "--frame-bytes", "100", "--rate=inf"],
+        ["simulate", "--mode", "sat", "--nodes", "3", "--frame-bytes", "50", "--rate=nan",
+         "--horizon", "2000", "--reps", "1"],
         # ranges that never end or hold too many values
         ["sweep", "--mode", "sat", "--nodes", "2:inf:1", "--frame-bytes", "100",
          "--out", out_csv],
@@ -210,6 +216,18 @@ def test_simulate_one_replication_reports_no_interval(capsys):
     row = dict(zip(HEADER, lines[lines.index(",".join(HEADER)) + 1].split(",")))
     assert row["ci_TH"] == row["ci_PS"] == ""
     assert float(row["TH"]) > 0.0
+
+
+def test_simulate_without_traffic_prints_undefined_metrics(capsys):
+    code, out, _ = _run(capsys, ["simulate", "--mode", "unsat1", "--nodes", "3",
+                                 "--frame-bytes", "50", "--rate", "0", "--horizon", "5000",
+                                 "--reps", "2", "--seed", "1"])
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[1:4] == ["# tau=0.0 a=undefined", "# TH=0.0 PS=undefined",
+                          "# TS=undefined TVS=undefined symbols"]
+    assert "nan" not in out
+    assert lines[-1] == "unsat1,3,50,0.0,1,simulated,0.0,,0.0,,,,,,true,0.0,"
 
 
 def test_simulate_different_seed_changes_output(capsys):
@@ -421,6 +439,17 @@ def test_predict_warns_on_inputs_outside_the_training_range(tmp_path, capsys):
                  "input 4 = -1000000.0 outside the training range [0.0, 5000.0]"):
         assert text in err
     assert "input 2" not in err
+
+
+def test_predict_refuses_a_non_finite_input(capsys, small_model):
+    predict = ["predict", "--model", str(small_model), "--input"]
+    for text, bad in (("0.05,100,nan,400", "value 3 is nan"), ("inf,100,0.9,400", "value 1 is inf"),
+                      ("0.05,100,0.9,-1e400", "value 4 is -inf")):
+        code, out, err = _outcome(capsys, predict + [text])
+        assert code == 2 and out == ""
+        assert err.splitlines()[-1].startswith("star154: error: --input " + bad), text
+    code, out, _ = _outcome(capsys, predict + ["0.05,100,0.9,400"])
+    assert code == 0 and np.isfinite(float(out))
 
 
 def test_bad_model_file_exits_2(tmp_path, capsys, small_model):

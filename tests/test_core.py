@@ -1,5 +1,6 @@
 """Protocol constants, configuration validation, and elementary probabilities."""
 import logging
+import math
 
 import numpy as np
 import pytest
@@ -64,8 +65,15 @@ def test_config_rejects_arrival_probability_above_one():
         for r in (60.000001, 1e9):
             with pytest.raises(ValueError, match="exceeds 2L"):
                 NetworkConfig(N=2, L=30, mode=mode, r=r, M=M)
-    # the saturated mode ignores r
+    # the saturated mode ignores r's size, not its meaning
     NetworkConfig(N=2, L=30, mode=TrafficMode.SATURATED, r=1e9)
+
+
+@pytest.mark.parametrize("mode", list(TrafficMode))
+@pytest.mark.parametrize("r", [math.nan, math.inf, -math.inf, -1.0])
+def test_config_rejects_a_non_finite_or_negative_rate_in_every_mode(mode, r):
+    with pytest.raises(ValueError, match="finite and >= 0"):
+        NetworkConfig(N=2, L=30, mode=mode, r=r, M=3 if mode is TrafficMode.UNSATM else 1)
 
 
 @pytest.fixture

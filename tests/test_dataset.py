@@ -282,6 +282,15 @@ def test_read_csv_error_messages_carry_location(tmp_path):
     with pytest.raises(ValueError, match=r"long\.csv:3: expected 17 fields, got 19"):
         read_csv(str(long))
 
+    for column, cell in (("r", "nan"), ("PS", "inf"), ("ci_TH", "-inf"), ("tau", "1e400")):
+        record = "unsat1,2,30,0.01,1,analytical,,,,,,,,,true,,".split(",")
+        record[HEADER.index(column)] = cell
+        odd = tmp_path / "non_finite.csv"
+        odd.write_text(",".join(HEADER) + "\n" + ",".join(record) + "\n")
+        with pytest.raises(ValueError) as err:
+            read_csv(str(odd))
+        assert str(err.value) == f"{odd}:2: non-finite value {cell!r} in column {column}"
+
     flagged = tmp_path / "flagged.csv"
     row = "unsat1,2,30,0.01,1,analytical,,,,,,,,,maybe,,"
     flagged.write_text(",".join(HEADER) + "\n" + row + "\n")
@@ -290,6 +299,28 @@ def test_read_csv_error_messages_carry_location(tmp_path):
 
 
 # -- row producers ------------------------------------------------------------
+
+def test_compare_and_train_refuse_a_non_finite_rate(tmp_path, capsys):
+    # a saturated row whose rate is nan: read as a key, it would never match itself
+    from star154.cli import main
+
+    record = ("sat,10,100,nan,1,{},0.003982824997365238,0.8936371298413399,0.2266157514125664,"
+              "0.22733165567023256,1170.0631057712694,1501.537875647181,,,true,,")
+    paths = {}
+    for source in ("analytical", "simulated"):
+        paths[source] = tmp_path / f"{source}.csv"
+        paths[source].write_text(",".join(HEADER) + "\n" + record.format(source) + "\n")
+    problem = f"{paths['analytical']}:2: non-finite value 'nan' in column r"
+    for argv in (["compare", "--analytical", str(paths["analytical"]),
+                  "--simulated", str(paths["simulated"]), "--out", str(tmp_path / "d.csv")],
+                 ["train", "--data", str(paths["analytical"]), "--target", "n",
+                  "--out", str(tmp_path / "m.txt")]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert captured.err == f"star154: error: {problem}\n"
+
 
 def test_analytical_row_converged():
     cfg = NetworkConfig(N=10, L=100, mode=TrafficMode.UNSAT1, r=0.05)
@@ -320,15 +351,22 @@ def test_simulated_row_carries_uncertainty():
     assert row.converged
 
 
-def test_report_row_maps_nan_to_none():
-    # no CCA and no completed frame in the window: a, PS and TVS are undefined
+def test_no_traffic_simulation_reports_none_and_writes_empty_cells(tmp_path):
+    # no arrival, so no CCA and no finished service: a, PS, TS and TVS are undefined
+    from star154.simulator import SimConfig, run
+
     cfg = NetworkConfig(N=3, L=50, mode=TrafficMode.UNSAT1, r=0.0)
-    rep = PerformanceReport(tau=0.0, a=math.nan, TH=0.0, PS=math.nan, TS=None,
-                            TVS=math.nan, source=Source.SIMULATED, ci95={"TH": 0.0})
+    rep = run(SimConfig(net=cfg, horizon_mini_slots=5000, replications=2, base_seed=1))
+    assert rep.a is rep.PS is rep.TS is rep.TVS is None
+    assert (rep.tau, rep.TH, rep.ci95) == (0.0, 0.0, {"tau": 0.0, "TH": 0.0})
     row = report_row(cfg, rep)
-    assert (row.tau, row.TH, row.ci_TH) == (0.0, 0.0, 0.0)
     assert row.a is row.PS is row.TS_sym is row.TVS_sym is row.ci_PS is None
     assert row.converged and row.source == "simulated"
+    path = tmp_path / "none.csv"
+    write_csv([row], str(path), ms=True)
+    assert path.read_text().splitlines()[1] == (
+        "unsat1,3,50,0.0,1,simulated,0.0,,0.0,,,,,,true,0.0,,,,,")
+    assert read_csv(str(path)) == [row]
 
 
 # -- training matrices --------------------------------------------------------
@@ -479,3 +517,25 @@ def test_write_diff_csv_layout(tmp_path):
     assert lines[0].startswith("mode,N,L,r,M,abs_tau,rel_tau,")
     assert len(lines) == 2
     assert lines[1].startswith("unsat1,2,100,0.05,1,")
+
+
+def test_write_diff_csv_bytes(tmp_path):
+    base = dict(mode="unsat1", N=2, L=100, r=0.05, M=1)
+    a = ResultRow(**base, source="analytical", tau=0.002, a=0.5, TH=0.4,
+                  PS=0.9, TS_sym=600.0, TVS_sym=700.0)
+    s = ResultRow(**base, source="simulated", tau=0.001, a=0.55, TH=0.5,
+                  PS=0.8, TS_sym=660.0, TVS_sym=630.0)
+    # an integer rate, a zero analytical value (no rel) and missing metrics
+    other = dict(mode="sat", N=3, L=30, r=0, M=1)
+    diffs, _ = compare([a, ResultRow(**other, source="analytical", tau=0.0, a=0.25)],
+                       [s, ResultRow(**other, source="simulated", tau=0.5, a=0.25, TH=0.1)])
+    path = tmp_path / "diff.csv"
+    write_diff_csv(diffs, str(path))
+    assert path.read_bytes() == (
+        b"mode,N,L,r,M,abs_tau,rel_tau,abs_a,rel_a,abs_TH,rel_TH,abs_PS,rel_PS,"
+        b"abs_TS_sym,rel_TS_sym,abs_TVS_sym,rel_TVS_sym\r\n"
+        b"sat,3,30,0.0,1,-0.5,,0.0,0.0,,,,,,,,\r\n"
+        b"unsat1,2,100,0.05,1,0.001,0.5,-0.050000000000000044,-0.10000000000000009,"
+        b"-0.09999999999999998,-0.24999999999999994,0.09999999999999998,0.11111111111111108,"
+        b"-60.0,-0.1,70.0,0.1\r\n"
+    )
