@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from . import metrics, queueing  # modules, not names: metrics imports this one back
 from .core import (
     ACK_WAIT_SAVING, ATTEMPT_STEPS, CLEAN_COLLISION_SYMBOLS, COLLISION_TAIL,
     NetworkConfig, TrafficMode, derived_probs,
@@ -91,7 +92,11 @@ def _channel_terms(tau: float, N: int):
 
 def total_cycle_symbols(tau: float, N: int, L: int) -> float:
     """Duration-weighted total of the channel states, relative to theta."""
-    x, y, z = _channel_terms(tau, N)
+    return _cycle_symbols(*_channel_terms(tau, N), L)
+
+
+def _cycle_symbols(x: float, y: float, z: float, L: int) -> float:
+    """total_cycle_symbols from the channel terms of _channel_terms."""
     if z == 1.0:
         geo25 = 25.0
     else:
@@ -113,8 +118,8 @@ def a_from_tau(tau: float, N: int, L: int) -> float:
     """
     if not 0.0 <= tau <= 1.0:
         raise ValueError(f"tau out of [0,1]: {tau}")
-    x, _, _ = _channel_terms(tau, N)
-    T = total_cycle_symbols(tau, N, L)
+    x, y, z = _channel_terms(tau, N)
+    T = _cycle_symbols(x, y, z, L)
     a = 1.0 - (12.0 * (1.0 - x) + 1.0) / T
     return min(max(a, 0.0), 1.0)
 
@@ -208,16 +213,14 @@ def _queue(tau: float, a: float, cfg: NetworkConfig) -> tuple[float, float, floa
 
     Multi-buffer mode: the node model's mean service time at (tau, a) sets
     the M/M/1/K load, and its empty probability weights the arrival term.
+    The queueing functions are looked up on their module at every call, so a
+    wrapper put on that module sees each one.
     """
-    # local import; metrics depends on this module for throughput
-    from .metrics import attempt_probs, delays, retry_probs, service_times
-    from .queueing import empty_prob, utilization
-
     probs = derived_probs(tau, a, cfg.N, cfg.L)
-    rp = retry_probs(attempt_probs(a, probs.k))
-    _, TVS = delays(rp, service_times(a, cfg.L))
-    p = utilization(cfg.r, cfg.L, TVS)
-    return p, empty_prob(p, cfg.M), TVS
+    rp = metrics.retry_probs(metrics.attempt_probs(a, probs.k))
+    _, TVS = metrics.delays(rp, metrics.service_times(a, cfg.L))
+    p = queueing.utilization(cfg.r, cfg.L, TVS)
+    return p, queueing.empty_prob(p, cfg.M), TVS
 
 
 def _F(tau: float, cfg: NetworkConfig) -> float:

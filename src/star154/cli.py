@@ -81,7 +81,7 @@ def _print_report(cfg: NetworkConfig, rep: PerformanceReport) -> None:
     print(f"# tau={_shown(rep.tau)} a={_shown(rep.a)}")
     print(f"# TH={_shown(rep.TH)} PS={_shown(rep.PS)}")
     print(f"# TS={_shown(rep.TS)} TVS={_shown(rep.TVS)} symbols")
-    if rep.TSW is not None:
+    if cfg.mode is TrafficMode.UNSATM:
         print(f"# TSW={_shown(rep.TSW)} TVSW={_shown(rep.TVSW)} symbols")
     for name in ("TH", "PS"):
         if name in rep.ci95:

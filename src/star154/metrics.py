@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import analytical, queueing  # modules, not names: analytical imports this one back
 from .core import (
     NetworkConfig,
     PerformanceReport,
@@ -17,7 +18,6 @@ from .core import (
     TrafficMode,
     derived_probs,
 )
-from .analytical import FixedPoint, throughput
 
 # T3 with the coefficients the paper prints. They do not telescope like
 # T2_COEFFS: at a = 1 the numerator is 48, not 0.
@@ -61,21 +61,22 @@ class RetryProbs:
     PF: tuple[float, float, float, float]
 
 
-def _attempt_duration(c, a: float, a5: float, one: float, L: int) -> float:
+def _attempt_duration(c, powers, one: float, L: int) -> float:
     c0, c1, c2, c3, c4, c5 = c
-    return (c0 + c1 * a + c2 * a**2 + c3 * a**3 + c4 * a**4 - c5 * a5 + 2 * L * one) / one
+    a, a2, a3, a4, a5 = powers
+    return (c0 + c1 * a + c2 * a2 + c3 * a3 + c4 * a4 - c5 * a5 + 2 * L * one) / one
 
 
 def service_times(a: float, L: int) -> ServiceTimes:
     """Mean attempt durations at busy probability a and frame length L."""
     if not 0.0 <= a < 1.0:
         raise ValueError(f"a must be in [0,1): {a}")
-    a5 = a**5
-    one = 1.0 - a5
+    powers = (a, a**2, a**3, a**4, a**5)
+    one = 1.0 - powers[4]
     return ServiceTimes(
         T1=float(T1_SYMBOLS),
-        T2=_attempt_duration(T2_COEFFS, a, a5, one, L),
-        T3=_attempt_duration(T3_PRINTED_COEFFS, a, a5, one, L),
+        T2=_attempt_duration(T2_COEFFS, powers, one, L),
+        T3=_attempt_duration(T3_PRINTED_COEFFS, powers, one, L),
     )
 
 
@@ -89,22 +90,26 @@ def attempt_probs(a: float, k: float) -> AttemptProbs:
 
 def retry_probs(ap: AttemptProbs) -> RetryProbs:
     q = ap.PColl
+    q2, q3 = q**2, q**3
     # stage-0 weight: complement of ending at stages 1..3 instead
-    head = 1.0 - q - q**2 - q**3
+    head = 1.0 - q - q2 - q3
     return RetryProbs(
-        PS=(head * ap.PSuc, q * ap.PSuc, q**2 * ap.PSuc, q**3 * ap.PSuc),
-        PC=(head * ap.PAcc, q * ap.PAcc, q**2 * ap.PAcc, q**3 * ap.PAcc),
-        PF=(q, q**2, q**3, q**4),
+        PS=(head * ap.PSuc, q * ap.PSuc, q2 * ap.PSuc, q3 * ap.PSuc),
+        PC=(head * ap.PAcc, q * ap.PAcc, q2 * ap.PAcc, q3 * ap.PAcc),
+        PF=(q, q2, q3, q**4),
     )
 
 
 def reliability(rp: RetryProbs) -> float:
     """Probability a frame entering service is eventually delivered."""
-    num = sum(rp.PS)
-    den = sum(rp.PS) + sum(rp.PC) + rp.PF[3]
-    if den == 0.0:
+    delivered = sum(rp.PS)
+    return _delivered_share(delivered, delivered + sum(rp.PC) + rp.PF[3])
+
+
+def _delivered_share(delivered: float, total: float) -> float:
+    if total == 0.0:
         raise ValueError("no service outcome has positive probability")
-    return num / den
+    return delivered / total
 
 
 def delays(
@@ -117,19 +122,23 @@ def delays(
     conditional mean given delivery; it is None when delivery never happens.
     Both exclude queueing wait.
     """
-    if PS is None:
-        PS = reliability(rp)
     ps_total = sum(rp.PS)
-    pc_total = sum(rp.PC)
     drop = rp.PF[3]
-    ts_num = sum(rp.PS[i] * (i * st.T3 + st.T2) for i in range(4))
+    total = ps_total + sum(rp.PC) + drop
+    if PS is None:
+        PS = _delivered_share(ps_total, total)
+    T1, T2, T3 = st.T1, st.T2, st.T3
+    s0, s1, s2, s3 = rp.PS
+    c0, c1, c2, c3 = rp.PC
+    # stage i costs i * T3 before its last attempt; summed in stage order
+    ts_num = s0 * T2 + s1 * (T3 + T2) + s2 * (2 * T3 + T2) + s3 * (3 * T3 + T2)
     TS = None if PS == 0.0 else ts_num / ps_total
     tvs_num = (
-        sum(rp.PC[i] * (i * st.T3 + st.T1) for i in range(4))
+        c0 * T1 + c1 * (T3 + T1) + c2 * (2 * T3 + T1) + c3 * (3 * T3 + T1)
         + ts_num
-        + 4 * drop * st.T3
+        + 4 * drop * T3
     )
-    TVS = tvs_num / (ps_total + pc_total + drop)
+    TVS = tvs_num / total
     return TS, TVS
 
 
@@ -142,7 +151,7 @@ def queue_adjusted(
     return (None if TS is None else TS + Wq), TVS + Wq
 
 
-def report(cfg: NetworkConfig, fp: FixedPoint) -> PerformanceReport:
+def report(cfg: NetworkConfig, fp: analytical.FixedPoint) -> PerformanceReport:
     """Full metric set for a converged fixed point."""
     if not fp.converged:
         raise ValueError("fixed point did not converge; no report")
@@ -151,13 +160,11 @@ def report(cfg: NetworkConfig, fp: FixedPoint) -> PerformanceReport:
     rp = retry_probs(attempt_probs(fp.a, probs.k))
     PS = reliability(rp)
     TS, TVS = delays(rp, st, PS)
-    TH = throughput(fp.tau, cfg.N, cfg.L)
+    TH = analytical.throughput(fp.tau, cfg.N, cfg.L)
     TSW = TVSW = None
     if cfg.mode is TrafficMode.UNSATM:
-        from .queueing import queue_stats, utilization
-
-        p = utilization(cfg.r, cfg.L, TVS)
-        qs = queue_stats(p, cfg.M, cfg.r / (2 * cfg.L))
+        p = queueing.utilization(cfg.r, cfg.L, TVS)
+        qs = queueing.queue_stats(p, cfg.M, cfg.r / (2 * cfg.L))
         TSW, TVSW = queue_adjusted(TS, TVS, qs.Wq)
     return PerformanceReport(
         tau=fp.tau, a=fp.a, TH=TH, PS=PS, TS=TS, TVS=TVS,

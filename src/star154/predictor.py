@@ -334,8 +334,8 @@ def load_model(path: str) -> MLPModel:
     """Read a file written by save_model; a malformed file raises ValueError.
 
     Blank lines are ignored. The header holds ``mlp-v2`` and the five layer
-    sizes, each range line holds exactly two reals, and the last line the
-    parameters in hex, 16 digits each.
+    sizes, each range line exactly two finite reals, low below high, and the
+    last line the parameters in hex, 16 digits each, every one finite.
     """
     try:
         with open(path) as fh:
@@ -376,6 +376,8 @@ def load_model(path: str) -> MLPModel:
             lo, hi = map(float, lines[k].split())
         except ValueError:
             raise bad(k, f"expected a range of two reals, got {lines[k]!r}") from None
+        if not -math.inf < lo < hi < math.inf:  # NaN too
+            raise bad(k, f"expected a finite range with low < high, got {lines[k]!r}")
         ranges.append((lo, hi))
     k, digits = expected - 1, lines[-1]
     if len(digits) != 16 * arch.n_params:
@@ -389,6 +391,10 @@ def load_model(path: str) -> MLPModel:
         raise bad(k, f"parameters: expected {8 * arch.n_params} bytes, got {len(payload)}")
     # a bytearray keeps the array writable; astype is a no-op on little-endian hosts
     flat = np.frombuffer(payload, dtype="<f8").astype(float, copy=False)
+    finite = np.isfinite(flat)
+    if not finite.all():
+        i = int(finite.argmin())
+        raise bad(k, f"parameters: parameter {i + 1} is {float(flat[i])}, not a finite real")
     in_min, in_max = (np.array(col) for col in zip(*ranges[:-1]))
     out_min, out_max = ranges[-1]
     return MLPModel(

@@ -230,6 +230,19 @@ def test_simulate_without_traffic_prints_undefined_metrics(capsys):
     assert lines[-1] == "unsat1,3,50,0.0,1,simulated,0.0,,0.0,,,,,,true,0.0,"
 
 
+def test_simulate_multibuffer_prints_tvsw_when_no_frame_is_delivered(capsys):
+    code, out, _ = _run(capsys, ["simulate", "--mode", "unsatm", "--nodes", "20",
+                                 "--frame-bytes", "30", "--rate", "60", "--buffer", "3",
+                                 "--horizon", "400", "--warmup", "0", "--reps", "1",
+                                 "--seed", "6"])
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[3:5] == ["# TS=undefined TVS=280.0 symbols",
+                          "# TSW=undefined TVSW=280.0 symbols"]
+    row = dict(zip(HEADER, lines[-1].split(",")))
+    assert (row["TSW_sym"], row["TVSW_sym"]) == ("", "280.0")
+
+
 def test_simulate_different_seed_changes_output(capsys):
     _, out1, _ = _run(capsys, SIM)
     _, out2, _ = _run(capsys, SIM[:-1] + ["10"])
@@ -458,8 +471,13 @@ def test_bad_model_file_exits_2(tmp_path, capsys, small_model):
     v1 = tmp_path / "v1.txt"
     v1.write_text(small_model.read_text().replace("mlp-v2", "mlp-v1", 1))
     retrain = ":1: model format mlp-v1 is no longer read; retrain with star154 train"
+    nan_range = tmp_path / "nan_range.txt"
+    lines = small_model.read_text().splitlines(keepends=True)
+    nan_range.write_text("".join(lines[:1] + ["nan 120.0\n"] + lines[2:]))
+    not_finite = ":2: expected a finite range with low < high, got 'nan 120.0'"
     for path, problem in ((truncated, "truncated"), (tmp_path / "missing.txt", "No such file"),
-                          (tmp_path, "Is a directory"), (v1, retrain)):
+                          (tmp_path, "Is a directory"), (v1, retrain),
+                          (nan_range, not_finite)):
         _exit_2_with_one_line(
             capsys, ["predict", "--model", str(path), "--input", "0.05,100,0.9,400"],
             str(path), problem)

@@ -309,13 +309,22 @@ def _edit_params(text: str, start: int, digits: str) -> str:
     (lambda t: _edit_line(t, 2, "0.5"), "range of two reals"),
     (lambda t: _edit_line(t, 2, "0.5 0.7 0.9"), "range of two reals"),
     (lambda t: _edit_line(t, 3, "0.5 zero"), "range of two reals"),
+    (lambda t: _edit_line(t, 2, "nan 120.0"), "finite range with low < high, got 'nan 120.0'"),
+    (lambda t: _edit_line(t, 3, "60.0 60.0"), "finite range with low < high, got '60.0 60.0'"),
+    (lambda t: _edit_line(t, 4, "inf 0.1"), "finite range with low < high, got 'inf 0.1'"),
+    (lambda t: _edit_line(t, 5, "2.0 -inf"), "finite range with low < high, got '2.0 -inf'"),
     (lambda t: t.rstrip("\n")[:-2] + "\n", "expected 1088 hex digits, got 1086"),
     (lambda t: _edit_params(t, 40, "0.5"), "non-hexadecimal number found in fromhex"),
     (lambda t: _edit_params(t, 40, "  "), "expected 544 bytes, got 543"),
+    (lambda t: _edit_params(t, 16, "000000000000f87f"), "parameter 2 is nan, not a finite real"),
+    (lambda t: _edit_params(t, 1072, "000000000000f0ff"),
+     "parameter 68 is -inf, not a finite real"),
     (lambda t: t + "\n0.5\n", "trailing data"),
 ], ids=["empty", "blank", "four-sizes", "non-integer-size", "zero-size", "wrong-size",
         "v1-header", "one-real-range", "three-real-range", "non-numeric-range",
-        "short-parameter-line", "non-hex-parameter", "spaced-parameter-byte", "trailing"])
+        "nan-range", "empty-range", "inverted-range", "infinite-output-range",
+        "short-parameter-line", "non-hex-parameter", "spaced-parameter-byte",
+        "nan-parameter", "infinite-parameter", "trailing"])
 def test_load_names_the_file_and_the_problem(tmp_path, edit, problem):
     good = tmp_path / "good.txt"
     save_model(init_model(SMALL, seed=0), str(good))
@@ -374,9 +383,12 @@ def _models(draw):
     def fill(size):
         return np.array(draw(st.lists(_reals, min_size=size, max_size=size)), dtype=float)
 
+    def span():  # two distinct reals, low first: load_model refuses an empty range
+        return sorted(draw(st.lists(_reals, min_size=2, max_size=2, unique=True)))
+
     model.params[:] = fill(arch.n_params)
-    model.in_min, model.in_max = fill(arch.input_dim), fill(arch.input_dim)
-    model.out_min, model.out_max = draw(_reals), draw(_reals)
+    model.in_min, model.in_max = np.array([span() for _ in range(arch.input_dim)]).T
+    model.out_min, model.out_max = span()
     return model
 
 

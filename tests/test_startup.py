@@ -67,6 +67,14 @@ def test_importing_the_package_loads_no_submodule_and_no_numpy():
     assert "numpy" not in loaded
 
 
+@pytest.mark.parametrize("first", ["metrics", "analytical"])
+def test_analytical_and_metrics_import_each_other_in_either_order_without_numpy(first):
+    # the two modules import each other; whichever comes first must finish loading both
+    loaded = _fresh(f"import json, sys, star154.{first}; print(json.dumps(sorted(sys.modules)))")
+    assert {"star154.analytical", "star154.metrics", "star154.queueing"} <= set(loaded)
+    assert "numpy" not in loaded
+
+
 @pytest.fixture(scope="module")
 def analytical_csv(tmp_path_factory):
     path = tmp_path_factory.mktemp("startup") / "ana.csv"
