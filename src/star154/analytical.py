@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from . import metrics, queueing  # modules, not names: metrics imports this one back
 from .core import (
     ACK_WAIT_SAVING, ATTEMPT_STEPS, CLEAN_COLLISION_SYMBOLS, COLLISION_TAIL,
-    NetworkConfig, TrafficMode, derived_probs,
+    NetworkConfig, TrafficMode, derived_probs, quiet_prob,
 )
 
 _, _STEP1, _STEP2, _STEP3, _STEP4 = ATTEMPT_STEPS
@@ -85,7 +85,7 @@ class ChannelStationaryDistribution:
 
 def _channel_terms(tau: float, N: int):
     x = (1.0 - tau) ** N
-    z = (1.0 - tau) ** (N - 1)
+    z = quiet_prob(tau, N)
     y = N * tau * z
     return x, y, z
 
@@ -213,12 +213,15 @@ def _queue(tau: float, a: float, cfg: NetworkConfig) -> tuple[float, float, floa
 
     Multi-buffer mode: the node model's mean service time at (tau, a) sets
     the M/M/1/K load, and its empty probability weights the arrival term.
-    The queueing functions are looked up on their module at every call, so a
-    wrapper put on that module sees each one.
+    TVS comes from metrics' plain-float closed forms, the ones its public
+    dataclass functions wrap, in one pass with no dataclass built; tau and
+    a are already checked by a_from_tau. The pass stops at the queueing
+    calls: they are looked up on their module at every call, so a wrapper
+    put on it counts each one. tau_update stays a separate call through this
+    module's global for the same reason, and because it is the one update
+    formula for every traffic mode.
     """
-    probs = derived_probs(tau, a, cfg.N, cfg.L)
-    rp = metrics.retry_probs(metrics.attempt_probs(a, probs.k))
-    _, TVS = metrics.delays(rp, metrics.service_times(a, cfg.L))
+    TVS = metrics._service(a, quiet_prob(tau, cfg.N), cfg.L)[2]
     p = queueing.utilization(cfg.r, cfg.L, TVS)
     return p, queueing.empty_prob(p, cfg.M), TVS
 

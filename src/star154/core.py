@@ -154,6 +154,21 @@ class ElementaryProbs:
     D: float
 
 
+def quiet_prob(tau: float, N: int) -> float:
+    """k of ElementaryProbs: none of the other N-1 nodes start sensing."""
+    return (1.0 - tau) ** (N - 1)
+
+
+def attempt_outcomes(a: float, k: float) -> tuple[float, float, float]:
+    """PSuc, PAcc and PColl of one service attempt at busy probability a, quiet probability k.
+
+    PColl is ElementaryProbs.D. No range check: callers validate a and k.
+    """
+    a5 = a**5
+    k26 = k**26
+    return (1.0 - a5) * k26, a5, (1.0 - a5) * (1.0 - k26)
+
+
 def derived_probs(tau: float, a: float, N: int, L: int) -> ElementaryProbs:
     """Evaluate the elementary probabilities at (tau, a). Pure."""
     if not 0.0 <= tau <= 1.0:
@@ -164,9 +179,8 @@ def derived_probs(tau: float, a: float, N: int, L: int) -> ElementaryProbs:
         raise ValueError(f"N must be >= 1, got {N}")
     if L < 1:
         raise ValueError(f"L must be >= 1, got {L}")
-    k = (1.0 - tau) ** (N - 1)
-    D = (1.0 - a**5) * (1.0 - k**26)
-    return ElementaryProbs(tau=tau, a=a, k=k, D=D)
+    k = quiet_prob(tau, N)
+    return ElementaryProbs(tau=tau, a=a, k=k, D=attempt_outcomes(a, k)[2])
 
 
 class Source(str, Enum):

@@ -101,8 +101,10 @@ MAX_AXIS_VALUES = 100_000  # the most values one grid axis, or a whole grid, may
 def parse_range(text: str, kind=float) -> tuple:
     """Parse '2', '2,5,10', or 'start:stop:step' (stop inclusive) into values.
 
-    Every value must be finite and the result non-empty and no longer than
-    MAX_AXIS_VALUES; anything else raises ValueError.
+    Every value must be finite and the result non-empty, no longer than
+    MAX_AXIS_VALUES and free of repeats; an integer axis also needs an
+    integral start, stop and step. Anything else raises ValueError, so no
+    axis silently yields other grid points than its text names.
     """
     text = text.strip()
     if ":" in text:
@@ -114,6 +116,8 @@ def parse_range(text: str, kind=float) -> tuple:
             raise ValueError(f"range bounds must be finite in {text!r}")
         if step <= 0:
             raise ValueError(f"step must be positive in {text!r}")
+        if kind is int and not all(v.is_integer() for v in (start, stop, step)):
+            raise ValueError(f"an integer axis needs integral start, stop and step, got {text!r}")
         top = stop + 1e-9 * max(1.0, abs(stop))  # tolerate float drift at the inclusive end
         span = (top - start) / step
         # value k is start + k*step in floats: settle the estimate's last-bit
@@ -126,6 +130,9 @@ def parse_range(text: str, kind=float) -> tuple:
         if count > MAX_AXIS_VALUES:
             raise ValueError(f"range {text!r} has more than {MAX_AXIS_VALUES} values")
         values = tuple(kind(round(start + k * step if k else start, 12)) for k in range(count))
+        if len(set(values)) < len(values):
+            raise ValueError(f"step finer than 1e-12 in {text!r}: range values are rounded "
+                             "to 12 decimals, so some would repeat")
     else:
         values = tuple(kind(p) for p in text.split(","))
     if not values:
@@ -134,6 +141,8 @@ def parse_range(text: str, kind=float) -> tuple:
         raise ValueError(f"{text!r} has more than {MAX_AXIS_VALUES} values")
     if not all(-math.inf < v < math.inf for v in values):
         raise ValueError(f"values must be finite in {text!r}")
+    if len(set(values)) < len(values):
+        raise ValueError(f"repeated value in {text!r}: one grid row per configuration")
     return values
 
 

@@ -16,12 +16,14 @@ from .core import (
     T1_SYMBOLS,
     T2_COEFFS,
     TrafficMode,
+    attempt_outcomes,
     derived_probs,
 )
 
 # T3 with the coefficients the paper prints. They do not telescope like
 # T2_COEFFS: at a = 1 the numerator is 48, not 0.
 T3_PRINTED_COEFFS = (144, 170, 330, 330, 330, 1256)
+_T1 = float(T1_SYMBOLS)
 
 
 @dataclass(frozen=True, slots=True)
@@ -61,84 +63,119 @@ class RetryProbs:
     PF: tuple[float, float, float, float]
 
 
+# The closed forms below work on plain floats, so the fixed point's inner loop
+# (analytical._queue) and report() share them without building dataclasses;
+# the public functions wrap the same helpers. Retry stages travel as one flat
+# tuple: PS[0..3], PC[0..3], PF[0..3].
+
+
+def _outcomes(a: float, k: float) -> tuple[float, float, float]:
+    """core.attempt_outcomes (PSuc, PAcc, PColl) with a and k checked."""
+    if not 0.0 <= a <= 1.0 or not 0.0 <= k <= 1.0:
+        raise ValueError(f"probabilities out of range: a={a}, k={k}")
+    return attempt_outcomes(a, k)
+
+
+def _stages(PSuc: float, PAcc: float, PColl: float) -> tuple[float, ...]:
+    """The retry stages of RetryProbs, flat: PS[0..3], PC[0..3], PF[0..3]."""
+    q = PColl
+    q2, q3 = q**2, q**3
+    # stage-0 weight: complement of ending at stages 1..3 instead
+    head = 1.0 - q - q2 - q3
+    return (
+        head * PSuc, q * PSuc, q2 * PSuc, q3 * PSuc,
+        head * PAcc, q * PAcc, q2 * PAcc, q3 * PAcc,
+        q, q2, q3, q**4,
+    )
+
+
 def _attempt_duration(c, powers, one: float, L: int) -> float:
     c0, c1, c2, c3, c4, c5 = c
     a, a2, a3, a4, a5 = powers
     return (c0 + c1 * a + c2 * a2 + c3 * a3 + c4 * a4 - c5 * a5 + 2 * L * one) / one
 
 
-def service_times(a: float, L: int) -> ServiceTimes:
-    """Mean attempt durations at busy probability a and frame length L."""
+def _durations(a: float, L: int) -> tuple[float, float, float]:
+    """T1, T2 and T3 of ServiceTimes at busy probability a and frame length L."""
     if not 0.0 <= a < 1.0:
         raise ValueError(f"a must be in [0,1): {a}")
     powers = (a, a**2, a**3, a**4, a**5)
     one = 1.0 - powers[4]
-    return ServiceTimes(
-        T1=float(T1_SYMBOLS),
-        T2=_attempt_duration(T2_COEFFS, powers, one, L),
-        T3=_attempt_duration(T3_PRINTED_COEFFS, powers, one, L),
+    return (
+        _T1,
+        _attempt_duration(T2_COEFFS, powers, one, L),
+        _attempt_duration(T3_PRINTED_COEFFS, powers, one, L),
     )
 
 
-def attempt_probs(a: float, k: float) -> AttemptProbs:
-    if not 0.0 <= a <= 1.0 or not 0.0 <= k <= 1.0:
-        raise ValueError(f"probabilities out of range: a={a}, k={k}")
-    a5 = a**5
-    k26 = k**26
-    return AttemptProbs(PSuc=(1.0 - a5) * k26, PAcc=a5, PColl=(1.0 - a5) * (1.0 - k26))
-
-
-def retry_probs(ap: AttemptProbs) -> RetryProbs:
-    q = ap.PColl
-    q2, q3 = q**2, q**3
-    # stage-0 weight: complement of ending at stages 1..3 instead
-    head = 1.0 - q - q2 - q3
-    return RetryProbs(
-        PS=(head * ap.PSuc, q * ap.PSuc, q2 * ap.PSuc, q3 * ap.PSuc),
-        PC=(head * ap.PAcc, q * ap.PAcc, q2 * ap.PAcc, q3 * ap.PAcc),
-        PF=(q, q2, q3, q**4),
-    )
-
-
-def reliability(rp: RetryProbs) -> float:
-    """Probability a frame entering service is eventually delivered."""
-    delivered = sum(rp.PS)
-    return _delivered_share(delivered, delivered + sum(rp.PC) + rp.PF[3])
-
-
-def _delivered_share(delivered: float, total: float) -> float:
+def _mass(stages: tuple[float, ...]) -> tuple[float, float]:
+    """Probability of delivery and of any service outcome, summed in stage order."""
+    s0, s1, s2, s3, c0, c1, c2, c3, _, _, _, drop = stages
+    delivered = s0 + s1 + s2 + s3
+    total = delivered + (c0 + c1 + c2 + c3) + drop
     if total == 0.0:
         raise ValueError("no service outcome has positive probability")
-    return delivered / total
+    return delivered, total
 
 
-def delays(
-    rp: RetryProbs, st: ServiceTimes, PS: float | None = None
-) -> tuple[float | None, float]:
-    """Mean service delay of delivered frames (TS) and of all frames (TVS).
+def _delays(
+    stages: tuple[float, ...], T1: float, T2: float, T3: float
+) -> tuple[float, float | None, float]:
+    """PS, TS and TVS from the flat retry stages and the attempt durations.
 
     A service ending at stage i spent i collided attempts (T3 each) before
-    its final attempt; a frame dropped at the retry limit spent 4. TS is the
-    conditional mean given delivery; it is None when delivery never happens.
-    Both exclude queueing wait.
+    its final attempt; a frame dropped at the retry limit spent 4.
     """
-    ps_total = sum(rp.PS)
-    drop = rp.PF[3]
-    total = ps_total + sum(rp.PC) + drop
-    if PS is None:
-        PS = _delivered_share(ps_total, total)
-    T1, T2, T3 = st.T1, st.T2, st.T3
-    s0, s1, s2, s3 = rp.PS
-    c0, c1, c2, c3 = rp.PC
+    delivered, total = _mass(stages)
+    s0, s1, s2, s3, c0, c1, c2, c3, _, _, _, drop = stages
+    PS = delivered / total
     # stage i costs i * T3 before its last attempt; summed in stage order
     ts_num = s0 * T2 + s1 * (T3 + T2) + s2 * (2 * T3 + T2) + s3 * (3 * T3 + T2)
-    TS = None if PS == 0.0 else ts_num / ps_total
+    TS = None if PS == 0.0 else ts_num / delivered
     tvs_num = (
         c0 * T1 + c1 * (T3 + T1) + c2 * (2 * T3 + T1) + c3 * (3 * T3 + T1)
         + ts_num
         + 4 * drop * T3
     )
-    TVS = tvs_num / total
+    return PS, TS, tvs_num / total
+
+
+def _service(a: float, k: float, L: int) -> tuple[float, float | None, float]:
+    """PS, TS and TVS at busy probability a, quiet probability k and frame length L."""
+    return _delays(_stages(*_outcomes(a, k)), *_durations(a, L))
+
+
+def service_times(a: float, L: int) -> ServiceTimes:
+    """Mean attempt durations at busy probability a and frame length L."""
+    return ServiceTimes(*_durations(a, L))
+
+
+def attempt_probs(a: float, k: float) -> AttemptProbs:
+    return AttemptProbs(*_outcomes(a, k))
+
+
+def retry_probs(ap: AttemptProbs) -> RetryProbs:
+    s = _stages(ap.PSuc, ap.PAcc, ap.PColl)
+    return RetryProbs(PS=s[:4], PC=s[4:8], PF=s[8:])
+
+
+def _flat(rp: RetryProbs) -> tuple[float, ...]:
+    return (*rp.PS, *rp.PC, *rp.PF)
+
+
+def reliability(rp: RetryProbs) -> float:
+    """Probability a frame entering service is eventually delivered."""
+    delivered, total = _mass(_flat(rp))
+    return delivered / total
+
+
+def delays(rp: RetryProbs, st: ServiceTimes) -> tuple[float | None, float]:
+    """Mean service delay of delivered frames (TS) and of all frames (TVS).
+
+    TS is the conditional mean given delivery; it is None when delivery never
+    happens. Both exclude queueing wait.
+    """
+    _, TS, TVS = _delays(_flat(rp), st.T1, st.T2, st.T3)
     return TS, TVS
 
 
@@ -155,11 +192,7 @@ def report(cfg: NetworkConfig, fp: analytical.FixedPoint) -> PerformanceReport:
     """Full metric set for a converged fixed point."""
     if not fp.converged:
         raise ValueError("fixed point did not converge; no report")
-    probs = derived_probs(fp.tau, fp.a, cfg.N, cfg.L)
-    st = service_times(fp.a, cfg.L)
-    rp = retry_probs(attempt_probs(fp.a, probs.k))
-    PS = reliability(rp)
-    TS, TVS = delays(rp, st, PS)
+    PS, TS, TVS = _service(fp.a, derived_probs(fp.tau, fp.a, cfg.N, cfg.L).k, cfg.L)
     TH = analytical.throughput(fp.tau, cfg.N, cfg.L)
     TSW = TVSW = None
     if cfg.mode is TrafficMode.UNSATM:

@@ -1,10 +1,17 @@
 """Finite-buffer M/M/1/K formulas for the MAC queue.
 
 K equals the buffer capacity M and counts the frame in service. Time unit is
-one symbol; arrival rate lambda is frames per symbol. The closed forms have a
-removable singularity at utilization 1 where float evaluation loses all
-precision, so a narrow window around 1 is computed from the stationary
-weights directly; both routes agree to ~1e-10 at the seam.
+one symbol; arrival rate lambda is frames per symbol. The closed forms in
+p**(M+1) are evaluated in three numeric regimes:
+
+- near one: the forms have a removable singularity at utilization 1 where
+  float evaluation loses all precision, so a narrow window around 1 is
+  computed from the stationary weights directly; both routes agree to
+  ~1e-10 at the seam.
+- beyond float range: a long buffer under overload takes p**(M+1) past the
+  largest float, so there the forms are rewritten in q = 1/p, whose powers
+  can only underflow.
+- everywhere else: the direct forms.
 """
 from __future__ import annotations
 
@@ -40,6 +47,18 @@ def _weights(p: float, M: int) -> list[float]:
     return w
 
 
+def _direct_power(p: float, M: int) -> float | None:
+    """p**(M+1) for the direct forms, or None where they leave float range.
+
+    The largest term they take is (M+1) * p**(M+1), in queue_stats' Lq.
+    """
+    try:
+        pK = p ** (M + 1)
+    except OverflowError:
+        return None
+    return pK if (M + 1) * pK < math.inf else None
+
+
 def empty_prob(p: float, M: int) -> float:
     if p < 0:
         raise ValueError(f"negative utilization: {p}")
@@ -47,7 +66,11 @@ def empty_prob(p: float, M: int) -> float:
         raise ValueError(f"capacity must be >= 1: {M}")
     if abs(p - 1.0) < _NEAR_ONE:
         return 1.0 / math.fsum(_weights(p, M))
-    return (1.0 - p) / (1.0 - p ** (M + 1))
+    pK = _direct_power(p, M)
+    if pK is not None:
+        return (1.0 - p) / (1.0 - pK)
+    q = 1.0 / p  # beyond float range: p > 1, so q < 1
+    return q**M * (1.0 - q) / (1.0 - q ** (M + 1))
 
 
 def queue_stats(p: float, M: int, lam: float) -> QueueStats:
@@ -60,13 +83,14 @@ def queue_stats(p: float, M: int, lam: float) -> QueueStats:
         tot = math.fsum(w)
         pM = w[M] / tot
         Lq = math.fsum((n - 1) * w[n] for n in range(1, M + 1)) / tot
-    else:
-        pM = (1.0 - p) * p**M / (1.0 - p ** (M + 1))
-        Lq = (
-            p / (1.0 - p)
-            - (M + 1) * p ** (M + 1) / (1.0 - p ** (M + 1))
-            - (1.0 - p0)
-        )
+    elif (pK := _direct_power(p, M)) is not None:
+        pM = (1.0 - p) * p**M / (1.0 - pK)
+        Lq = p / (1.0 - p) - (M + 1) * pK / (1.0 - pK) - (1.0 - p0)
+    else:  # beyond float range: the same forms in q = 1/p
+        q = 1.0 / p
+        tail = 1.0 - q ** (M + 1)
+        pM = (1.0 - q) / tail
+        Lq = p / (1.0 - p) + (M + 1) / tail - (1.0 - p0)
     if M == 1:
         # no waiting positions; rounding in the expressions must not leak
         Lq = 0.0

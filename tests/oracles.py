@@ -120,6 +120,20 @@ def birth_death_lq(p: float, M: int):
     return pi[0], pi[M], lq
 
 
+def exact_birth_death(p: float, M: int) -> tuple[Fraction, Fraction, Fraction]:
+    """(p0, pM, Lq) of the M/M/1/K chain with K = M in exact arithmetic.
+
+    p is taken at its exact binary value; weights p^n are scaled to the
+    integers num^n * den^(M - n), so no power ever leaves range.
+    """
+    f = Fraction(p)
+    num, den = f.numerator, f.denominator
+    w = [num**n * den ** (M - n) for n in range(M + 1)]
+    total = sum(w)
+    return (Fraction(w[0], total), Fraction(w[M], total),
+            Fraction(sum((n - 1) * w[n] for n in range(1, M + 1)), total))
+
+
 def mm1k_event_sim(lam: float, mu: float, K: int, events: int, reps: int, seed: int):
     """Discrete-event M/M/1/K simulation; returns per-replication estimates.
 

@@ -22,6 +22,7 @@ from star154.analytical import (
     total_cycle_symbols,
 )
 from star154.core import NetworkConfig, TrafficMode
+from star154.metrics import attempt_probs, delays, retry_probs, service_times
 
 from oracles import exact_a_from_tau, exact_tau_update, exact_throughput, exact_total_T
 
@@ -292,6 +293,33 @@ def test_warm_multibuffer_solve_and_report_execute_no_import(monkeypatch):
     monkeypatch.setattr(builtins, "__import__", counting)
     metrics.report(cfg, solve(cfg))
     assert imported == []
+
+
+def test_F_is_tau_update_at_the_public_queue_chain():
+    # _F and _queue evaluate the multi-buffer queue in one pass; the public
+    # chain builds each dataclass. Both must give the same bits everywhere.
+    from star154.core import derived_probs
+    from star154.queueing import empty_prob, utilization
+
+    rng = np.random.Generator(np.random.PCG64(1717))
+    taus = [0.0, 1e-9, 1e-4, 0.5, 1.0, *rng.random(12).tolist()]
+    for mode in TrafficMode:
+        for _ in range(30):
+            n, l = int(rng.integers(2, 60)), int(rng.integers(1, 128))
+            r = 0.0 if mode is TrafficMode.SATURATED else float(rng.choice([0.0, 0.02, 0.3, 2.0]))
+            m = int(rng.choice([2, 5, 400, 2000])) if mode is TrafficMode.UNSATM else 1
+            cfg = NetworkConfig(N=n, L=l, mode=mode, r=r, M=m)
+            for tau in taus:
+                a = a_from_tau(tau, n, l)
+                p0 = None
+                if mode is TrafficMode.UNSATM:
+                    k = derived_probs(tau, a, n, l).k
+                    _, tvs = delays(retry_probs(attempt_probs(a, k)), service_times(a, l))
+                    p = utilization(r, l, tvs)
+                    p0 = empty_prob(p, m)
+                    assert analytical._queue(tau, a, cfg) == (p, p0, tvs)
+                want = tau_update(tau, a, cfg, p0) - tau
+                assert repr(analytical._F(tau, cfg)) == repr(want), (cfg, tau)
 
 
 # sha256 of write_csv(..., ms=True) of each mode's sweep over the grid below:

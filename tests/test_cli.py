@@ -96,6 +96,13 @@ def test_usage_errors_exit_2(tmp_path, capsys, training_csv):
          "--out", out_csv],
         ["sweep", "--mode", "sat", "--nodes", "1:1e12:1", "--frame-bytes", "100",
          "--out", out_csv],
+        # ranges that would truncate an integer axis or repeat a grid point
+        ["sweep", "--mode", "sat", "--nodes", "2:4:0.5", "--frame-bytes", "100",
+         "--out", out_csv],
+        ["sweep", "--mode", "sat", "--nodes", "5", "--frame-bytes", "30:31:0.3",
+         "--out", out_csv],
+        ["sweep", "--mode", "unsat1", "--nodes", "5", "--frame-bytes", "100",
+         "--rate", "0.1,0.1", "--out", out_csv],
         # node counts the analytical model cannot take
         ["solve", "--mode", "sat", "--nodes", "1", "--frame-bytes", "100"],
         SOLVE[:4] + ["1"] + SOLVE[5:],
@@ -147,6 +154,44 @@ def test_usage_errors_exit_2(tmp_path, capsys, training_csv):
     _exit_2_with_one_line(capsys, train + ["--val-frac", "0.01"], training_csv,
                           "1 validation row: need 0 or at least 2 to correlate")
     assert not any(map(os.path.exists, (out_csv, model, trace)))
+
+
+@pytest.mark.parametrize("axis, text, problem", [
+    ("--nodes", "2:4:0.5", "an integer axis needs integral start, stop and step, got '2:4:0.5'"),
+    ("--nodes", "2.5:3:1", "an integer axis needs integral start, stop and step, got '2.5:3:1'"),
+    ("--frame-bytes", "30:31:0.3",
+     "an integer axis needs integral start, stop and step, got '30:31:0.3'"),
+    ("--buffer", "2:3:0.5", "an integer axis needs integral start, stop and step, got '2:3:0.5'"),
+    ("--rate", "0.1,0.1", "repeated value in '0.1,0.1': one grid row per configuration"),
+    ("--nodes", "5,5", "repeated value in '5,5': one grid row per configuration"),
+    ("--rate", "0:1e-12:1e-13", "step finer than 1e-12 in '0:1e-12:1e-13': range values are "
+     "rounded to 12 decimals, so some would repeat"),
+])
+def test_sweep_refuses_axes_that_change_the_grid(axis, text, problem, tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    argv = {"--nodes": "5", "--frame-bytes": "30", "--rate": "0.1", "--buffer": "3", axis: text}
+    code, stdout, err = _outcome(capsys, ["sweep", "--mode", "unsatm", "--out", str(out),
+                                          *(s for kv in argv.items() for s in kv)])
+    assert code == 2 and stdout == ""
+    assert err.splitlines()[-1] == f"star154: error: {problem}"
+    assert "Traceback" not in err and not out.exists()
+
+
+def test_long_buffer_under_overload_solves_and_sweeps(tmp_path, capsys):
+    # (M + 1) ln p passes 709 here: p ** (M + 1) used to raise OverflowError
+    net = ["--mode", "unsatm", "--nodes", "20", "--frame-bytes", "30", "--rate", "0.5",
+           "--buffer", "500"]
+    code, out, err = _outcome(capsys, ["solve", *net])
+    assert code == 0 and err == ""
+    assert out.splitlines()[-1].startswith("# converged in 33 iterations")
+    path = tmp_path / "long.csv"
+    code, out, err = _outcome(capsys, ["sweep", *net[:-1], "200,500,2000", "--out", str(path)])
+    assert code == 0 and out == f"wrote 3 rows to {path}\n"
+    rows = read_csv(str(path))
+    assert all(row.converged for row in rows)
+    # the queue is nearly always full, so a frame waits about M - 1 services
+    for row, M in zip(rows, (200, 500, 2000)):
+        assert row.M == M and (M - 2) * row.TVS_sym < row.TVSW_sym - row.TVS_sym < M * row.TVS_sym
 
 
 def test_oversized_sweep_grid_exits_2_before_it_is_built(monkeypatch, tmp_path, capsys):

@@ -67,6 +67,30 @@ def test_parse_range_rejects_unbounded_and_empty_ranges(text):
         parse_range(text)
 
 
+@pytest.mark.parametrize("text, kind, problem", [
+    # an integer axis would truncate: N = 2, 2, 3, 3, 4 / four rows of L = 30 / N = 2
+    ("2:4:0.5", int, "an integer axis needs integral start, stop and step, got '2:4:0.5'"),
+    ("30:31:0.3", int, "an integer axis needs integral start, stop and step, got '30:31:0.3'"),
+    ("2.5:3:1", int, "an integer axis needs integral start, stop and step, got '2.5:3:1'"),
+    # a repeated value would write two rows for one configuration
+    ("0.1,0.1", float, "repeated value in '0.1,0.1': one grid row per configuration"),
+    ("0.1,1e-1", float, "repeated value in '0.1,1e-1': one grid row per configuration"),
+    ("5,2,05", int, "repeated value in '5,2,05': one grid row per configuration"),
+    ("1,2,3,1", float, "repeated value in '1,2,3,1': one grid row per configuration"),
+    # a range step below the 12-decimal rounding would repeat values the text never named
+    ("0:1e-12:1e-13", float, "step finer than 1e-12 in '0:1e-12:1e-13'"),
+])
+def test_parse_range_refuses_axes_that_change_the_grid(text, kind, problem):
+    with pytest.raises(ValueError) as err:
+        parse_range(text, kind)
+    assert str(err.value).startswith(problem)
+
+
+def test_parse_range_takes_integral_float_text_for_integer_axes():
+    assert parse_range("2.0:4:1e0", int) == (2, 3, 4)
+    assert parse_range("0.5:1.5:0.5") == (0.5, 1.0, 1.5)
+
+
 def test_parse_range_limit_is_inclusive():
     assert len(parse_range("1:100000:1", int)) == MAX_AXIS_VALUES
 
@@ -88,6 +112,7 @@ def test_parse_range_returns_bounded_finite_values_or_raises(text, kind):
     assert isinstance(values, tuple) and 0 < len(values) <= MAX_AXIS_VALUES
     assert all(isinstance(v, kind) for v in values)
     assert all(kind is int or math.isfinite(v) for v in values)
+    assert len(set(values)) == len(values)
 
 
 # -- grid generation ----------------------------------------------------------

@@ -3,7 +3,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from star154 import metrics
 from star154.analytical import solve
 from star154.core import NetworkConfig, T1_SYMBOLS, TrafficMode, derived_probs
 from star154.metrics import (
@@ -152,6 +155,41 @@ def test_delays_match_outcome_tree_enumeration():
         else:
             assert abs(TS - ts_t) < 1e-10 * ts_t
         assert abs(TVS - tvs_t) < 1e-10 * tvs_t
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the type and message of the ValueError it raises."""
+    try:
+        return fn(*args)
+    except ValueError as e:
+        return type(e), str(e)
+
+
+def _public(a, k, L):
+    rp = retry_probs(attempt_probs(a, k))
+    TS, TVS = delays(rp, service_times(a, L))
+    return reliability(rp), TS, TVS
+
+
+_unit = st.floats(0.0, 1.0)
+_off = st.sampled_from([1.0, 1.5, -0.25, -0.0, float("nan"), float("inf")])
+
+
+@settings(max_examples=400, deadline=None)
+@given(a=st.one_of(st.floats(0.0, 1.0, exclude_max=True), _off), k=st.one_of(_unit, _off),
+       L=st.integers(1, 127))
+def test_one_pass_chain_is_the_public_chain_bit_for_bit(a, k, L):
+    want, got = _outcome(_public, a, k, L), _outcome(metrics._service, a, k, L)
+    # repr tells -0.0 from 0.0 and compares nan; a raised ValueError must match too
+    assert repr(got) == repr(want)
+
+
+def test_one_pass_chain_covers_the_edges():
+    # no collision, certain collision, no busy channel, and a just below 1
+    for a, k in ((0.0, 1.0), (0.0, 0.0), (0.5, 1.0), (1.0 - 2**-53, 0.5), (0.3, 1e-300)):
+        for L in (1, 30, 127):
+            assert repr(metrics._service(a, k, L)) == repr(_public(a, k, L))
+    assert metrics._service(0.0, 0.0, 100)[1] is None  # nothing delivered: TS undefined
 
 
 def test_queue_adjusted_offsets():

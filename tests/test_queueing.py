@@ -1,9 +1,11 @@
 """Finite-buffer queue formulas against a brute-force birth-death solve."""
+import math
+
 import pytest
 
 from star154.queueing import empty_prob, queue_stats, utilization
 
-from oracles import birth_death_lq
+from oracles import birth_death_lq, exact_birth_death
 
 PROBE_P = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.2, 2.0]
 
@@ -81,3 +83,33 @@ def test_blocking_grows_with_load_shrinks_with_buffer():
     assert all(b > a for a, b in zip(blocks, blocks[1:]))
     by_M = [queue_stats(0.8, M, 1e-4).pM for M in range(1, 11)]
     assert all(b < a for a, b in zip(by_M, by_M[1:]))
+
+
+@pytest.mark.parametrize("p, M", [
+    (8.0, 400), (2.0, 1100), (1.5, 2000),  # p**(M+1) beyond float range
+    (5.820154160763799, 400), (1.5, 1748),  # p**(M+1) in range, (M+1) * p**(M+1) not
+    (1.5, 1750),  # the first M at which 1.5**(M+1) overflows
+])
+def test_long_overloaded_buffer_matches_exact_chain(p, M):
+    # the direct forms raise OverflowError here, or give an infinite wait
+    want_p0, want_pM, want_lq = exact_birth_death(p, M)
+    qs = queue_stats(p, M, lam=1e-4)
+    assert empty_prob(p, M) == qs.p0
+    # p0 is below the smallest normal float: only its order is representable
+    assert abs(qs.p0 - float(want_p0)) <= 1e-300
+    assert math.isclose(qs.pM, float(want_pM), rel_tol=1e-12)
+    assert math.isclose(qs.Lq, float(want_lq), rel_tol=1e-12)
+    assert math.isclose(qs.Wq, float(want_lq) / (1e-4 * (1 - float(want_pM))), rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("p, M", [(1.5, 1700), (0.5, 5000), (3.0, 10), (1.0 + 2e-6, 50)])
+def test_in_range_values_keep_the_direct_forms(p, M):
+    # the reciprocal forms only take over where the direct ones leave float range
+    p0 = (1.0 - p) / (1.0 - p ** (M + 1))
+    qs = queue_stats(p, M, lam=1e-4)
+    assert empty_prob(p, M) == qs.p0 == p0
+    assert qs.pM == (1.0 - p) * p**M / (1.0 - p ** (M + 1))
+    lq = p / (1.0 - p) - (M + 1) * p ** (M + 1) / (1.0 - p ** (M + 1)) - (1.0 - p0)
+    assert qs.Lq == max(lq, 0.0)
+    want_p0, want_pM, want_lq = exact_birth_death(p, M)
+    assert math.isclose(qs.pM, float(want_pM), rel_tol=1e-9, abs_tol=1e-300)

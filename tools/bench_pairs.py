@@ -1,0 +1,214 @@
+"""Compare two commits on the benchmark in alternating pairs of runs.
+
+Usage, from anywhere inside a git checkout:
+
+    python3 tools/bench_pairs.py PARENT CHANGE --workload sweep --seeds 101-110,9999 \\
+        --out BENCH_N.json [--workload simulate --seeds 301-310 ...] \\
+        [--claim sweep:rate_per_s:1.3] [--trace-workloads sweep,pipeline]
+
+PARENT and CHANGE are any commits git can name. Uncommitted work can be
+named too: `git add -A && git stash create` prints a commit of the index that
+moves no branch and touches no file. Each commit is exported with
+`git archive` into a scratch directory, and `bench/run.py` runs there
+unchanged, so each side measures exactly its committed files. Every run
+lasts BENCHMARK.json's `run_seconds`. Pair i runs both sides on the i-th
+seed of its workload; the parent runs first in even pairs and the change in
+odd ones, so a drift of the host over time falls on both sides alike.
+
+For each workload the output holds, per end-to-end metric of BENCHMARK.json,
+each side's median, IQR (75th - 25th percentile, linear interpolation) and
+runs in pair order, the change/parent ratio of the medians and the number
+of pairs the change won; also the repetitions each run fitted, and the
+attempted and failed checks. `--trace-workloads` adds one `--trace 1` run of
+each side per named workload (seed TRACE_SEED, TRACE_SECONDS long) and
+compares the per-layer metrics; `equal` says whether every exact count
+matched. `--claim W:METRIC:RATIO` states whether the change's median is at
+least RATIO times the parent's, wins at least 9 of every 10 pairs, and beats
+the parent's median by more than the parent's IQR. The output holds only
+what these runs measured. Standard library and git only.
+"""
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import os
+import platform
+import shutil
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+import time
+from pathlib import Path
+
+SIDES = ("parent", "change")
+EXACT_UNITS = ("count", "bytes")  # per-layer metrics that must repeat exactly
+TRACE_SEED, TRACE_SECONDS = 1, 3.0  # the one traced run per side and workload
+
+
+def _seeds(text: str) -> list[int]:
+    """'101-110,9999' -> [101, ..., 110, 9999]."""
+    seeds = []
+    for part in text.split(","):
+        lo, _, hi = part.partition("-")
+        seeds += range(int(lo), int(hi or lo) + 1)
+    return seeds
+
+
+def _parse(argv):
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("parent")
+    p.add_argument("change")
+    p.add_argument("--workload", action="append", required=True,
+                   help="a workload of bench/run.py; give --seeds after each")
+    p.add_argument("--seeds", action="append", type=_seeds, required=True,
+                   help="one seed per pair, such as 101-110,9999")
+    p.add_argument("--trace-workloads", default="",
+                   help="comma-separated workloads to run once per side with --trace 1")
+    p.add_argument("--claim", help="WORKLOAD:METRIC:RATIO")
+    p.add_argument("--description", default="")
+    p.add_argument("--out", required=True)
+    args = p.parse_args(argv)
+    if len(args.workload) != len(args.seeds):
+        p.error("give one --seeds after each --workload")
+    return args
+
+
+def _git(*args: str, **kw) -> subprocess.CompletedProcess:
+    return subprocess.run(["git", *args], check=True, capture_output=True, **kw)
+
+
+def _export(commit: str, dest: Path) -> str:
+    """Extract commit's tree into dest; return its full hash."""
+    sha = _git("rev-parse", "--verify", f"{commit}^{{commit}}", text=True).stdout.strip()
+    tar = _git("archive", "--format=tar", sha).stdout
+    with tarfile.open(fileobj=io.BytesIO(tar)) as tf:
+        tf.extractall(dest, filter="data")
+    return sha
+
+
+def _run(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> tuple[dict, dict]:
+    """One bench/run.py run in tree: its report and its result."""
+    cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", str(trace)]
+    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"bench_pairs: {' '.join(cmd)} in {tree} exited {proc.returncode}:\n"
+                         f"{proc.stderr}")
+    *_, report, result = proc.stdout.strip().splitlines()
+    return json.loads(report)["report"], json.loads(result)
+
+
+def _spread(runs: list[float]) -> dict:
+    q1, _, q3 = statistics.quantiles(runs, n=4, method="inclusive")
+    return {"median": round(statistics.median(runs), 6), "iqr": round(q3 - q1, 6),
+            "runs": [round(v, 6) for v in runs]}
+
+
+def _pairs(trees: dict, workload: str, seeds: list[int], seconds: float, better: dict) -> dict:
+    runs = {side: [] for side in SIDES}
+    first = []
+    for i, seed in enumerate(seeds):
+        order = SIDES if i % 2 == 0 else SIDES[::-1]
+        first.append(order[0])
+        for side in order:
+            report, result = _run(trees[side], workload, seed, seconds, trace=0)
+            runs[side].append((report, result))
+            rate = result["metrics"]["rate_per_s"]["value"]
+            print(f"{workload} seed {seed} {side}: rate_per_s {rate:.6g}, "
+                  f"{report['repetitions']} repetitions", file=sys.stderr, flush=True)
+    out = {
+        "pairs": len(seeds), "seeds": seeds, "first": first,
+        "failed": {s: sum(r["failed"] for _, r in runs[s]) for s in SIDES},
+        "attempted": {s: sum(r["attempted"] for _, r in runs[s]) for s in SIDES},
+        "correct": {s: all(r["correct"] for _, r in runs[s]) for s in SIDES},
+        "repetitions": {s: [rep["repetitions"] for rep, _ in runs[s]] for s in SIDES},
+    }
+    for name, direction in better.items():
+        values = {s: [r["metrics"][name]["value"] for _, r in runs[s]] for s in SIDES}
+        entry = {s: _spread(values[s]) for s in SIDES}
+        sign = 1 if direction == "higher" else -1
+        wins = sum(sign * (c - p) > 0 for p, c in zip(values["parent"], values["change"]))
+        entry["change_over_parent"] = round(entry["change"]["median"] / entry["parent"]["median"], 4)
+        entry["change_wins"] = f"{wins}/{len(seeds)}"
+        out[name] = entry
+    return out
+
+
+def _traces(trees: dict, workload: str) -> dict:
+    metrics = {s: _run(trees[s], workload, TRACE_SEED, TRACE_SECONDS, trace=1)[1]["metrics"]
+               for s in SIDES}
+    out = {"equal": all(metrics["parent"][n]["value"] == metrics["change"][n]["value"]
+                        for n, m in metrics["parent"].items() if m["unit"] in EXACT_UNITS)}
+    for name in metrics["parent"]:
+        out[name] = {s: metrics[s][name]["value"] for s in SIDES}
+    return out
+
+
+def _claim(text: str, workloads: dict, better: dict) -> dict:
+    workload, metric, ratio = text.split(":")
+    entry = workloads[workload][metric]
+    parent, change = entry["parent"], entry["change"]
+    won, pairs = map(int, entry["change_wins"].split("/"))
+    sign = 1 if better[metric] == "higher" else -1
+    gap = sign * (change["median"] - parent["median"])
+    gain = entry["change_over_parent"] if sign > 0 else 1 / entry["change_over_parent"]
+    return {
+        "workload": workload, "metric": metric,
+        "target": f">= {ratio}x parent median, change wins >= 9/10 pairs, median gap > parent IQR",
+        "result": {"change_over_parent": entry["change_over_parent"],
+                   "change_wins": entry["change_wins"], "median_gap": round(gap, 6),
+                   "parent_iqr": parent["iqr"],
+                   "met": gain >= float(ratio) and 10 * won >= 9 * pairs and gap > parent["iqr"]},
+    }
+
+
+def main(argv=None) -> int:
+    args = _parse(argv)
+    root = Path(_git("rev-parse", "--show-toplevel", text=True).stdout.strip())
+    spec = json.loads((root / "BENCHMARK.json").read_text())
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    seconds = spec["run_seconds"]
+    scratch = Path(tempfile.mkdtemp(prefix="bench_pairs_"))
+    try:
+        trees, commits = {}, {}
+        for side, commit in zip(SIDES, (args.parent, args.change)):
+            trees[side] = scratch / side
+            commits[side] = _export(commit, trees[side])
+        t0 = time.time()
+        workloads = {w: _pairs(trees, w, seeds, seconds, better)
+                     for w, seeds in zip(args.workload, args.seeds)}
+        traces = {w: _traces(trees, w)
+                  for w in filter(None, args.trace_workloads.split(","))}
+    finally:
+        shutil.rmtree(scratch, ignore_errors=True)
+    out = {
+        "description": args.description,
+        "commits": commits,
+        "command": (f"python3 bench/run.py --workload W --seed S --seconds {seconds:g} "
+                    "--trace 0 in git-archive exports of both commits, alternating which side "
+                    "runs first in each pair (parent first in even pairs); one seed per pair. "
+                    f"Per-layer metrics: --seed {TRACE_SEED} --seconds "
+                    f"{TRACE_SECONDS:g} --trace 1, once per side"),
+        "host": f"{os.cpu_count()} cores {platform.machine()}, Python "
+                f"{platform.python_version()}, {platform.system()} {platform.release()}",
+        "statistic": "median and IQR (75th - 25th percentile, linear interpolation) over the "
+                     "runs of each side; change_wins counts pairs where the change is better; "
+                     "runs lists each run in pair order; first says which side ran first in "
+                     "each pair; repetitions is the number of untraced repetitions each run "
+                     f"fitted into {seconds:g} s",
+        "wall_clock_s": round(time.time() - t0, 1),
+    }
+    if args.claim:
+        out["claim"] = _claim(args.claim, workloads, better)
+    out["workloads"] = workloads
+    if traces:
+        out["per_layer_trace"] = traces
+    Path(args.out).write_text(json.dumps(out, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
