@@ -13,8 +13,8 @@ __version__ = "0.1.0"
 # public name -> the submodule that defines it
 _SUBMODULE_OF = {
     **dict.fromkeys((
-        "CONSTANTS", "T1_SYMBOLS", "ElementaryProbs", "NetworkConfig", "PerformanceReport",
-        "ProtocolConstants", "Source", "TrafficMode", "derived_probs",
+        "CONSTANTS", "T1_SYMBOLS", "NetworkConfig", "PerformanceReport", "ProtocolConstants",
+        "Source", "TrafficMode",
     ), "core"),
     **dict.fromkeys((
         "ChannelStationaryDistribution", "FixedPoint", "NonConvergenceError", "SolverSettings",

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from . import metrics, queueing  # modules, not names: metrics imports this one back
 from .core import (
     ACK_WAIT_SAVING, ATTEMPT_STEPS, CLEAN_COLLISION_SYMBOLS, COLLISION_TAIL,
-    NetworkConfig, TrafficMode, derived_probs, quiet_prob,
+    NetworkConfig, TrafficMode, attempt_outcomes, quiet_prob,
 )
 
 _, _STEP1, _STEP2, _STEP3, _STEP4 = ATTEMPT_STEPS
@@ -147,9 +147,7 @@ def channel_stationary(tau: float, N: int, L: int) -> ChannelStationaryDistribut
         ("AckFail", 2 * L + 6, (1.0 - z**13) * y * z**12),
         ("wack", 54, 1.0 - x - y * z**25),
     ]
-    return ChannelStationaryDistribution(
-        states=tuple(states), total_T=total_cycle_symbols(tau, N, L)
-    )
+    return ChannelStationaryDistribution(states=tuple(states), total_T=_cycle_symbols(x, y, z, L))
 
 
 def throughput(tau: float, N: int, L: int) -> float:
@@ -158,8 +156,8 @@ def throughput(tau: float, N: int, L: int) -> float:
         raise ValueError(f"tau out of [0,1]: {tau}")
     if tau == 0.0:
         return 0.0
-    _, y, z = _channel_terms(tau, N)
-    th = 2 * L * y * z**25 / total_cycle_symbols(tau, N, L)
+    x, y, z = _channel_terms(tau, N)
+    th = 2 * L * y * z**25 / _cycle_symbols(x, y, z, L)
     return min(max(th, 0.0), 1.0)
 
 
@@ -168,7 +166,8 @@ def tau_update(
 ) -> float:
     """One substitution step for the CCA probability at a given busy probability.
 
-    k and the per-service collision probability D are evaluated at tau_prev.
+    k (core.quiet_prob) and the per-attempt collision probability D
+    (core.attempt_outcomes) are evaluated at tau_prev.
     The traffic mode selects the arrival term: the single-buffer form adds
     2L/r idle symbols per frame, the multi-buffer form weights that by the
     queue-empty probability p0, and the saturated form has no idle term.
@@ -177,9 +176,9 @@ def tau_update(
         raise ValueError(f"tau out of [0,1]: {tau_prev}")
     if not 0.0 <= a <= 1.0:
         raise ValueError(f"a out of [0,1]: {a}")
-    probs = derived_probs(tau_prev, a, cfg.N, cfg.L)
-    k26 = probs.k**26
-    a5 = a**5
+    k = quiet_prob(tau_prev, cfg.N)
+    _, a5, D = attempt_outcomes(a, k)
+    k26 = k**26
     L = cfg.L
     bracket = (
         2 * L + CLEAN_COLLISION_SYMBOLS
@@ -190,7 +189,6 @@ def tau_update(
         - ACK_WAIT_SAVING * k26
         - (2 * L + COLLISION_TAIL - ACK_WAIT_SAVING * k26) * a5
     )
-    D = probs.D
     retry_geo = 1.0 + D + D**2 + D**3
     numerator = retry_geo * (1.0 + a + a**2 + a**3 + a**4)
     # bracket >= 78 symbols for every a, k in [0, 1], so the denominator is too

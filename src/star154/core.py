@@ -137,50 +137,25 @@ class NetworkConfig:
         return self.r / (2 * self.L)
 
 
-@dataclass(frozen=True, slots=True)
-class ElementaryProbs:
-    """Per-mini-slot probabilities derived from a candidate (tau, a) pair.
-
-    tau  probability a node starts a CCA in a given mini-slot
-    a    probability a CCA finds the channel busy
-    k    none of the other N-1 nodes start sensing: (1-tau)^(N-1)
-    D    probability one service attempt ends in a collision:
-         (1 - a^5)(1 - k^26)
-    """
-
-    tau: float
-    a: float
-    k: float
-    D: float
-
-
 def quiet_prob(tau: float, N: int) -> float:
-    """k of ElementaryProbs: none of the other N-1 nodes start sensing."""
+    """k = (1 - tau)^(N-1): none of the other N-1 nodes starts a CCA in a mini-slot.
+
+    tau is the per-mini-slot CCA probability of one node. No range check:
+    callers validate tau.
+    """
     return (1.0 - tau) ** (N - 1)
 
 
 def attempt_outcomes(a: float, k: float) -> tuple[float, float, float]:
     """PSuc, PAcc and PColl of one service attempt at busy probability a, quiet probability k.
 
-    PColl is ElementaryProbs.D. No range check: callers validate a and k.
+    a is the probability a CCA finds the channel busy and k is quiet_prob.
+    PColl is the per-attempt collision probability D = (1 - a^5)(1 - k^26).
+    No range check: callers validate a and k.
     """
     a5 = a**5
     k26 = k**26
     return (1.0 - a5) * k26, a5, (1.0 - a5) * (1.0 - k26)
-
-
-def derived_probs(tau: float, a: float, N: int, L: int) -> ElementaryProbs:
-    """Evaluate the elementary probabilities at (tau, a). Pure."""
-    if not 0.0 <= tau <= 1.0:
-        raise ValueError(f"tau out of [0,1]: {tau}")
-    if not 0.0 <= a <= 1.0:
-        raise ValueError(f"a out of [0,1]: {a}")
-    if N < 1:
-        raise ValueError(f"N must be >= 1, got {N}")
-    if L < 1:
-        raise ValueError(f"L must be >= 1, got {L}")
-    k = quiet_prob(tau, N)
-    return ElementaryProbs(tau=tau, a=a, k=k, D=attempt_outcomes(a, k)[2])
 
 
 class Source(str, Enum):

@@ -118,7 +118,10 @@ def parse_range(text: str, kind=float) -> tuple:
             raise ValueError(f"step must be positive in {text!r}")
         if kind is int and not all(v.is_integer() for v in (start, stop, step)):
             raise ValueError(f"an integer axis needs integral start, stop and step, got {text!r}")
-        top = stop + 1e-9 * max(1.0, abs(stop))  # tolerate float drift at the inclusive end
+        # tolerate float drift at the inclusive end: start + k*step misses the
+        # typed stop by a few last-place units of the larger bound, and never
+        # by a sizeable share of one step
+        top = stop + 1e-9 * step + 1e-12 * max(abs(start), abs(stop))
         span = (top - start) / step
         # value k is start + k*step in floats: settle the estimate's last-bit
         # errors, and stop counting where a tiny step no longer moves the value

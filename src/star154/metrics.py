@@ -17,7 +17,7 @@ from .core import (
     T2_COEFFS,
     TrafficMode,
     attempt_outcomes,
-    derived_probs,
+    quiet_prob,
 )
 
 # T3 with the coefficients the paper prints. They do not telescope like
@@ -192,7 +192,7 @@ def report(cfg: NetworkConfig, fp: analytical.FixedPoint) -> PerformanceReport:
     """Full metric set for a converged fixed point."""
     if not fp.converged:
         raise ValueError("fixed point did not converge; no report")
-    PS, TS, TVS = _service(fp.a, derived_probs(fp.tau, fp.a, cfg.N, cfg.L).k, cfg.L)
+    PS, TS, TVS = _service(fp.a, quiet_prob(fp.tau, cfg.N), cfg.L)
     TH = analytical.throughput(fp.tau, cfg.N, cfg.L)
     TSW = TVSW = None
     if cfg.mode is TrafficMode.UNSATM:

@@ -162,6 +162,16 @@ def test_tau_update_requires_p0_for_multibuffer():
         tau_update(0.01, 0.5, mcfg)
 
 
+def test_tau_update_rejects_out_of_range_inputs():
+    mcfg = NetworkConfig(N=5, L=100, mode=TrafficMode.UNSATM, r=0.05, M=3)
+    for cfg in (SAT(10, 100), UNSAT(10, 100, 0.05), mcfg):
+        for bad in (-0.1, 1.5, math.nan):
+            with pytest.raises(ValueError, match="tau out of"):
+                tau_update(bad, 0.5, cfg, 0.5)
+            with pytest.raises(ValueError, match="a out of"):
+                tau_update(0.01, bad, cfg, 0.5)
+
+
 # -- solver -------------------------------------------------------------------
 
 def _bisect_oracle(cfg, p0=None, lo=0.0, hi=1.0):
@@ -218,12 +228,12 @@ def test_solver_multibuffer_consistency():
     assert fp.converged
     assert fp.p0 is not None and fp.TVS is not None and fp.p is not None
     # the recorded queue state must reproduce itself through the metrics
-    from star154.core import derived_probs
+    from star154.core import quiet_prob
     from star154.metrics import attempt_probs, delays, retry_probs, service_times
     from star154.queueing import empty_prob, utilization
 
-    probs = derived_probs(fp.tau, fp.a, cfg.N, cfg.L)
-    _, tvs = delays(retry_probs(attempt_probs(fp.a, probs.k)), service_times(fp.a, cfg.L))
+    k = quiet_prob(fp.tau, cfg.N)
+    _, tvs = delays(retry_probs(attempt_probs(fp.a, k)), service_times(fp.a, cfg.L))
     assert abs(tvs - fp.TVS) < 1e-9 * fp.TVS
     assert abs(empty_prob(utilization(cfg.r, cfg.L, tvs), cfg.M) - fp.p0) < 1e-10
     assert abs(tau_update(fp.tau, fp.a, cfg, fp.p0) - fp.tau) <= 1e-11
@@ -298,7 +308,7 @@ def test_warm_multibuffer_solve_and_report_execute_no_import(monkeypatch):
 def test_F_is_tau_update_at_the_public_queue_chain():
     # _F and _queue evaluate the multi-buffer queue in one pass; the public
     # chain builds each dataclass. Both must give the same bits everywhere.
-    from star154.core import derived_probs
+    from star154.core import quiet_prob
     from star154.queueing import empty_prob, utilization
 
     rng = np.random.Generator(np.random.PCG64(1717))
@@ -313,7 +323,7 @@ def test_F_is_tau_update_at_the_public_queue_chain():
                 a = a_from_tau(tau, n, l)
                 p0 = None
                 if mode is TrafficMode.UNSATM:
-                    k = derived_probs(tau, a, n, l).k
+                    k = quiet_prob(tau, n)
                     _, tvs = delays(retry_probs(attempt_probs(a, k)), service_times(a, l))
                     p = utilization(r, l, tvs)
                     p0 = empty_prob(p, m)

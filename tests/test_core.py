@@ -13,7 +13,8 @@ from star154.core import (
     NetworkConfig,
     T1_SYMBOLS,
     TrafficMode,
-    derived_probs,
+    attempt_outcomes,
+    quiet_prob,
 )
 
 
@@ -108,21 +109,21 @@ def test_arrival_probability_per_slot():
 
 
 def test_probs_at_zero_tau():
-    p = derived_probs(0.0, 0.0, 10, 100)
-    assert (p.k, p.D) == (1.0, 0.0)
+    k = quiet_prob(0.0, 10)
+    assert (k, attempt_outcomes(0.0, k)[2]) == (1.0, 0.0)
 
 
 def test_probs_at_certain_sensing():
     # tau=1 kills k, x, y; one attempt then surely collides, so D = 1
-    p = derived_probs(1.0, 0.0, 2, 100)
-    assert p.k == 0.0
-    assert p.D == 1.0
+    k = quiet_prob(1.0, 2)
+    assert k == 0.0
+    assert attempt_outcomes(0.0, k)[2] == 1.0
 
 
 def test_probs_direct_evaluation():
-    p = derived_probs(0.5, 0.5, 2, 100)
-    assert p.k == 0.5
-    assert abs(p.D - (1 - 0.5**5) * (1 - 0.5**26)) < 1e-15
+    k = quiet_prob(0.5, 2)
+    assert k == 0.5
+    assert abs(attempt_outcomes(0.5, k)[2] - (1 - 0.5**5) * (1 - 0.5**26)) < 1e-15
 
 
 def test_probs_identities_on_random_grid():
@@ -130,24 +131,15 @@ def test_probs_identities_on_random_grid():
     for _ in range(2000):
         tau = float(rng.random())
         n = int(rng.integers(1, 40))
-        p = derived_probs(tau, float(rng.random()), n, 100)
+        k = quiet_prob(tau, n)
+        D = attempt_outcomes(float(rng.random()), k)[2]
         x, y, z = _channel_terms(tau, n)
-        assert abs(x - (1 - tau) * p.k) < 1e-12
+        assert abs(x - (1 - tau) * k) < 1e-12
         assert x + y <= 1 + 1e-12
-        assert z == p.k
-        assert 0.0 <= p.D <= 1.0
+        assert z == k
+        assert 0.0 <= D <= 1.0
 
 
 def test_probs_deterministic():
-    a = derived_probs(0.123, 0.456, 7, 77)
-    b = derived_probs(0.123, 0.456, 7, 77)
-    assert a == b
-
-
-def test_probs_domain_errors():
-    with pytest.raises(ValueError):
-        derived_probs(-0.1, 0.0, 2, 100)
-    with pytest.raises(ValueError):
-        derived_probs(0.5, 1.5, 2, 100)
-    with pytest.raises(ValueError):
-        derived_probs(0.5, 0.5, 0, 100)
+    assert quiet_prob(0.123, 7) == quiet_prob(0.123, 7)
+    assert attempt_outcomes(0.456, 0.789) == attempt_outcomes(0.456, 0.789)

@@ -45,6 +45,13 @@ def test_parse_range_inclusive_end_with_float_drift():
     vals = parse_range("0.001:0.13:0.0129")
     assert len(vals) == 11
     assert vals[0] == 0.001 and vals[-1] == 0.13
+    # the tolerance scales with the step, so a tiny step stops at its stop
+    vals = parse_range("0:1e-10:1e-11")
+    assert len(vals) == 11
+    assert vals[0] == 0.0 and vals[-1] == 1e-10
+    # and with the bounds, so drift far from zero keeps the last value
+    vals = parse_range("-2609.144:-2609.143832:4e-06")
+    assert len(vals) == 43 and vals[-1] == -2609.143832
 
 
 def test_parse_range_rejects_malformed():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from star154 import metrics
 from star154.analytical import solve
-from star154.core import NetworkConfig, T1_SYMBOLS, TrafficMode, derived_probs
+from star154.core import NetworkConfig, T1_SYMBOLS, TrafficMode, quiet_prob
 from star154.metrics import (
     attempt_probs,
     delays,
@@ -208,9 +208,8 @@ def test_report_composition_single_buffer():
     assert rep.tau == fp.tau and rep.a == fp.a
     assert rep.TSW is None and rep.TVSW is None
     # recompute each metric from the fixed point by hand
-    probs = derived_probs(fp.tau, fp.a, cfg.N, cfg.L)
     st = service_times(fp.a, cfg.L)
-    rp = retry_probs(attempt_probs(fp.a, probs.k))
+    rp = retry_probs(attempt_probs(fp.a, quiet_prob(fp.tau, cfg.N)))
     TS, TVS = delays(rp, st)
     assert rep.PS == reliability(rp)
     assert rep.TS == TS and rep.TVS == TVS

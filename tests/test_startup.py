@@ -21,9 +21,8 @@ SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 # the public names of the package, by the module that defines them
 PUBLIC = {
-    "core": ["CONSTANTS", "T1_SYMBOLS", "ElementaryProbs", "NetworkConfig",
-             "PerformanceReport", "ProtocolConstants", "Source", "TrafficMode",
-             "derived_probs"],
+    "core": ["CONSTANTS", "T1_SYMBOLS", "NetworkConfig", "PerformanceReport",
+             "ProtocolConstants", "Source", "TrafficMode"],
     "analytical": ["ChannelStationaryDistribution", "FixedPoint", "NonConvergenceError",
                    "SolverSettings", "a_from_tau", "channel_stationary", "solve",
                    "tau_update", "throughput"],

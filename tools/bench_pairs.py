@@ -18,7 +18,11 @@ odd ones, so a drift of the host over time falls on both sides alike.
 For each workload the output holds, per end-to-end metric of BENCHMARK.json,
 each side's median, IQR (75th - 25th percentile, linear interpolation) and
 runs in pair order, the change/parent ratio of the medians and the number
-of pairs the change won; also the repetitions each run fitted, and the
+of pairs the change won, and a verdict against the metric's `bound`:
+"regressed" when the change's median is worse than the parent's by more
+than that share of the parent's median, "unresolved" when the parent's own
+IQR is wider than that share and some parent run beats some change run,
+else "within bound". It also holds the repetitions each run fitted, and the
 attempted and failed checks. `--trace-workloads` adds one `--trace 1` run of
 each side per named workload (seed TRACE_SEED, TRACE_SECONDS long) and
 compares the per-layer metrics; `equal` says whether every exact count
@@ -107,7 +111,25 @@ def _spread(runs: list[float]) -> dict:
             "runs": [round(v, 6) for v in runs]}
 
 
-def _pairs(trees: dict, workload: str, seeds: list[int], seconds: float, better: dict) -> dict:
+def _verdict(parent: dict, change: dict, direction: str, bound: float) -> dict:
+    """Whether the change's median is worse than the parent's by more than bound.
+
+    worse_by is the change's shortfall as a share of the parent's median
+    (negative when the change is better). A parent IQR wider than bound, as
+    a share of its median, makes the comparison unresolved, unless every
+    change run beats every parent run.
+    """
+    sign = 1 if direction == "higher" else -1
+    worse_by = sign * (parent["median"] - change["median"]) / parent["median"]
+    beats_all = min(sign * c for c in change["runs"]) > max(sign * p for p in parent["runs"])
+    if parent["iqr"] > bound * parent["median"] and not beats_all:
+        verdict = "unresolved"
+    else:
+        verdict = "regressed" if worse_by > bound else "within bound"
+    return {"bound": bound, "worse_by": round(worse_by, 4), "verdict": verdict}
+
+
+def _pairs(trees: dict, workload: str, seeds: list[int], seconds: float, spec: dict) -> dict:
     runs = {side: [] for side in SIDES}
     first = []
     for i, seed in enumerate(seeds):
@@ -126,13 +148,14 @@ def _pairs(trees: dict, workload: str, seeds: list[int], seconds: float, better:
         "correct": {s: all(r["correct"] for _, r in runs[s]) for s in SIDES},
         "repetitions": {s: [rep["repetitions"] for rep, _ in runs[s]] for s in SIDES},
     }
-    for name, direction in better.items():
+    for name, metric in spec.items():
         values = {s: [r["metrics"][name]["value"] for _, r in runs[s]] for s in SIDES}
         entry = {s: _spread(values[s]) for s in SIDES}
-        sign = 1 if direction == "higher" else -1
+        sign = 1 if metric["better"] == "higher" else -1
         wins = sum(sign * (c - p) > 0 for p, c in zip(values["parent"], values["change"]))
         entry["change_over_parent"] = round(entry["change"]["median"] / entry["parent"]["median"], 4)
         entry["change_wins"] = f"{wins}/{len(seeds)}"
+        entry.update(_verdict(entry["parent"], entry["change"], metric["better"], metric["bound"]))
         out[name] = entry
     return out
 
@@ -147,12 +170,12 @@ def _traces(trees: dict, workload: str) -> dict:
     return out
 
 
-def _claim(text: str, workloads: dict, better: dict) -> dict:
+def _claim(text: str, workloads: dict, spec: dict) -> dict:
     workload, metric, ratio = text.split(":")
     entry = workloads[workload][metric]
     parent, change = entry["parent"], entry["change"]
     won, pairs = map(int, entry["change_wins"].split("/"))
-    sign = 1 if better[metric] == "higher" else -1
+    sign = 1 if spec[metric]["better"] == "higher" else -1
     gap = sign * (change["median"] - parent["median"])
     gain = entry["change_over_parent"] if sign > 0 else 1 / entry["change_over_parent"]
     return {
@@ -169,7 +192,7 @@ def main(argv=None) -> int:
     args = _parse(argv)
     root = Path(_git("rev-parse", "--show-toplevel", text=True).stdout.strip())
     spec = json.loads((root / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    end_to_end = {m["name"]: m for m in spec["end_to_end"]}
     seconds = spec["run_seconds"]
     scratch = Path(tempfile.mkdtemp(prefix="bench_pairs_"))
     try:
@@ -178,7 +201,7 @@ def main(argv=None) -> int:
             trees[side] = scratch / side
             commits[side] = _export(commit, trees[side])
         t0 = time.time()
-        workloads = {w: _pairs(trees, w, seeds, seconds, better)
+        workloads = {w: _pairs(trees, w, seeds, seconds, end_to_end)
                      for w, seeds in zip(args.workload, args.seeds)}
         traces = {w: _traces(trees, w)
                   for w in filter(None, args.trace_workloads.split(","))}
@@ -196,13 +219,16 @@ def main(argv=None) -> int:
                 f"{platform.python_version()}, {platform.system()} {platform.release()}",
         "statistic": "median and IQR (75th - 25th percentile, linear interpolation) over the "
                      "runs of each side; change_wins counts pairs where the change is better; "
-                     "runs lists each run in pair order; first says which side ran first in "
-                     "each pair; repetitions is the number of untraced repetitions each run "
-                     f"fitted into {seconds:g} s",
+                     "runs lists each run in pair order; worse_by is the change's shortfall "
+                     "as a share of the parent's median, and verdict compares it with the "
+                     "metric's BENCHMARK.json bound (unresolved when the parent's IQR exceeds "
+                     "that share of its median and some parent run beats some change run); "
+                     "first says which side ran first in each pair; repetitions is the number "
+                     f"of untraced repetitions each run fitted into {seconds:g} s",
         "wall_clock_s": round(time.time() - t0, 1),
     }
     if args.claim:
-        out["claim"] = _claim(args.claim, workloads, better)
+        out["claim"] = _claim(args.claim, workloads, end_to_end)
     out["workloads"] = workloads
     if traces:
         out["per_layer_trace"] = traces
