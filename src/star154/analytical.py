@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from . import metrics, queueing  # modules, not names: metrics imports this one back
 from .core import (
     ACK_WAIT_SAVING, ATTEMPT_STEPS, CLEAN_COLLISION_SYMBOLS, COLLISION_TAIL,
-    NetworkConfig, TrafficMode, attempt_outcomes, quiet_prob,
+    NetworkConfig, TrafficMode, attempt_terms, quiet_prob,
 )
 
 _, _STEP1, _STEP2, _STEP3, _STEP4 = ATTEMPT_STEPS
@@ -61,6 +61,7 @@ class FixedPoint:
     p: float | None = None  # queue utilization, multi-buffer mode only
     p0: float | None = None  # queue-empty probability, multi-buffer mode only
     TVS: float | None = None  # mean service time, multi-buffer mode only
+    evaluations: int = 0  # F evaluations the solve made
 
 
 # Channel states as (name, duration in symbols, stationary weight / theta).
@@ -83,45 +84,37 @@ class ChannelStationaryDistribution:
         return {n: d * w / self.total_T for n, d, w in self.states}
 
 
-def _channel_terms(tau: float, N: int):
+def _channel(tau: float, N: int, L: int) -> tuple[float, float, float, float, float]:
+    """x, y, z (= k), the cycle length T and the busy probability a at tau; no range check.
+
+    a counts the channel-idle symbols an 8-symbol CCA can start from and
+    still finish clean, over T.
+    """
     x = (1.0 - tau) ** N
     z = quiet_prob(tau, N)
     y = N * tau * z
-    return x, y, z
+    z12, z25 = z**12, z**25
+    geo25 = 25.0 if z == 1.0 else (1.0 - z25) / (1.0 - z)
+    T = (
+        2 * L + 80
+        - (2 * L + 79) * x
+        + y * geo25
+        + (2 * L + 7) * y * z12
+        - (2 * L + 50) * y * z25
+    )
+    return x, y, z, T, min(max(1.0 - (12.0 * (1.0 - x) + 1.0) / T, 0.0), 1.0)
 
 
 def total_cycle_symbols(tau: float, N: int, L: int) -> float:
     """Duration-weighted total of the channel states, relative to theta."""
-    return _cycle_symbols(*_channel_terms(tau, N), L)
-
-
-def _cycle_symbols(x: float, y: float, z: float, L: int) -> float:
-    """total_cycle_symbols from the channel terms of _channel_terms."""
-    if z == 1.0:
-        geo25 = 25.0
-    else:
-        geo25 = (1.0 - z**25) / (1.0 - z)
-    return (
-        2 * L + 80
-        - (2 * L + 79) * x
-        + y * geo25
-        + (2 * L + 7) * y * z**12
-        - (2 * L + 50) * y * z**25
-    )
+    return _channel(tau, N, L)[3]
 
 
 def a_from_tau(tau: float, N: int, L: int) -> float:
-    """Probability a CCA finds the channel busy, given the CCA rate tau.
-
-    The numerator counts the channel-idle symbols an 8-symbol CCA can start
-    from and still finish clean; the denominator is the full cycle length.
-    """
+    """Probability a CCA finds the channel busy, given the CCA rate tau."""
     if not 0.0 <= tau <= 1.0:
         raise ValueError(f"tau out of [0,1]: {tau}")
-    x, y, z = _channel_terms(tau, N)
-    T = _cycle_symbols(x, y, z, L)
-    a = 1.0 - (12.0 * (1.0 - x) + 1.0) / T
-    return min(max(a, 0.0), 1.0)
+    return _channel(tau, N, L)[4]
 
 
 def channel_stationary(tau: float, N: int, L: int) -> ChannelStationaryDistribution:
@@ -130,7 +123,7 @@ def channel_stationary(tau: float, N: int, L: int) -> ChannelStationaryDistribut
         raise ValueError("tau must be positive; the all-idle channel has no cycle")
     if tau > 1.0:
         raise ValueError(f"tau out of (0,1]: {tau}")
-    x, y, z = _channel_terms(tau, N)
+    x, y, z, T, _ = _channel(tau, N, L)
     states: list[tuple[str, int, float]] = [
         ("IDLE1", 19, 1.0 - x),
         ("IDLE2", 1, 1.0),
@@ -147,7 +140,7 @@ def channel_stationary(tau: float, N: int, L: int) -> ChannelStationaryDistribut
         ("AckFail", 2 * L + 6, (1.0 - z**13) * y * z**12),
         ("wack", 54, 1.0 - x - y * z**25),
     ]
-    return ChannelStationaryDistribution(states=tuple(states), total_T=_cycle_symbols(x, y, z, L))
+    return ChannelStationaryDistribution(states=tuple(states), total_T=T)
 
 
 def throughput(tau: float, N: int, L: int) -> float:
@@ -156,8 +149,8 @@ def throughput(tau: float, N: int, L: int) -> float:
         raise ValueError(f"tau out of [0,1]: {tau}")
     if tau == 0.0:
         return 0.0
-    x, y, z = _channel_terms(tau, N)
-    th = 2 * L * y * z**25 / _cycle_symbols(x, y, z, L)
+    _, y, z, T, _ = _channel(tau, N, L)
+    th = 2 * L * y * z**25 / T
     return min(max(th, 0.0), 1.0)
 
 
@@ -166,31 +159,33 @@ def tau_update(
 ) -> float:
     """One substitution step for the CCA probability at a given busy probability.
 
-    k (core.quiet_prob) and the per-attempt collision probability D
-    (core.attempt_outcomes) are evaluated at tau_prev.
-    The traffic mode selects the arrival term: the single-buffer form adds
-    2L/r idle symbols per frame, the multi-buffer form weights that by the
-    queue-empty probability p0, and the saturated form has no idle term.
+    k (core.quiet_prob) is evaluated at tau_prev. The traffic mode selects
+    the arrival term: the single-buffer form adds 2L/r idle symbols per
+    frame, the multi-buffer form weights that by the queue-empty probability
+    p0, and the saturated form has no idle term.
     """
     if not 0.0 <= tau_prev <= 1.0:
         raise ValueError(f"tau out of [0,1]: {tau_prev}")
     if not 0.0 <= a <= 1.0:
         raise ValueError(f"a out of [0,1]: {a}")
-    k = quiet_prob(tau_prev, cfg.N)
-    _, a5, D = attempt_outcomes(a, k)
-    k26 = k**26
+    return _update(a, attempt_terms(a, quiet_prob(tau_prev, cfg.N)), cfg, p0)
+
+
+def _update(a: float, terms: tuple[float, ...], cfg: NetworkConfig, p0: float | None) -> float:
+    """tau_update's step at busy probability a, from core.attempt_terms(a, k); no range check."""
+    a2, a3, a4, a5, k26, _, _, D, D2, D3 = terms
     L = cfg.L
     bracket = (
         2 * L + CLEAN_COLLISION_SYMBOLS
         + _STEP1 * a
-        + _STEP2 * a**2
-        + _STEP3 * a**3
-        + _STEP4 * a**4
+        + _STEP2 * a2
+        + _STEP3 * a3
+        + _STEP4 * a4
         - ACK_WAIT_SAVING * k26
         - (2 * L + COLLISION_TAIL - ACK_WAIT_SAVING * k26) * a5
     )
-    retry_geo = 1.0 + D + D**2 + D**3
-    numerator = retry_geo * (1.0 + a + a**2 + a**3 + a**4)
+    retry_geo = 1.0 + D + D2 + D3
+    numerator = retry_geo * (1.0 + a + a2 + a3 + a4)
     # bracket >= 78 symbols for every a, k in [0, 1], so the denominator is too
     denominator = bracket * retry_geo
     if cfg.mode is TrafficMode.UNSAT1:
@@ -209,15 +204,10 @@ def tau_update(
 def _queue(tau: float, a: float, cfg: NetworkConfig) -> tuple[float, float, float]:
     """Queue utilization p, empty probability p0 and mean service time TVS at (tau, a).
 
-    Multi-buffer mode: the node model's mean service time at (tau, a) sets
-    the M/M/1/K load, and its empty probability weights the arrival term.
-    TVS comes from metrics' plain-float closed forms, the ones its public
-    dataclass functions wrap, in one pass with no dataclass built; tau and
-    a are already checked by a_from_tau. The pass stops at the queueing
-    calls: they are looked up on their module at every call, so a wrapper
-    put on it counts each one. tau_update stays a separate call through this
-    module's global for the same reason, and because it is the one update
-    formula for every traffic mode.
+    Multi-buffer mode: the node model's mean service time sets the M/M/1/K
+    load, and its empty probability weights the arrival term. The queueing
+    functions are looked up on their module at every call, here and in _F,
+    so a wrapper put on it counts each one.
     """
     TVS = metrics._service(a, quiet_prob(tau, cfg.N), cfg.L)[2]
     p = queueing.utilization(cfg.r, cfg.L, TVS)
@@ -225,25 +215,37 @@ def _queue(tau: float, a: float, cfg: NetworkConfig) -> tuple[float, float, floa
 
 
 def _F(tau: float, cfg: NetworkConfig) -> float:
-    """The map every route solves: F(tau) = tau_update(tau, a(tau), p0(tau)) - tau."""
-    a = a_from_tau(tau, cfg.N, cfg.L)
-    p0 = _queue(tau, a, cfg)[1] if cfg.mode is TrafficMode.UNSATM else None
-    return tau_update(tau, a, cfg, p0) - tau
+    """The map every route solves: F(tau) = tau_update(tau, a(tau), cfg, p0(tau)) - tau.
+
+    One pass: tau is checked once, and k, the powers of a and D and k**26
+    (core.attempt_terms) are computed once. The pieces are the ones
+    a_from_tau, _queue and tau_update call, so the bits are theirs.
+    """
+    if not 0.0 <= tau <= 1.0:
+        raise ValueError(f"tau out of [0,1]: {tau}")
+    L = cfg.L
+    _, _, k, _, a = _channel(tau, cfg.N, L)
+    terms = attempt_terms(a, k)
+    p0 = None
+    if cfg.mode is TrafficMode.UNSATM:
+        TVS = metrics._service_from(a, terms, L)[2]
+        p0 = queueing.empty_prob(queueing.utilization(cfg.r, L, TVS), cfg.M)
+    return _update(a, terms, cfg, p0) - tau
 
 
-def _damped(cfg: NetworkConfig, settings: SolverSettings) -> tuple[float, int, float | None]:
-    """tau <- clip(tau + d F(tau)) until |F| meets tolerance: tau, iterations, F(tau) or None."""
+def _damped(cfg: NetworkConfig, settings: SolverSettings) -> tuple[float, int, int, float | None]:
+    """tau <- clip(tau + d F(tau)) to tolerance: tau, iterations = evaluations, F(tau) or None."""
     tau = _INITIAL_TAU
     for it in range(1, settings.max_iterations + 1):
         f = _F(tau, cfg)
         if abs(f) <= settings.tolerance:
-            return tau, it, f
+            return tau, it, it, f
         tau = min(max(tau + settings.damping * f, 0.0), 1.0)
-    return tau, settings.max_iterations, None
+    return tau, settings.max_iterations, settings.max_iterations, None
 
 
-def _bisect(cfg: NetworkConfig, settings: SolverSettings) -> tuple[float, int, float]:
-    """Root of F on [0, 1]: tau, halvings and F(tau).
+def _bisect(cfg: NetworkConfig, settings: SolverSettings) -> tuple[float, int, int, float | None]:
+    """Root of F on [0, 1]: tau, halvings, F evaluations, and F(tau) or None for a spent budget.
 
     F(0) >= 0 and F(1) <= 0 for every valid configuration, so the root is
     bracketed from the start.
@@ -251,23 +253,27 @@ def _bisect(cfg: NetworkConfig, settings: SolverSettings) -> tuple[float, int, f
     lo, hi = 0.0, 1.0
     f_lo = _F(lo, cfg)
     if f_lo == 0.0:
-        return 0.0, 1, 0.0
-    # 200 halvings take the interval below 1e-60; stop once |F| is 1% of tolerance
-    for it in range(1, 201):
+        return 0.0, 1, 1, 0.0
+    # 200 halvings take the interval below 1e-60, unless max_iterations is smaller;
+    # stop once |F| is 1% of tolerance
+    budget = min(200, settings.max_iterations)
+    for it in range(1, budget + 1):
         mid = 0.5 * (lo + hi)
         f_mid = _F(mid, cfg)
         if f_mid == 0.0 or abs(f_mid) < settings.tolerance * 1e-2:
-            return mid, it, f_mid
+            return mid, it, it + 1, f_mid
         if (f_mid > 0.0) == (f_lo > 0.0):
             lo, f_lo = mid, f_mid
         else:
             hi = mid
     tau = 0.5 * (lo + hi)
-    return tau, it, _F(tau, cfg)
+    if budget == settings.max_iterations:
+        return tau, it, it + 1, None
+    return tau, it, it + 2, _F(tau, cfg)
 
 
-def _polish(cfg: NetworkConfig, tau: float, f: float) -> tuple[float, float]:
-    """Newton-polish the root of F from tau, where F(tau) = f: best tau and its |F|.
+def _polish(cfg: NetworkConfig, tau: float, f: float) -> tuple[float, int]:
+    """Newton-polish the root of F from tau, where F(tau) = f: best tau and F evaluations.
 
     A residual stop leaves tau off by about residual / |1 - slope of the
     update map|, which crosses 1e-9 when the map contracts slowly. Two
@@ -277,12 +283,13 @@ def _polish(cfg: NetworkConfig, tau: float, f: float) -> tuple[float, float]:
     """
     h = 1e-7  # far above F's rounding noise, far below its curvature scale
     best_t, best_f = tau, abs(f)
-    t = tau
+    t, evaluations = tau, 0
     for _ in range(2):
         if f == 0.0:
-            return t, 0.0
+            return t, evaluations
         lo, hi = max(t - h, 0.0), min(t + h, 1.0)
         slope = (_F(hi, cfg) - _F(lo, cfg)) / (hi - lo)
+        evaluations += 2
         if not math.isfinite(slope) or slope == 0.0:
             break
         t_new = t - f / slope
@@ -290,9 +297,10 @@ def _polish(cfg: NetworkConfig, tau: float, f: float) -> tuple[float, float]:
             break
         t = t_new
         f = _F(t, cfg)
+        evaluations += 1
         if abs(f) < best_f:
             best_t, best_f = t, abs(f)
-    return best_t, best_f
+    return best_t, evaluations
 
 
 def solve(cfg: NetworkConfig, settings: SolverSettings = SolverSettings()) -> FixedPoint:
@@ -303,14 +311,18 @@ def solve(cfg: NetworkConfig, settings: SolverSettings = SolverSettings()) -> Fi
     """
     if cfg.N < MIN_NODES:
         raise ValueError(f"the analytical model needs at least {MIN_NODES} nodes, got {cfg.N}")
-    route = _bisect if settings.use_bisection else _damped
-    tau, it, f = route(cfg, settings)
-    # a spent budget reports its last iterate as it stands; a landed route is polished
-    tau, res = (tau, abs(_F(tau, cfg))) if f is None else _polish(cfg, tau, f)
+    tau, it, evaluations, f = (_bisect if settings.use_bisection else _damped)(cfg, settings)
+    if f is not None:  # a landed route is polished; a spent budget reports its last iterate
+        tau, polished = _polish(cfg, tau, f)
+        evaluations += polished
+    # one more F evaluation, through the public functions: a, p0 and the residual
+    # describe the reported tau (and bench/spans.py counts the tau_update call)
     a = a_from_tau(tau, cfg.N, cfg.L)
-    ok = res <= settings.tolerance
     p, p0, TVS = _queue(tau, a, cfg) if cfg.mode is TrafficMode.UNSATM else (None, None, None)
-    fp = FixedPoint(tau=tau, a=a, iterations=it, residual=res, converged=ok, p=p, p0=p0, TVS=TVS)
+    res = abs(tau_update(tau, a, cfg, p0) - tau)
+    ok = res <= settings.tolerance
+    fp = FixedPoint(tau=tau, a=a, iterations=it, residual=res, converged=ok, p=p, p0=p0,
+                    TVS=TVS, evaluations=evaluations + 1)
     if not ok:
         raise NonConvergenceError(f"no convergence after {it} iterations", fp)
     return fp

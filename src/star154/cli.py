@@ -267,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="closed-form fixed point and metrics")
     _add_net_flags(p)
     p.add_argument("--tol", type=float, default=1e-12, help="fixed-point residual tolerance")
-    p.add_argument("--max-iter", type=int, default=100000)
+    p.add_argument("--max-iter", type=int, default=100000, help="damped iterations, or bisection halvings")
     p.add_argument("--damping", type=float, default=0.5)
     p.add_argument("--bisection", action="store_true", help="use bisection instead of damped iteration")
     p.set_defaults(fn=_cmd_solve)
@@ -292,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--engine", choices=[e.value for e in Engine], default="analytical")
     p.add_argument("--out", required=True, help="output CSV path")
     p.add_argument("--tol", type=float, default=1e-12)
-    p.add_argument("--max-iter", type=int, default=100000)
+    p.add_argument("--max-iter", type=int, default=100000, help="damped iterations per solve")
     p.add_argument("--horizon", type=int, default=1_000_000)
     p.add_argument("--warmup", type=int, default=None)
     p.add_argument("--reps", type=int, default=50)

@@ -146,16 +146,17 @@ def quiet_prob(tau: float, N: int) -> float:
     return (1.0 - tau) ** (N - 1)
 
 
-def attempt_outcomes(a: float, k: float) -> tuple[float, float, float]:
-    """PSuc, PAcc and PColl of one service attempt at busy probability a, quiet probability k.
+def attempt_terms(a: float, k: float) -> tuple[float, ...]:
+    """(a^2, a^3, a^4, a^5, k^26, PSuc, PAcc, D, D^2, D^3): what one attempt's closed forms share.
 
-    a is the probability a CCA finds the channel busy and k is quiet_prob.
-    PColl is the per-attempt collision probability D = (1 - a^5)(1 - k^26).
+    PSuc, PAcc and PColl = D = (1 - a^5)(1 - k^26) are the outcomes of one
+    service attempt at busy probability a and quiet probability k (quiet_prob).
     No range check: callers validate a and k.
     """
     a5 = a**5
     k26 = k**26
-    return (1.0 - a5) * k26, a5, (1.0 - a5) * (1.0 - k26)
+    D = (1.0 - a5) * (1.0 - k26)
+    return a**2, a**3, a**4, a5, k26, (1.0 - a5) * k26, a5, D, D**2, D**3
 
 
 class Source(str, Enum):

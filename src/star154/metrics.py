@@ -16,7 +16,7 @@ from .core import (
     T1_SYMBOLS,
     T2_COEFFS,
     TrafficMode,
-    attempt_outcomes,
+    attempt_terms,
     quiet_prob,
 )
 
@@ -63,23 +63,21 @@ class RetryProbs:
     PF: tuple[float, float, float, float]
 
 
-# The closed forms below work on plain floats, so the fixed point's inner loop
-# (analytical._queue) and report() share them without building dataclasses;
-# the public functions wrap the same helpers. Retry stages travel as one flat
-# tuple: PS[0..3], PC[0..3], PF[0..3].
+# The closed forms below work on plain floats, so analytical._F and report()
+# share them without building dataclasses; the public functions wrap the same
+# helpers. They take the powers and outcomes of core.attempt_terms as given.
+# Retry stages travel as one flat tuple: PS[0..3], PC[0..3], PF[0..3].
 
 
-def _outcomes(a: float, k: float) -> tuple[float, float, float]:
-    """core.attempt_outcomes (PSuc, PAcc, PColl) with a and k checked."""
+def _terms(a: float, k: float) -> tuple[float, ...]:
+    """core.attempt_terms with a and k checked."""
     if not 0.0 <= a <= 1.0 or not 0.0 <= k <= 1.0:
         raise ValueError(f"probabilities out of range: a={a}, k={k}")
-    return attempt_outcomes(a, k)
+    return attempt_terms(a, k)
 
 
-def _stages(PSuc: float, PAcc: float, PColl: float) -> tuple[float, ...]:
-    """The retry stages of RetryProbs, flat: PS[0..3], PC[0..3], PF[0..3]."""
-    q = PColl
-    q2, q3 = q**2, q**3
+def _stages(PSuc: float, PAcc: float, q: float, q2: float, q3: float) -> tuple[float, ...]:
+    """The retry stages of RetryProbs, flat, from the outcomes and the powers of PColl = q."""
     # stage-0 weight: complement of ending at stages 1..3 instead
     head = 1.0 - q - q2 - q3
     return (
@@ -95,11 +93,11 @@ def _attempt_duration(c, powers, one: float, L: int) -> float:
     return (c0 + c1 * a + c2 * a2 + c3 * a3 + c4 * a4 - c5 * a5 + 2 * L * one) / one
 
 
-def _durations(a: float, L: int) -> tuple[float, float, float]:
-    """T1, T2 and T3 of ServiceTimes at busy probability a and frame length L."""
+def _durations(powers: tuple[float, ...], L: int) -> tuple[float, float, float]:
+    """T1, T2 and T3 of ServiceTimes from the powers (a, a^2, a^3, a^4, a^5) at frame length L."""
+    a = powers[0]
     if not 0.0 <= a < 1.0:
         raise ValueError(f"a must be in [0,1): {a}")
-    powers = (a, a**2, a**3, a**4, a**5)
     one = 1.0 - powers[4]
     return (
         _T1,
@@ -140,22 +138,30 @@ def _delays(
     return PS, TS, tvs_num / total
 
 
+def _service_from(a: float, terms: tuple[float, ...], L: int) -> tuple[float, float | None, float]:
+    """PS, TS and TVS at busy probability a and frame length L, from attempt_terms(a, k)."""
+    a2, a3, a4, a5, _, PSuc, PAcc, q, q2, q3 = terms
+    return _delays(_stages(PSuc, PAcc, q, q2, q3), *_durations((a, a2, a3, a4, a5), L))
+
+
 def _service(a: float, k: float, L: int) -> tuple[float, float | None, float]:
     """PS, TS and TVS at busy probability a, quiet probability k and frame length L."""
-    return _delays(_stages(*_outcomes(a, k)), *_durations(a, L))
+    return _service_from(a, _terms(a, k), L)
 
 
 def service_times(a: float, L: int) -> ServiceTimes:
     """Mean attempt durations at busy probability a and frame length L."""
-    return ServiceTimes(*_durations(a, L))
+    if not 0.0 <= a < 1.0:  # before the powers: a huge |a| would overflow them
+        raise ValueError(f"a must be in [0,1): {a}")
+    return ServiceTimes(*_durations((a, a**2, a**3, a**4, a**5), L))
 
 
 def attempt_probs(a: float, k: float) -> AttemptProbs:
-    return AttemptProbs(*_outcomes(a, k))
+    return AttemptProbs(*_terms(a, k)[5:8])
 
 
 def retry_probs(ap: AttemptProbs) -> RetryProbs:
-    s = _stages(ap.PSuc, ap.PAcc, ap.PColl)
+    s = _stages(ap.PSuc, ap.PAcc, ap.PColl, ap.PColl**2, ap.PColl**3)
     return RetryProbs(PS=s[:4], PC=s[4:8], PF=s[8:])
 
 

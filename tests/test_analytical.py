@@ -257,15 +257,19 @@ def test_solver_settings_reject_values_no_solve_can_meet(bad):
 
 def test_solver_reports_nonconvergence_with_partial_state():
     cfg = UNSAT(10, 100, 0.05)
-    with pytest.raises(NonConvergenceError) as err:
-        solve(cfg, SolverSettings(max_iterations=3))
-    partial = err.value.fixed_point
-    assert not partial.converged
-    assert 0.0 <= partial.tau <= 1.0
-    # residual and a describe the reported iterate, not the one before it
-    assert partial.a == a_from_tau(partial.tau, cfg.N, cfg.L)
-    assert partial.residual == abs(tau_update(partial.tau, partial.a, cfg) - partial.tau)
-    assert partial.residual > 1e-12
+    # the bisection budget counts halvings: F(0), three halvings, then the reported point
+    for solver, evaluations in ((SolverSettings(max_iterations=3), 4),
+                                (SolverSettings(max_iterations=3, use_bisection=True), 5)):
+        with pytest.raises(NonConvergenceError) as err:
+            solve(cfg, solver)
+        partial = err.value.fixed_point
+        assert not partial.converged
+        assert partial.iterations == 3 and partial.evaluations == evaluations
+        assert 0.0 <= partial.tau <= 1.0
+        # residual and a describe the reported iterate, not the one before it
+        assert partial.a == a_from_tau(partial.tau, cfg.N, cfg.L)
+        assert partial.residual == abs(tau_update(partial.tau, partial.a, cfg) - partial.tau)
+        assert partial.residual > 1e-12
 
 
 @pytest.mark.parametrize("cfg", [
@@ -273,21 +277,24 @@ def test_solver_reports_nonconvergence_with_partial_state():
     SAT(10, 100),
 ], ids=["unsatm", "unsat1", "sat"])
 def test_solver_evaluates_each_point_once(cfg, monkeypatch):
-    seen = {"tau_update": [], "a_from_tau": []}
-
     def recording(name, fn):
         def wrapper(tau, *args):
             seen[name].append(tau)
             return fn(tau, *args)
         return wrapper
 
-    for name in seen:
-        monkeypatch.setattr(analytical, name, recording(name, getattr(analytical, name)))
-    assert solve(cfg).converged
-    updates, busies = seen["tau_update"], seen["a_from_tau"]
-    assert len(updates) == len(set(updates))
-    # one more a_from_tau: the reported a at the polished root
-    assert len(busies) <= len(updates) + 1
+    for solver in (SolverSettings(), SolverSettings(use_bisection=True)):
+        seen = {"_F": [], "tau_update": []}
+        with monkeypatch.context() as patch:
+            for name in seen:
+                patch.setattr(analytical, name, recording(name, getattr(analytical, name)))
+            fp = solve(cfg, solver)
+        assert fp.converged
+        points = seen["_F"]
+        assert len(points) == len(set(points))
+        # the reported point, once more through the public functions
+        assert seen["tau_update"] == [fp.tau]
+        assert fp.evaluations == len(points) + 1
 
 
 def test_warm_multibuffer_solve_and_report_execute_no_import(monkeypatch):
@@ -330,6 +337,37 @@ def test_F_is_tau_update_at_the_public_queue_chain():
                     assert analytical._queue(tau, a, cfg) == (p, p0, tvs)
                 want = tau_update(tau, a, cfg, p0) - tau
                 assert repr(analytical._F(tau, cfg)) == repr(want), (cfg, tau)
+
+
+def _outcome(fn):
+    """fn(), or the type and message of the ValueError it raises."""
+    try:
+        return fn()
+    except ValueError as e:
+        return type(e), str(e)
+
+
+@settings(max_examples=400, deadline=None)
+@given(mode=st.sampled_from(list(TrafficMode)), n=st.integers(2, 60), l=st.integers(1, 127),
+       r=st.one_of(st.sampled_from([0.0, 2.0]), st.floats(0.0, 2.0)), m=st.integers(2, 2000),
+       tau=st.one_of(st.sampled_from([0.0, 5e-324, 1.0, -5e-324, 1.5, math.nan, math.inf]),
+                     st.floats(0.0, 1.0)))
+def test_F_is_the_public_composition_property(mode, n, l, r, m, tau):
+    from star154.core import quiet_prob
+    from star154.queueing import empty_prob, utilization
+
+    cfg = NetworkConfig(N=n, L=l, mode=mode, r=r, M=m if mode is TrafficMode.UNSATM else 1)
+
+    def public():
+        a = a_from_tau(tau, n, l)
+        p0 = None
+        if mode is TrafficMode.UNSATM:
+            _, tvs = delays(retry_probs(attempt_probs(a, quiet_prob(tau, n))), service_times(a, l))
+            p0 = empty_prob(utilization(r, l, tvs), m)
+        return tau_update(tau, a, cfg, p0) - tau
+
+    # repr tells -0.0 from 0.0 and compares nan; a raised ValueError must match too
+    assert repr(_outcome(lambda: analytical._F(tau, cfg))) == repr(_outcome(public))
 
 
 # sha256 of write_csv(..., ms=True) of each mode's sweep over the grid below:

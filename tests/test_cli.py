@@ -235,10 +235,14 @@ def test_solve_csv_block_is_the_write_csv_record(net, tmp_path, capsys):
 
 
 def test_solve_nonconvergence_exits_1(capsys):
-    code, out, err = _run(capsys, SOLVE + ["--max-iter", "3"])
-    assert code == 1
-    assert "did not converge" in err
-    assert out == ""
+    # --max-iter bounds damped iterations, or bisection halvings
+    bisection = ["solve", "--mode", "unsatm", "--nodes", "10", "--frame-bytes", "30",
+                 "--rate", "0.05", "--buffer", "2", "--bisection", "--max-iter", "1"]
+    for argv in (SOLVE + ["--max-iter", "3"], bisection):
+        code, out, err = _run(capsys, argv)
+        assert code == 1
+        assert "did not converge" in err
+        assert out == ""
 
 
 def test_simulate_deterministic_with_trace(tmp_path, capsys):

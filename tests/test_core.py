@@ -6,14 +6,14 @@ import numpy as np
 import pytest
 
 from star154 import core
-from star154.analytical import _channel_terms
+from star154.analytical import _channel
 from star154.dataset import SweepSpec, generate_grid
 from star154.core import (
     CONSTANTS,
     NetworkConfig,
     T1_SYMBOLS,
     TrafficMode,
-    attempt_outcomes,
+    attempt_terms,
     quiet_prob,
 )
 
@@ -108,22 +108,27 @@ def test_arrival_probability_per_slot():
     assert sat.p_arrival == 0.0
 
 
+def _D(a, k):
+    """The per-attempt collision probability PColl of core.attempt_terms."""
+    return attempt_terms(a, k)[7]
+
+
 def test_probs_at_zero_tau():
     k = quiet_prob(0.0, 10)
-    assert (k, attempt_outcomes(0.0, k)[2]) == (1.0, 0.0)
+    assert (k, _D(0.0, k)) == (1.0, 0.0)
 
 
 def test_probs_at_certain_sensing():
     # tau=1 kills k, x, y; one attempt then surely collides, so D = 1
     k = quiet_prob(1.0, 2)
     assert k == 0.0
-    assert attempt_outcomes(0.0, k)[2] == 1.0
+    assert _D(0.0, k) == 1.0
 
 
 def test_probs_direct_evaluation():
     k = quiet_prob(0.5, 2)
     assert k == 0.5
-    assert abs(attempt_outcomes(0.5, k)[2] - (1 - 0.5**5) * (1 - 0.5**26)) < 1e-15
+    assert abs(_D(0.5, k) - (1 - 0.5**5) * (1 - 0.5**26)) < 1e-15
 
 
 def test_probs_identities_on_random_grid():
@@ -132,8 +137,8 @@ def test_probs_identities_on_random_grid():
         tau = float(rng.random())
         n = int(rng.integers(1, 40))
         k = quiet_prob(tau, n)
-        D = attempt_outcomes(float(rng.random()), k)[2]
-        x, y, z = _channel_terms(tau, n)
+        D = _D(float(rng.random()), k)
+        x, y, z, _, _ = _channel(tau, n, 30)
         assert abs(x - (1 - tau) * k) < 1e-12
         assert x + y <= 1 + 1e-12
         assert z == k
@@ -142,4 +147,4 @@ def test_probs_identities_on_random_grid():
 
 def test_probs_deterministic():
     assert quiet_prob(0.123, 7) == quiet_prob(0.123, 7)
-    assert attempt_outcomes(0.456, 0.789) == attempt_outcomes(0.456, 0.789)
+    assert attempt_terms(0.456, 0.789) == attempt_terms(0.456, 0.789)

@@ -25,11 +25,13 @@ IQR is wider than that share and some parent run beats some change run,
 else "within bound". It also holds the repetitions each run fitted, and the
 attempted and failed checks. `--trace-workloads` adds one `--trace 1` run of
 each side per named workload (seed TRACE_SEED, TRACE_SECONDS long) and
-compares the per-layer metrics; `equal` says whether every exact count
-matched. `--claim W:METRIC:RATIO` states whether the change's median is at
-least RATIO times the parent's, wins at least 9 of every 10 pairs, and beats
-the parent's median by more than the parent's IQR. The output holds only
-what these runs measured. Standard library and git only.
+records its exact per-layer metrics (unit count or bytes); `differs` names
+those whose values differ. One short traced run per side cannot resolve
+per-layer timings, so they are left out. `--claim W:METRIC:RATIO` states
+whether the change's median is at least RATIO times the parent's, wins at
+least 9 of every 10 pairs, and beats the parent's median by more than the
+parent's IQR. The output holds only what these runs measured. Standard
+library and git only.
 """
 from __future__ import annotations
 
@@ -163,11 +165,9 @@ def _pairs(trees: dict, workload: str, seeds: list[int], seconds: float, spec: d
 def _traces(trees: dict, workload: str) -> dict:
     metrics = {s: _run(trees[s], workload, TRACE_SEED, TRACE_SECONDS, trace=1)[1]["metrics"]
                for s in SIDES}
-    out = {"equal": all(metrics["parent"][n]["value"] == metrics["change"][n]["value"]
-                        for n, m in metrics["parent"].items() if m["unit"] in EXACT_UNITS)}
-    for name in metrics["parent"]:
-        out[name] = {s: metrics[s][name]["value"] for s in SIDES}
-    return out
+    out = {name: {s: metrics[s][name]["value"] for s in SIDES}
+           for name, m in metrics["parent"].items() if m["unit"] in EXACT_UNITS}
+    return {"differs": [name for name, v in out.items() if v["parent"] != v["change"]], **out}
 
 
 def _claim(text: str, workloads: dict, spec: dict) -> dict:
@@ -213,7 +213,7 @@ def main(argv=None) -> int:
         "command": (f"python3 bench/run.py --workload W --seed S --seconds {seconds:g} "
                     "--trace 0 in git-archive exports of both commits, alternating which side "
                     "runs first in each pair (parent first in even pairs); one seed per pair. "
-                    f"Per-layer metrics: --seed {TRACE_SEED} --seconds "
+                    f"Per-layer counts: --seed {TRACE_SEED} --seconds "
                     f"{TRACE_SECONDS:g} --trace 1, once per side"),
         "host": f"{os.cpu_count()} cores {platform.machine()}, Python "
                 f"{platform.python_version()}, {platform.system()} {platform.release()}",
