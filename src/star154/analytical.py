@@ -9,15 +9,19 @@ mode is one scalar equation F(tau) = 0, and one solver serves them all.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from . import metrics, queueing  # modules, not names: metrics imports this one back
 from .core import (
-    ACK_WAIT_SAVING, ATTEMPT_STEPS, CLEAN_COLLISION_SYMBOLS, COLLISION_TAIL,
+    ACK_FAIL_POWER, ACK_SUC_POWER, ACK_SUC_SYMBOLS, ACK_WAIT_SAVING, ATTEMPT_STEPS,
+    CLEAN_CCA_STARTS, CLEAN_COLLISION_SYMBOLS, COLLISION_TAIL, CONSTANTS, CYCLE_ONE, CYCLE_X,
+    CYCLE_YZ_ACK, CYCLE_YZN, FAIL_EXTRA_SYMBOLS, IDLE1_SYMBOLS, WAIT_STATES,
     NetworkConfig, TrafficMode, attempt_terms, quiet_prob,
 )
 
 _, _STEP1, _STEP2, _STEP3, _STEP4 = ATTEMPT_STEPS
+_Map = Callable[[float], float]  # F, one traffic mode's map built by _map
 
 # where the damped iteration starts: a rare attempt
 _INITIAL_TAU = 1e-4
@@ -65,8 +69,6 @@ class FixedPoint:
 
 
 # Channel states as (name, duration in symbols, stationary weight / theta).
-# Durations: IDLE1 19, IDLE2 1, CW1..CW12 1 each, TxSuc 2L-12, IDLE3 20,
-# IW1..IW12 1 each, AckSuc 10, TxFail 2L+6, AckFail 2L+6, wack 54.
 @dataclass(frozen=True, slots=True)
 class ChannelStationaryDistribution:
     states: tuple[tuple[str, int, float], ...]
@@ -87,27 +89,23 @@ class ChannelStationaryDistribution:
 def _channel(tau: float, N: int, L: int) -> tuple[float, float, float, float, float]:
     """x, y, z (= k), the cycle length T and the busy probability a at tau; no range check.
 
-    a counts the channel-idle symbols an 8-symbol CCA can start from and
-    still finish clean, over T.
+    T is the duration-weighted total of the channel states, relative to
+    theta. a counts the channel-idle symbols a CCA can start from and still
+    finish clean, over T.
     """
     x = (1.0 - tau) ** N
     z = quiet_prob(tau, N)
     y = N * tau * z
-    z12, z25 = z**12, z**25
-    geo25 = 25.0 if z == 1.0 else (1.0 - z25) / (1.0 - z)
+    zn, z_ack = z**WAIT_STATES, z**ACK_SUC_POWER
+    geo = ACK_SUC_POWER if z == 1.0 else (1.0 - z_ack) / (1.0 - z)
     T = (
-        2 * L + 80
-        - (2 * L + 79) * x
-        + y * geo25
-        + (2 * L + 7) * y * z12
-        - (2 * L + 50) * y * z25
+        2 * L + CYCLE_ONE
+        - (2 * L + CYCLE_X) * x
+        + y * geo
+        + (2 * L + CYCLE_YZN) * y * zn
+        - (2 * L + CYCLE_YZ_ACK) * y * z_ack
     )
-    return x, y, z, T, min(max(1.0 - (12.0 * (1.0 - x) + 1.0) / T, 0.0), 1.0)
-
-
-def total_cycle_symbols(tau: float, N: int, L: int) -> float:
-    """Duration-weighted total of the channel states, relative to theta."""
-    return _channel(tau, N, L)[3]
+    return x, y, z, T, min(max(1.0 - (CLEAN_CCA_STARTS * (1.0 - x) + 1.0) / T, 0.0), 1.0)
 
 
 def a_from_tau(tau: float, N: int, L: int) -> float:
@@ -124,21 +122,22 @@ def channel_stationary(tau: float, N: int, L: int) -> ChannelStationaryDistribut
     if tau > 1.0:
         raise ValueError(f"tau out of (0,1]: {tau}")
     x, y, z, T, _ = _channel(tau, N, L)
+    n = WAIT_STATES
     states: list[tuple[str, int, float]] = [
-        ("IDLE1", 19, 1.0 - x),
+        ("IDLE1", IDLE1_SYMBOLS, 1.0 - x),
         ("IDLE2", 1, 1.0),
     ]
-    states += [(f"CW{i}", 1, y * z ** (i - 1)) for i in range(1, 13)]
+    states += [(f"CW{i}", 1, y * z ** (i - 1)) for i in range(1, n + 1)]
     states += [
-        ("TxSuc", 2 * L - 12, y * z**12),
-        ("IDLE3", 20, y * z**12),
+        ("TxSuc", 2 * L - CONSTANTS.aTurnaroundTime, y * z**n),
+        ("IDLE3", CONSTANTS.tAck, y * z**n),
     ]
-    states += [(f"IW{i}", 1, y * z ** (12 + i)) for i in range(1, 13)]
+    states += [(f"IW{i}", 1, y * z ** (n + i)) for i in range(1, n + 1)]
     states += [
-        ("AckSuc", 10, y * z**25),
-        ("TxFail", 2 * L + 6, 1.0 - x - y * z**12),
-        ("AckFail", 2 * L + 6, (1.0 - z**13) * y * z**12),
-        ("wack", 54, 1.0 - x - y * z**25),
+        ("AckSuc", ACK_SUC_SYMBOLS, y * z**ACK_SUC_POWER),
+        ("TxFail", 2 * L + FAIL_EXTRA_SYMBOLS, 1.0 - x - y * z**n),
+        ("AckFail", 2 * L + FAIL_EXTRA_SYMBOLS, (1.0 - z**ACK_FAIL_POWER) * y * z**n),
+        ("wack", CONSTANTS.macAckWaitDuration, 1.0 - x - y * z**ACK_SUC_POWER),
     ]
     return ChannelStationaryDistribution(states=tuple(states), total_T=T)
 
@@ -150,7 +149,7 @@ def throughput(tau: float, N: int, L: int) -> float:
     if tau == 0.0:
         return 0.0
     _, y, z, T, _ = _channel(tau, N, L)
-    th = 2 * L * y * z**25 / T
+    th = 2 * L * y * z**ACK_SUC_POWER / T
     return min(max(th, 0.0), 1.0)
 
 
@@ -162,19 +161,27 @@ def tau_update(
     k (core.quiet_prob) is evaluated at tau_prev. The traffic mode selects
     the arrival term: the single-buffer form adds 2L/r idle symbols per
     frame, the multi-buffer form weights that by the queue-empty probability
-    p0, and the saturated form has no idle term.
+    p0 (required there, in [0, 1]), and the saturated form has no idle term.
     """
     if not 0.0 <= tau_prev <= 1.0:
         raise ValueError(f"tau out of [0,1]: {tau_prev}")
     if not 0.0 <= a <= 1.0:
         raise ValueError(f"a out of [0,1]: {a}")
-    return _update(a, attempt_terms(a, quiet_prob(tau_prev, cfg.N)), cfg, p0)
+    terms, L, r = attempt_terms(a, quiet_prob(tau_prev, cfg.N)), cfg.L, cfg.r
+    if cfg.mode is TrafficMode.SATURATED:
+        return _update(a, terms, L, 0.0)
+    if cfg.mode is TrafficMode.UNSAT1:
+        return _update(a, terms, L, 2 * L / r) if r else 0.0
+    if p0 is None:
+        raise ValueError("multi-buffer mode needs the queue-empty probability p0")
+    if not 0.0 <= p0 <= 1.0:
+        raise ValueError(f"p0 out of [0,1]: {p0}")
+    return _update(a, terms, L, p0 * 2 * L / r) if r else 0.0
 
 
-def _update(a: float, terms: tuple[float, ...], cfg: NetworkConfig, p0: float | None) -> float:
-    """tau_update's step at busy probability a, from core.attempt_terms(a, k); no range check."""
+def _update(a: float, terms: tuple[float, ...], L: int, idle: float) -> float:
+    """tau_update's step from terms = core.attempt_terms(a, k) and the arrival term idle; unchecked."""
     a2, a3, a4, a5, k26, _, _, D, D2, D3 = terms
-    L = cfg.L
     bracket = (
         2 * L + CLEAN_COLLISION_SYMBOLS
         + _STEP1 * a
@@ -187,18 +194,7 @@ def _update(a: float, terms: tuple[float, ...], cfg: NetworkConfig, p0: float | 
     retry_geo = 1.0 + D + D2 + D3
     numerator = retry_geo * (1.0 + a + a2 + a3 + a4)
     # bracket >= 78 symbols for every a, k in [0, 1], so the denominator is too
-    denominator = bracket * retry_geo
-    if cfg.mode is TrafficMode.UNSAT1:
-        if cfg.r == 0.0:
-            return 0.0
-        denominator += 2 * L / cfg.r
-    elif cfg.mode is TrafficMode.UNSATM:
-        if p0 is None:
-            raise ValueError("multi-buffer mode needs the queue-empty probability p0")
-        if cfg.r == 0.0:
-            return 0.0
-        denominator += p0 * 2 * L / cfg.r
-    return min(max(numerator / denominator, 0.0), 1.0)
+    return min(max(numerator / (bracket * retry_geo + idle), 0.0), 1.0)
 
 
 def _queue(tau: float, a: float, cfg: NetworkConfig) -> tuple[float, float, float]:
@@ -206,52 +202,62 @@ def _queue(tau: float, a: float, cfg: NetworkConfig) -> tuple[float, float, floa
 
     Multi-buffer mode: the node model's mean service time sets the M/M/1/K
     load, and its empty probability weights the arrival term. The queueing
-    functions are looked up on their module at every call, here and in _F,
-    so a wrapper put on it counts each one.
+    functions are looked up on their module at every call, here and in the
+    map _map builds, so a wrapper put on it counts each one.
     """
     TVS = metrics._service(a, quiet_prob(tau, cfg.N), cfg.L)[2]
     p = queueing.utilization(cfg.r, cfg.L, TVS)
     return p, queueing.empty_prob(p, cfg.M), TVS
 
 
-def _F(tau: float, cfg: NetworkConfig) -> float:
-    """The map every route solves: F(tau) = tau_update(tau, a(tau), cfg, p0(tau)) - tau.
+def _map(cfg: NetworkConfig) -> _Map:
+    """F(tau) = tau_update(tau, a(tau), cfg, p0(tau)) - tau for cfg: the map every route solves.
 
-    One pass: tau is checked once, and k, the powers of a and D and k**26
-    (core.attempt_terms) are computed once. The pieces are the ones
-    a_from_tau, _queue and tau_update call, so the bits are theirs.
+    The traffic mode is decided here, once per solve: F closes over N, L, r,
+    M and the arrival term, 2L/r in unsat1, none in sat, and p0 2L/r in
+    unsatm, with p0 from _queue's chain at every evaluation. F checks tau
+    once and computes k, the powers of a and D and k**K_POWER once; its
+    pieces are the ones a_from_tau, _queue and tau_update call, so the bits
+    are theirs.
     """
-    if not 0.0 <= tau <= 1.0:
-        raise ValueError(f"tau out of [0,1]: {tau}")
-    L = cfg.L
-    _, _, k, _, a = _channel(tau, cfg.N, L)
-    terms = attempt_terms(a, k)
-    p0 = None
-    if cfg.mode is TrafficMode.UNSATM:
-        TVS = metrics._service_from(a, terms, L)[2]
-        p0 = queueing.empty_prob(queueing.utilization(cfg.r, L, TVS), cfg.M)
-    return _update(a, terms, cfg, p0) - tau
+    N, L, r, M = cfg.N, cfg.L, cfg.r, cfg.M
+    unsatm = cfg.mode is TrafficMode.UNSATM
+    # outside unsatm; None without arrivals, where tau_update is 0
+    idle = 0.0 if cfg.mode is TrafficMode.SATURATED else 2 * L / r if r else None
+
+    def F(tau: float) -> float:
+        if not 0.0 <= tau <= 1.0:
+            raise ValueError(f"tau out of [0,1]: {tau}")
+        _, _, k, _, a = _channel(tau, N, L)
+        terms = attempt_terms(a, k)
+        if unsatm:
+            TVS = metrics._service_from(a, terms, L)[2]
+            p0 = queueing.empty_prob(queueing.utilization(r, L, TVS), M)
+            return (_update(a, terms, L, p0 * 2 * L / r) if r else 0.0) - tau
+        return (0.0 if idle is None else _update(a, terms, L, idle)) - tau
+
+    return F
 
 
-def _damped(cfg: NetworkConfig, settings: SolverSettings) -> tuple[float, int, int, float | None]:
+def _damped(F: _Map, settings: SolverSettings) -> tuple[float, int, int, float | None]:
     """tau <- clip(tau + d F(tau)) to tolerance: tau, iterations = evaluations, F(tau) or None."""
     tau = _INITIAL_TAU
     for it in range(1, settings.max_iterations + 1):
-        f = _F(tau, cfg)
+        f = F(tau)
         if abs(f) <= settings.tolerance:
             return tau, it, it, f
         tau = min(max(tau + settings.damping * f, 0.0), 1.0)
     return tau, settings.max_iterations, settings.max_iterations, None
 
 
-def _bisect(cfg: NetworkConfig, settings: SolverSettings) -> tuple[float, int, int, float | None]:
+def _bisect(F: _Map, settings: SolverSettings) -> tuple[float, int, int, float | None]:
     """Root of F on [0, 1]: tau, halvings, F evaluations, and F(tau) or None for a spent budget.
 
     F(0) >= 0 and F(1) <= 0 for every valid configuration, so the root is
     bracketed from the start.
     """
     lo, hi = 0.0, 1.0
-    f_lo = _F(lo, cfg)
+    f_lo = F(lo)
     if f_lo == 0.0:
         return 0.0, 1, 1, 0.0
     # 200 halvings take the interval below 1e-60, unless max_iterations is smaller;
@@ -259,7 +265,7 @@ def _bisect(cfg: NetworkConfig, settings: SolverSettings) -> tuple[float, int, i
     budget = min(200, settings.max_iterations)
     for it in range(1, budget + 1):
         mid = 0.5 * (lo + hi)
-        f_mid = _F(mid, cfg)
+        f_mid = F(mid)
         if f_mid == 0.0 or abs(f_mid) < settings.tolerance * 1e-2:
             return mid, it, it + 1, f_mid
         if (f_mid > 0.0) == (f_lo > 0.0):
@@ -269,10 +275,10 @@ def _bisect(cfg: NetworkConfig, settings: SolverSettings) -> tuple[float, int, i
     tau = 0.5 * (lo + hi)
     if budget == settings.max_iterations:
         return tau, it, it + 1, None
-    return tau, it, it + 2, _F(tau, cfg)
+    return tau, it, it + 2, F(tau)
 
 
-def _polish(cfg: NetworkConfig, tau: float, f: float) -> tuple[float, int]:
+def _polish(F: _Map, tau: float, f: float) -> tuple[float, int]:
     """Newton-polish the root of F from tau, where F(tau) = f: best tau and F evaluations.
 
     A residual stop leaves tau off by about residual / |1 - slope of the
@@ -288,7 +294,7 @@ def _polish(cfg: NetworkConfig, tau: float, f: float) -> tuple[float, int]:
         if f == 0.0:
             return t, evaluations
         lo, hi = max(t - h, 0.0), min(t + h, 1.0)
-        slope = (_F(hi, cfg) - _F(lo, cfg)) / (hi - lo)
+        slope = (F(hi) - F(lo)) / (hi - lo)
         evaluations += 2
         if not math.isfinite(slope) or slope == 0.0:
             break
@@ -296,7 +302,7 @@ def _polish(cfg: NetworkConfig, tau: float, f: float) -> tuple[float, int]:
         if not 0.0 <= t_new <= 1.0:
             break
         t = t_new
-        f = _F(t, cfg)
+        f = F(t)
         evaluations += 1
         if abs(f) < best_f:
             best_t, best_f = t, abs(f)
@@ -311,9 +317,10 @@ def solve(cfg: NetworkConfig, settings: SolverSettings = SolverSettings()) -> Fi
     """
     if cfg.N < MIN_NODES:
         raise ValueError(f"the analytical model needs at least {MIN_NODES} nodes, got {cfg.N}")
-    tau, it, evaluations, f = (_bisect if settings.use_bisection else _damped)(cfg, settings)
+    F = _map(cfg)
+    tau, it, evaluations, f = (_bisect if settings.use_bisection else _damped)(F, settings)
     if f is not None:  # a landed route is polished; a spent budget reports its last iterate
-        tau, polished = _polish(cfg, tau, f)
+        tau, polished = _polish(F, tau, f)
         evaluations += polished
     # one more F evaluation, through the public functions: a, p0 and the residual
     # describe the reported tau (and bench/spans.py counts the tau_update call)

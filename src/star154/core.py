@@ -75,6 +75,25 @@ CLEAN_COLLISION_SYMBOLS = ATTEMPT_STEPS[0] + COLLISION_TAIL
 # (c0..c5) of the successful-attempt duration
 # (c0 + c1 a + c2 a^2 + c3 a^3 + c4 a^4 - c5 a^5 + 2L (1 - a^5)) / (1 - a^5)
 T2_COEFFS = (CLEAN_SUCCESS_SYMBOLS, *ATTEMPT_STEPS[1:], T1_SYMBOLS + SUCCESS_TAIL)
+# T3's (c0..c5), printed in the paper, not derived: unlike T2's, they leave 48 at a = 1
+T3_PRINTED_COEFFS = (144, 170, 330, 330, 330, 1256)
+CCA_LIMIT = CONSTANTS.macMaxCSMABackoffs + 1  # CCAs per attempt: PAcc = a**CCA_LIMIT
+RETRY_LIMIT = CONSTANTS.aMaxFrameRetries + 1  # attempts per frame: PColl**RETRY_LIMIT
+K_POWER = 26  # PSuc = (1 - PAcc) k**K_POWER: printed, not derived
+IDLE1_SYMBOLS = 19  # the channel chain's first state (analytical.channel_stationary): printed
+FAIL_EXTRA_SYMBOLS = 6  # TxFail and AckFail last 2L + FAIL_EXTRA_SYMBOLS: printed, not derived
+WAIT_STATES = CONSTANTS.aTurnaroundTime  # n: CW1..CWn and IW1..IWn, one symbol each
+ACK_SUC_SYMBOLS = CONSTANTS.ackFrameSymbols - CONSTANTS.aTurnaroundTime
+ACK_FAIL_POWER = WAIT_STATES + 1  # AckFail's weight (1 - z**ACK_FAIL_POWER) y z**n
+ACK_SUC_POWER = 2 * WAIT_STATES + 1  # AckSuc's weight y z**ACK_SUC_POWER
+CLEAN_CCA_STARTS = IDLE1_SYMBOLS - CONSTANTS.ccaSymbols + 1  # IDLE1 symbols a CCA fits in from
+# The cycle length T, durations times weights summed over the states, collected:
+# 2L + CYCLE_ONE - (2L + CYCLE_X) x + y (1 + z + ... + z**(ACK_SUC_POWER - 1))
+# + (2L + CYCLE_YZN) y z**n - (2L + CYCLE_YZ_ACK) y z**ACK_SUC_POWER
+CYCLE_X = IDLE1_SYMBOLS + FAIL_EXTRA_SYMBOLS + CONSTANTS.macAckWaitDuration
+CYCLE_ONE = CYCLE_X + 1  # and IDLE2
+CYCLE_YZN = CONSTANTS.tAck - CONSTANTS.aTurnaroundTime - 1  # the sum in y holds y z**n once
+CYCLE_YZ_ACK = FAIL_EXTRA_SYMBOLS + CONSTANTS.macAckWaitDuration - ACK_SUC_SYMBOLS
 
 L_NOMINAL_RANGE = (30, 127)  # bytes; values outside only draw a warning
 # frame lengths outside L_NOMINAL_RANGE already warned about in this process:
@@ -153,8 +172,8 @@ def attempt_terms(a: float, k: float) -> tuple[float, ...]:
     service attempt at busy probability a and quiet probability k (quiet_prob).
     No range check: callers validate a and k.
     """
-    a5 = a**5
-    k26 = k**26
+    a5 = a**CCA_LIMIT
+    k26 = k**K_POWER
     D = (1.0 - a5) * (1.0 - k26)
     return a**2, a**3, a**4, a5, k26, (1.0 - a5) * k26, a5, D, D**2, D**3
 

@@ -10,19 +10,18 @@ from dataclasses import dataclass
 
 from . import analytical, queueing  # modules, not names: analytical imports this one back
 from .core import (
+    RETRY_LIMIT,
     NetworkConfig,
     PerformanceReport,
     Source,
     T1_SYMBOLS,
     T2_COEFFS,
+    T3_PRINTED_COEFFS,
     TrafficMode,
     attempt_terms,
     quiet_prob,
 )
 
-# T3 with the coefficients the paper prints. They do not telescope like
-# T2_COEFFS: at a = 1 the numerator is 48, not 0.
-T3_PRINTED_COEFFS = (144, 170, 330, 330, 330, 1256)
 _T1 = float(T1_SYMBOLS)
 
 
@@ -63,7 +62,7 @@ class RetryProbs:
     PF: tuple[float, float, float, float]
 
 
-# The closed forms below work on plain floats, so analytical._F and report()
+# The closed forms below work on plain floats, so analytical._map's F and report()
 # share them without building dataclasses; the public functions wrap the same
 # helpers. They take the powers and outcomes of core.attempt_terms as given.
 # Retry stages travel as one flat tuple: PS[0..3], PC[0..3], PF[0..3].
@@ -83,7 +82,7 @@ def _stages(PSuc: float, PAcc: float, q: float, q2: float, q3: float) -> tuple[f
     return (
         head * PSuc, q * PSuc, q2 * PSuc, q3 * PSuc,
         head * PAcc, q * PAcc, q2 * PAcc, q3 * PAcc,
-        q, q2, q3, q**4,
+        q, q2, q3, q**RETRY_LIMIT,
     )
 
 
@@ -122,7 +121,7 @@ def _delays(
     """PS, TS and TVS from the flat retry stages and the attempt durations.
 
     A service ending at stage i spent i collided attempts (T3 each) before
-    its final attempt; a frame dropped at the retry limit spent 4.
+    its final attempt; a frame dropped at the retry limit spent RETRY_LIMIT.
     """
     delivered, total = _mass(stages)
     s0, s1, s2, s3, c0, c1, c2, c3, _, _, _, drop = stages
@@ -133,7 +132,7 @@ def _delays(
     tvs_num = (
         c0 * T1 + c1 * (T3 + T1) + c2 * (2 * T3 + T1) + c3 * (3 * T3 + T1)
         + ts_num
-        + 4 * drop * T3
+        + RETRY_LIMIT * drop * T3
     )
     return PS, TS, tvs_num / total
 
@@ -153,7 +152,7 @@ def service_times(a: float, L: int) -> ServiceTimes:
     """Mean attempt durations at busy probability a and frame length L."""
     if not 0.0 <= a < 1.0:  # before the powers: a huge |a| would overflow them
         raise ValueError(f"a must be in [0,1): {a}")
-    return ServiceTimes(*_durations((a, a**2, a**3, a**4, a**5), L))
+    return ServiceTimes(*_durations((a, *attempt_terms(a, 1.0)[:4]), L))  # k plays no part
 
 
 def attempt_probs(a: float, k: float) -> AttemptProbs:
@@ -189,8 +188,8 @@ def queue_adjusted(
     TS: float | None, TVS: float, Wq: float
 ) -> tuple[float | None, float]:
     """Add mean queueing wait to the service delays."""
-    if Wq < 0:
-        raise ValueError(f"negative wait: {Wq}")
+    if not Wq >= 0:  # NaN too
+        raise ValueError(f"wait must be >= 0, got {Wq}")
     return (None if TS is None else TS + Wq), TVS + Wq
 
 

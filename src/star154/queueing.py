@@ -33,10 +33,10 @@ class QueueStats:
 
 def utilization(r: float, L: int, TVS: float) -> float:
     """Offered load of the MAC queue: arrivals per mean service time."""
-    if r < 0:
-        raise ValueError(f"negative arrival rate: {r}")
-    if TVS <= 0:
-        raise ValueError(f"service time must be positive: {TVS}")
+    if not r >= 0:  # NaN too
+        raise ValueError(f"arrival rate must be >= 0, got {r}")
+    if not TVS > 0:
+        raise ValueError(f"service time must be positive, got {TVS}")
     return r * TVS / (2 * L)
 
 
@@ -60,8 +60,8 @@ def _direct_power(p: float, M: int) -> float | None:
 
 
 def empty_prob(p: float, M: int) -> float:
-    if p < 0:
-        raise ValueError(f"negative utilization: {p}")
+    if not p >= 0:  # NaN too
+        raise ValueError(f"utilization must be >= 0, got {p}")
     if M < 1:
         raise ValueError(f"capacity must be >= 1: {M}")
     if abs(p - 1.0) < _NEAR_ONE:
@@ -75,8 +75,8 @@ def empty_prob(p: float, M: int) -> float:
 
 def queue_stats(p: float, M: int, lam: float) -> QueueStats:
     """All queue quantities at utilization p, capacity M, arrival rate lam."""
-    if lam < 0:
-        raise ValueError(f"negative arrival rate: {lam}")
+    if not lam >= 0:  # NaN too
+        raise ValueError(f"arrival rate must be >= 0, got {lam}")
     p0 = empty_prob(p, M)
     if abs(p - 1.0) < _NEAR_ONE:
         w = _weights(p, M)

@@ -19,7 +19,6 @@ from star154.analytical import (
     solve,
     tau_update,
     throughput,
-    total_cycle_symbols,
 )
 from star154.core import NetworkConfig, TrafficMode
 from star154.metrics import attempt_probs, delays, retry_probs, service_times
@@ -59,7 +58,7 @@ def test_a_matches_exact_arithmetic_on_grid():
 def test_cycle_length_matches_exact_state_sum():
     for tau, n, l in [(0.003, 10, 100), (0.01, 5, 50), (0.25, 3, 30), (0.9, 2, 127)]:
         want = float(exact_total_T(Fraction(tau).limit_denominator(10**9), n, l))
-        assert abs(total_cycle_symbols(tau, n, l) - want) < 1e-9 * want
+        assert abs(channel_stationary(tau, n, l).total_T - want) < 1e-9 * want
 
 
 # -- channel stationary distribution ------------------------------------------
@@ -170,6 +169,12 @@ def test_tau_update_rejects_out_of_range_inputs():
                 tau_update(bad, 0.5, cfg, 0.5)
             with pytest.raises(ValueError, match="a out of"):
                 tau_update(0.01, bad, cfg, 0.5)
+    # p0 is a probability where the multi-buffer mode uses it
+    for bad in (-5.0, -1e-300, 1.0 + 2**-52, 7.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="p0 out of"):
+            tau_update(0.01, 0.3, mcfg, bad)
+    for good in (0.0, 1.0):
+        assert 0.0 < tau_update(0.01, 0.3, mcfg, good) < 1.0
 
 
 # -- solver -------------------------------------------------------------------
@@ -283,14 +288,15 @@ def test_solver_evaluates_each_point_once(cfg, monkeypatch):
             return fn(tau, *args)
         return wrapper
 
+    real_map = analytical._map
     for solver in (SolverSettings(), SolverSettings(use_bisection=True)):
-        seen = {"_F": [], "tau_update": []}
+        seen = {"F": [], "tau_update": []}
         with monkeypatch.context() as patch:
-            for name in seen:
-                patch.setattr(analytical, name, recording(name, getattr(analytical, name)))
+            patch.setattr(analytical, "_map", lambda c: recording("F", real_map(c)))
+            patch.setattr(analytical, "tau_update", recording("tau_update", tau_update))
             fp = solve(cfg, solver)
         assert fp.converged
-        points = seen["_F"]
+        points = seen["F"]
         assert len(points) == len(set(points))
         # the reported point, once more through the public functions
         assert seen["tau_update"] == [fp.tau]
@@ -313,7 +319,7 @@ def test_warm_multibuffer_solve_and_report_execute_no_import(monkeypatch):
 
 
 def test_F_is_tau_update_at_the_public_queue_chain():
-    # _F and _queue evaluate the multi-buffer queue in one pass; the public
+    # _map's F and _queue evaluate the multi-buffer queue in one pass; the public
     # chain builds each dataclass. Both must give the same bits everywhere.
     from star154.core import quiet_prob
     from star154.queueing import empty_prob, utilization
@@ -326,6 +332,7 @@ def test_F_is_tau_update_at_the_public_queue_chain():
             r = 0.0 if mode is TrafficMode.SATURATED else float(rng.choice([0.0, 0.02, 0.3, 2.0]))
             m = int(rng.choice([2, 5, 400, 2000])) if mode is TrafficMode.UNSATM else 1
             cfg = NetworkConfig(N=n, L=l, mode=mode, r=r, M=m)
+            F = analytical._map(cfg)
             for tau in taus:
                 a = a_from_tau(tau, n, l)
                 p0 = None
@@ -336,7 +343,7 @@ def test_F_is_tau_update_at_the_public_queue_chain():
                     p0 = empty_prob(p, m)
                     assert analytical._queue(tau, a, cfg) == (p, p0, tvs)
                 want = tau_update(tau, a, cfg, p0) - tau
-                assert repr(analytical._F(tau, cfg)) == repr(want), (cfg, tau)
+                assert repr(F(tau)) == repr(want), (cfg, tau)
 
 
 def _outcome(fn):
@@ -367,7 +374,27 @@ def test_F_is_the_public_composition_property(mode, n, l, r, m, tau):
         return tau_update(tau, a, cfg, p0) - tau
 
     # repr tells -0.0 from 0.0 and compares nan; a raised ValueError must match too
-    assert repr(_outcome(lambda: analytical._F(tau, cfg))) == repr(_outcome(public))
+    assert repr(_outcome(lambda: analytical._map(cfg)(tau))) == repr(_outcome(public))
+
+
+# 0, 400 points log-spaced from 1e-12 to 1 and 400 evenly spaced on [0, 1]
+_ROOT_GRID = sorted({0.0, *(10.0 ** (12 * (i / 399 - 1)) for i in range(400)),
+                     *(i / 399 for i in range(400))})
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(mode=st.sampled_from(list(TrafficMode)), n=st.integers(2, 60), l=st.integers(1, 127),
+       share=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+       m=st.integers(2, 2000))
+def test_one_root_per_scenario_property(mode, n, l, share, m):
+    # every route assumes one root on [0, 1]. F is not monotone, so count the
+    # strict sign changes on the grid, never slopes; r runs up to its bound 2L
+    cfg = NetworkConfig(N=n, L=l, mode=mode, r=share * 2 * l,
+                        M=m if mode is TrafficMode.UNSATM else 1)
+    F = analytical._map(cfg)
+    signs = [f > 0.0 for f in map(F, _ROOT_GRID) if f != 0.0]
+    changes = sum(a != b for a, b in zip(signs, signs[1:]))
+    assert changes == (0 if F(0.0) == 0.0 else 1), cfg
 
 
 # sha256 of write_csv(..., ms=True) of each mode's sweep over the grid below:

@@ -1,11 +1,15 @@
 """Protocol constants, configuration validation, and elementary probabilities."""
+import ast
+import dataclasses
+import inspect
 import logging
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from star154 import core
+from star154 import analytical, core, metrics
 from star154.analytical import _channel
 from star154.dataset import SweepSpec, generate_grid
 from star154.core import (
@@ -16,6 +20,8 @@ from star154.core import (
     attempt_terms,
     quiet_prob,
 )
+
+from oracles import channel_state_table, exact_total_T
 
 
 def test_backoff_windows_follow_exponent_rule():
@@ -39,6 +45,57 @@ def test_derived_coefficients_equal_the_printed_integers():
     assert (core.SUCCESS_TAIL, core.COLLISION_TAIL, core.ACK_WAIT_SAVING) == (54, 66, 12)
     assert (core.CLEAN_SUCCESS_SYMBOLS, core.CLEAN_COLLISION_SYMBOLS) == (132, 144)
     assert core.T2_COEFFS == (132, 158, 318, 318, 318, 1244)
+    c = CONSTANTS
+    assert (core.CCA_LIMIT, core.RETRY_LIMIT) == (c.macMaxCSMABackoffs + 1,
+                                                  c.aMaxFrameRetries + 1) == (5, 4)
+    assert core.WAIT_STATES == c.aTurnaroundTime == 12
+    assert core.ACK_SUC_SYMBOLS == c.ackFrameSymbols - c.aTurnaroundTime == 10
+    assert (core.ACK_FAIL_POWER, core.ACK_SUC_POWER) == (c.aTurnaroundTime + 1,
+                                                         2 * c.aTurnaroundTime + 1) == (13, 25)
+    assert core.CLEAN_CCA_STARTS == core.IDLE1_SYMBOLS - c.ccaSymbols + 1 == 12
+    # printed in the paper, not derived
+    assert (core.IDLE1_SYMBOLS, core.FAIL_EXTRA_SYMBOLS, core.K_POWER) == (19, 6, 26)
+    assert core.T3_PRINTED_COEFFS == (144, 170, 330, 330, 330, 1256)
+
+
+def test_cycle_totals_collect_the_state_table():
+    # the chain's durations, named in core, are the oracle's literal ones
+    durations = [(name, d) for name, d, _ in channel_state_table(Fraction(1, 10), 5, 30)]
+    assert [(name, d) for name, d, _ in analytical.channel_stationary(0.1, 5, 30).states] == durations
+    # the named totals reproduce the oracle's state-by-state sum in exact arithmetic
+    assert (core.CYCLE_ONE, core.CYCLE_X, core.CYCLE_YZN, core.CYCLE_YZ_ACK) == (80, 79, 7, 50)
+    for tau, n, l in ((Fraction(1, 10), 5, 30), (Fraction(3, 7), 2, 127), (Fraction(1, 999), 40, 1)):
+        z = (1 - tau) ** (n - 1)
+        x, y = (1 - tau) * z, n * tau * z
+        T = (2 * l + core.CYCLE_ONE - (2 * l + core.CYCLE_X) * x
+             + y * sum(z**j for j in range(core.ACK_SUC_POWER))
+             + (2 * l + core.CYCLE_YZN) * y * z**core.WAIT_STATES
+             - (2 * l + core.CYCLE_YZ_ACK) * y * z**core.ACK_SUC_POWER)
+        assert T == exact_total_T(tau, n, l)
+
+
+def _protocol_numbers() -> set[int]:
+    """Every integer above 3 that CONSTANTS or a constant name in core holds."""
+    values = [getattr(CONSTANTS, f.name) for f in dataclasses.fields(CONSTANTS)]
+    for name in filter(str.isupper, dir(core)):
+        value = getattr(core, name)
+        values += value if isinstance(value, tuple) else [value]
+    return {v for v in values if type(v) is int and v > 3}
+
+
+@pytest.mark.parametrize("module", [analytical, metrics], ids=["analytical", "metrics"])
+def test_closed_forms_take_their_protocol_numbers_from_core(module):
+    # a number of the protocol written as a literal would be a second source;
+    # positions in a tuple (subscripts) are not protocol numbers
+    tree = ast.parse(inspect.getsource(module))
+    positions = {id(n) for s in ast.walk(tree) if isinstance(s, ast.Subscript)
+                 for n in ast.walk(s.slice)}
+    protocol = _protocol_numbers()
+    assert {12, 19, 25, 26, 54, 80} <= protocol
+    literals = [(node.lineno, node.value) for node in ast.walk(tree)
+                if isinstance(node, ast.Constant) and type(node.value) in (int, float)
+                and node.value in protocol and id(node) not in positions]
+    assert literals == []
 
 
 def test_constants_are_immutable():

@@ -195,8 +195,9 @@ def test_one_pass_chain_covers_the_edges():
 def test_queue_adjusted_offsets():
     assert queue_adjusted(100.0, 200.0, 50.0) == (150.0, 250.0)
     assert queue_adjusted(None, 200.0, 50.0) == (None, 250.0)
-    with pytest.raises(ValueError):
-        queue_adjusted(1.0, 2.0, -0.1)
+    for bad in (-0.1, float("nan")):
+        with pytest.raises(ValueError):
+            queue_adjusted(10.0, 20.0, bad)
 
 
 # -- full report --------------------------------------------------------------

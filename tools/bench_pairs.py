@@ -30,8 +30,9 @@ those whose values differ. One short traced run per side cannot resolve
 per-layer timings, so they are left out. `--claim W:METRIC:RATIO` states
 whether the change's median is at least RATIO times the parent's, wins at
 least 9 of every 10 pairs, and beats the parent's median by more than the
-parent's IQR. The output holds only what these runs measured. Standard
-library and git only.
+parent's IQR. `src_lines` holds each side's `wc -l` of every
+`src/star154/*.py` and their total. The output holds only what these runs
+measured. Standard library and git only.
 """
 from __future__ import annotations
 
@@ -93,6 +94,12 @@ def _export(commit: str, dest: Path) -> str:
     with tarfile.open(fileobj=io.BytesIO(tar)) as tf:
         tf.extractall(dest, filter="data")
     return sha
+
+
+def _src_lines(tree: Path) -> dict:
+    """`wc -l` of each package source file in tree, and their total."""
+    lines = {p.name: p.read_bytes().count(b"\n") for p in sorted(tree.glob("src/star154/*.py"))}
+    return {**lines, "total": sum(lines.values())}
 
 
 def _run(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> tuple[dict, dict]:
@@ -196,10 +203,11 @@ def main(argv=None) -> int:
     seconds = spec["run_seconds"]
     scratch = Path(tempfile.mkdtemp(prefix="bench_pairs_"))
     try:
-        trees, commits = {}, {}
+        trees, commits, src_lines = {}, {}, {}
         for side, commit in zip(SIDES, (args.parent, args.change)):
             trees[side] = scratch / side
             commits[side] = _export(commit, trees[side])
+            src_lines[side] = _src_lines(trees[side])
         t0 = time.time()
         workloads = {w: _pairs(trees, w, seeds, seconds, end_to_end)
                      for w, seeds in zip(args.workload, args.seeds)}
@@ -226,6 +234,7 @@ def main(argv=None) -> int:
                      "first says which side ran first in each pair; repetitions is the number "
                      f"of untraced repetitions each run fitted into {seconds:g} s",
         "wall_clock_s": round(time.time() - t0, 1),
+        "src_lines": src_lines,
     }
     if args.claim:
         out["claim"] = _claim(args.claim, workloads, end_to_end)
