@@ -21,8 +21,8 @@ _SUBMODULE_OF = {
         "a_from_tau", "channel_stationary", "solve", "tau_update", "throughput",
     ), "analytical"),
     **dict.fromkeys((
-        "AttemptProbs", "RetryProbs", "ServiceTimes", "attempt_probs", "delays",
-        "queue_adjusted", "reliability", "report", "retry_probs", "service_times",
+        "attempt_probs", "delays", "queue_adjusted", "reliability", "report", "retry_probs",
+        "service_times",
     ), "metrics"),
     **dict.fromkeys(("QueueStats", "empty_prob", "queue_stats", "utilization"), "queueing"),
     **dict.fromkeys(("SimConfig", "SimCounters", "run", "run_replication", "trace"), "simulator"),

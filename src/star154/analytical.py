@@ -108,10 +108,17 @@ def _channel(tau: float, N: int, L: int) -> tuple[float, float, float, float, fl
     return x, y, z, T, min(max(1.0 - (CLEAN_CCA_STARTS * (1.0 - x) + 1.0) / T, 0.0), 1.0)
 
 
+def _check_network(N: int, L: int) -> None:
+    """Refuse N < 1 or L < 1 in the public closed forms; _channel and F trust a NetworkConfig."""
+    if not (N >= 1 and L >= 1):  # NaN too
+        raise ValueError(f"node count and frame length must be >= 1, got N={N}, L={L}")
+
+
 def a_from_tau(tau: float, N: int, L: int) -> float:
     """Probability a CCA finds the channel busy, given the CCA rate tau."""
     if not 0.0 <= tau <= 1.0:
         raise ValueError(f"tau out of [0,1]: {tau}")
+    _check_network(N, L)
     return _channel(tau, N, L)[4]
 
 
@@ -121,6 +128,7 @@ def channel_stationary(tau: float, N: int, L: int) -> ChannelStationaryDistribut
         raise ValueError("tau must be positive; the all-idle channel has no cycle")
     if tau > 1.0:
         raise ValueError(f"tau out of (0,1]: {tau}")
+    _check_network(N, L)
     x, y, z, T, _ = _channel(tau, N, L)
     n = WAIT_STATES
     states: list[tuple[str, int, float]] = [
@@ -146,6 +154,7 @@ def throughput(tau: float, N: int, L: int) -> float:
     """Normalized throughput: fraction of channel time carrying acknowledged payload."""
     if not 0.0 <= tau <= 1.0:
         raise ValueError(f"tau out of [0,1]: {tau}")
+    _check_network(N, L)
     if tau == 0.0:
         return 0.0
     _, y, z, T, _ = _channel(tau, N, L)

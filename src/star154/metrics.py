@@ -1,12 +1,19 @@
 """Per-service outcome probabilities and delay metrics from a converged (tau, a).
 
 A service handles one frame: up to 5 CCAs per channel-access attempt and up
-to 3 retransmissions after a collision. Each attempt ends one of three ways:
-success (acknowledged), access failure (five busy CCAs), or collision.
+to 3 retransmissions after a collision. attempt_probs(a, k) is (PSuc, PAcc,
+PColl): an attempt ends in success (acknowledged), access failure (five busy
+CCAs) or collision. retry_probs spreads them over the stage i = 0..3 at which
+a service ends, as one flat 12-tuple: PS[0..3] (delivered after i collisions),
+PC[0..3] (access drop) and PF[0..3] (still colliding; PF[3] is the retry-limit
+drop). service_times(a, L) is (T1, T2, T3), the mean attempt durations in
+symbols: all mean backoffs + 5 CCAs, until the ACK ends, until the ACK timeout.
+reliability and delays give PS, TS and TVS. attempt_probs and service_times
+check their inputs; analytical._map's F and report() run the helpers unchecked.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 
 from . import analytical, queueing  # modules, not names: analytical imports this one back
 from .core import (
@@ -25,49 +32,6 @@ from .core import (
 _T1 = float(T1_SYMBOLS)
 
 
-@dataclass(frozen=True, slots=True)
-class ServiceTimes:
-    """Mean duration in symbols of one attempt, by outcome.
-
-    T1: frame discarded after five busy CCAs (all mean backoffs + 5 CCAs).
-    T2: successful attempt, ends when the ACK finishes.
-    T3: collided attempt, ends when the ACK timeout expires.
-    """
-
-    T1: float
-    T2: float
-    T3: float
-
-
-@dataclass(frozen=True, slots=True)
-class AttemptProbs:
-    """Outcome probabilities of a single channel-access attempt."""
-
-    PSuc: float
-    PAcc: float  # access failure: five busy CCAs in a row
-    PColl: float
-
-
-@dataclass(frozen=True, slots=True)
-class RetryProbs:
-    """Joint probabilities over the retry stage i = 0..3 at which a service ends.
-
-    PS[i]: delivered at stage i after i collisions.
-    PC[i]: access-failure drop at stage i.
-    PF[i]: still colliding at stage i (PF[3] is the retry-limit drop).
-    """
-
-    PS: tuple[float, float, float, float]
-    PC: tuple[float, float, float, float]
-    PF: tuple[float, float, float, float]
-
-
-# The closed forms below work on plain floats, so analytical._map's F and report()
-# share them without building dataclasses; the public functions wrap the same
-# helpers. They take the powers and outcomes of core.attempt_terms as given.
-# Retry stages travel as one flat tuple: PS[0..3], PC[0..3], PF[0..3].
-
-
 def _terms(a: float, k: float) -> tuple[float, ...]:
     """core.attempt_terms with a and k checked."""
     if not 0.0 <= a <= 1.0 or not 0.0 <= k <= 1.0:
@@ -76,7 +40,7 @@ def _terms(a: float, k: float) -> tuple[float, ...]:
 
 
 def _stages(PSuc: float, PAcc: float, q: float, q2: float, q3: float) -> tuple[float, ...]:
-    """The retry stages of RetryProbs, flat, from the outcomes and the powers of PColl = q."""
+    """The flat retry stages from the outcomes and the powers of PColl = q."""
     # stage-0 weight: complement of ending at stages 1..3 instead
     head = 1.0 - q - q2 - q3
     return (
@@ -93,7 +57,7 @@ def _attempt_duration(c, powers, one: float, L: int) -> float:
 
 
 def _durations(powers: tuple[float, ...], L: int) -> tuple[float, float, float]:
-    """T1, T2 and T3 of ServiceTimes from the powers (a, a^2, a^3, a^4, a^5) at frame length L."""
+    """T1, T2 and T3 from the powers (a, a^2, a^3, a^4, a^5) at frame length L."""
     a = powers[0]
     if not 0.0 <= a < 1.0:
         raise ValueError(f"a must be in [0,1): {a}")
@@ -148,48 +112,44 @@ def _service(a: float, k: float, L: int) -> tuple[float, float | None, float]:
     return _service_from(a, _terms(a, k), L)
 
 
-def service_times(a: float, L: int) -> ServiceTimes:
-    """Mean attempt durations at busy probability a and frame length L."""
+def service_times(a: float, L: int) -> tuple[float, float, float]:
+    """(T1, T2, T3) at busy probability a and frame length L."""
     if not 0.0 <= a < 1.0:  # before the powers: a huge |a| would overflow them
         raise ValueError(f"a must be in [0,1): {a}")
-    return ServiceTimes(*_durations((a, *attempt_terms(a, 1.0)[:4]), L))  # k plays no part
+    if not L >= 1:
+        raise ValueError(f"frame length must be >= 1, got {L}")
+    return _durations((a, *attempt_terms(a, 1.0)[:4]), L)  # k plays no part
 
 
-def attempt_probs(a: float, k: float) -> AttemptProbs:
-    return AttemptProbs(*_terms(a, k)[5:8])
+def attempt_probs(a: float, k: float) -> tuple[float, float, float]:
+    return _terms(a, k)[5:8]
 
 
-def retry_probs(ap: AttemptProbs) -> RetryProbs:
-    s = _stages(ap.PSuc, ap.PAcc, ap.PColl, ap.PColl**2, ap.PColl**3)
-    return RetryProbs(PS=s[:4], PC=s[4:8], PF=s[8:])
+def retry_probs(PSuc: float, PAcc: float, PColl: float) -> tuple[float, ...]:
+    return _stages(PSuc, PAcc, PColl, PColl**2, PColl**3)
 
 
-def _flat(rp: RetryProbs) -> tuple[float, ...]:
-    return (*rp.PS, *rp.PC, *rp.PF)
-
-
-def reliability(rp: RetryProbs) -> float:
+def reliability(stages: tuple[float, ...]) -> float:
     """Probability a frame entering service is eventually delivered."""
-    delivered, total = _mass(_flat(rp))
+    delivered, total = _mass(stages)
     return delivered / total
 
 
-def delays(rp: RetryProbs, st: ServiceTimes) -> tuple[float | None, float]:
+def delays(stages: tuple[float, ...], T1: float, T2: float, T3: float) -> tuple[float | None, float]:
     """Mean service delay of delivered frames (TS) and of all frames (TVS).
 
     TS is the conditional mean given delivery; it is None when delivery never
     happens. Both exclude queueing wait.
     """
-    _, TS, TVS = _delays(_flat(rp), st.T1, st.T2, st.T3)
-    return TS, TVS
+    return _delays(stages, T1, T2, T3)[1:]
 
 
-def queue_adjusted(
-    TS: float | None, TVS: float, Wq: float
-) -> tuple[float | None, float]:
-    """Add mean queueing wait to the service delays."""
-    if not Wq >= 0:  # NaN too
-        raise ValueError(f"wait must be >= 0, got {Wq}")
+def queue_adjusted(TS: float | None, TVS: float, Wq: float) -> tuple[float | None, float]:
+    """Add mean queueing wait to the service delays (TS None when nothing is delivered)."""
+    if not 0.0 <= Wq < math.inf:  # NaN too
+        raise ValueError(f"wait must be finite and >= 0, got {Wq}")
+    if not 0.0 < TVS < math.inf or not (TS is None or 0.0 < TS < math.inf):
+        raise ValueError(f"service delays must be finite and > 0, got TS={TS}, TVS={TVS}")
     return (None if TS is None else TS + Wq), TVS + Wq
 
 

@@ -33,10 +33,12 @@ class QueueStats:
 
 def utilization(r: float, L: int, TVS: float) -> float:
     """Offered load of the MAC queue: arrivals per mean service time."""
-    if not r >= 0:  # NaN too
-        raise ValueError(f"arrival rate must be >= 0, got {r}")
-    if not TVS > 0:
-        raise ValueError(f"service time must be positive, got {TVS}")
+    if not 0.0 <= r < math.inf:  # NaN too
+        raise ValueError(f"arrival rate must be finite and >= 0, got {r}")
+    if not 0.0 < TVS < math.inf:
+        raise ValueError(f"service time must be finite and positive, got {TVS}")
+    if not L >= 1:
+        raise ValueError(f"frame length must be >= 1, got {L}")
     return r * TVS / (2 * L)
 
 
@@ -60,8 +62,8 @@ def _direct_power(p: float, M: int) -> float | None:
 
 
 def empty_prob(p: float, M: int) -> float:
-    if not p >= 0:  # NaN too
-        raise ValueError(f"utilization must be >= 0, got {p}")
+    if not 0.0 <= p < math.inf:  # NaN too; overload (p > 1) is valid
+        raise ValueError(f"utilization must be finite and >= 0, got {p}")
     if M < 1:
         raise ValueError(f"capacity must be >= 1: {M}")
     if abs(p - 1.0) < _NEAR_ONE:
@@ -75,8 +77,8 @@ def empty_prob(p: float, M: int) -> float:
 
 def queue_stats(p: float, M: int, lam: float) -> QueueStats:
     """All queue quantities at utilization p, capacity M, arrival rate lam."""
-    if not lam >= 0:  # NaN too
-        raise ValueError(f"arrival rate must be >= 0, got {lam}")
+    if not 0.0 <= lam < math.inf:  # NaN too
+        raise ValueError(f"arrival rate must be finite and >= 0, got {lam}")
     p0 = empty_prob(p, M)
     if abs(p - 1.0) < _NEAR_ONE:
         w = _weights(p, M)

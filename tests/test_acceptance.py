@@ -142,7 +142,7 @@ def test_01_dropped_frame_constant_service_time():
     rebuilt = sum(CONSTANTS.meanBackoffs) + 5 * CONSTANTS.ccaSymbols
     if rebuilt != 1190:
         failures.append(f"recomputed from protocol constants: {rebuilt}")
-    if metrics.service_times(0.3, 100).T1 != 1190.0:
+    if metrics.service_times(0.3, 100)[0] != 1190.0:
         failures.append("service-time table disagrees")
     _verdict("criterion 01 access-drop service constant", failures)
 
@@ -151,14 +151,14 @@ def test_02_collision_free_service_limits():
     # a busy-free channel with no contention: single attempt, no retries
     failures = []
     for L in (30, 50, 100, 127):
-        st = metrics.service_times(0.0, L)
-        if st.T2 != 132 + 2 * L:
-            failures.append(f"success duration at L={L}: {st.T2}")
-        if st.T3 != 144 + 2 * L:
-            failures.append(f"collision duration at L={L}: {st.T3}")
-        rp = metrics.retry_probs(metrics.attempt_probs(0.0, 1.0))
-        TS, TVS = metrics.delays(rp, st)
-        if TS != st.T2 or TVS != st.T2:
+        T1, T2, T3 = metrics.service_times(0.0, L)
+        if T2 != 132 + 2 * L:
+            failures.append(f"success duration at L={L}: {T2}")
+        if T3 != 144 + 2 * L:
+            failures.append(f"collision duration at L={L}: {T3}")
+        rp = metrics.retry_probs(*metrics.attempt_probs(0.0, 1.0))
+        TS, TVS = metrics.delays(rp, T1, T2, T3)
+        if TS != T2 or TVS != T2:
             failures.append(f"delays not pinned to the success duration at L={L}")
     _verdict("criterion 02 collision-free limits", failures)
 
@@ -171,14 +171,14 @@ def test_03_attempt_probability_identities():
     K = g.uniform(0.0, 1.0, n)
     worst = 0.0
     for i in range(n):
-        ap = metrics.attempt_probs(A[i], K[i])
-        rp = metrics.retry_probs(ap)
+        PSuc, PAcc, PColl = metrics.attempt_probs(A[i], K[i])
+        rp = metrics.retry_probs(PSuc, PAcc, PColl)
         rel = metrics.reliability(rp)
         err = max(
-            abs(ap.PSuc + ap.PAcc + ap.PColl - 1.0),
-            abs(sum(rp.PS) - ap.PSuc),
-            abs(sum(rp.PC) - ap.PAcc),
-            abs(rel - ap.PSuc / (ap.PSuc + ap.PAcc + ap.PColl**4)),
+            abs(PSuc + PAcc + PColl - 1.0),
+            abs(sum(rp[:4]) - PSuc),
+            abs(sum(rp[4:8]) - PAcc),
+            abs(rel - PSuc / (PSuc + PAcc + PColl**4)),
         )
         worst = max(worst, err)
     if worst > 1e-12:
@@ -196,10 +196,10 @@ def test_04_service_outcome_tree_oracle():
         L = int(g.integers(30, 128))
         st = metrics.service_times(a, L)
         ap = metrics.attempt_probs(a, k)
-        rp = metrics.retry_probs(ap)
+        rp = metrics.retry_probs(*ap)
         rel = metrics.reliability(rp)
-        TS, TVS = metrics.delays(rp, st)
-        ps_o, ts_o, tvs_o = outcome_tree(ap.PSuc, ap.PAcc, ap.PColl, st.T1, st.T2, st.T3)
+        TS, TVS = metrics.delays(rp, *st)
+        ps_o, ts_o, tvs_o = outcome_tree(*ap, *st)
         for got, want in ((rel, ps_o), (TS, ts_o), (TVS, tvs_o)):
             worst = max(worst, abs(got - want) / abs(want))
     if worst > 1e-10:

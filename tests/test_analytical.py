@@ -68,6 +68,13 @@ def test_stationary_rejects_zero_tau():
         channel_stationary(0.0, 5, 100)
 
 
+def test_closed_forms_reject_empty_networks():
+    for fn in (a_from_tau, throughput, channel_stationary):
+        for N, L in ((0, 50), (-1, 50), (10, 0), (10, -5)):
+            with pytest.raises(ValueError, match="node count and frame length must be"):
+                fn(0.01, N, L)
+
+
 def test_stationary_wack_identity():
     d = channel_stationary(0.1, 2, 50)
     assert abs(d.weight("wack") - (d.weight("TxFail") + d.weight("AckFail"))) < 1e-15
@@ -238,7 +245,7 @@ def test_solver_multibuffer_consistency():
     from star154.queueing import empty_prob, utilization
 
     k = quiet_prob(fp.tau, cfg.N)
-    _, tvs = delays(retry_probs(attempt_probs(fp.a, k)), service_times(fp.a, cfg.L))
+    _, tvs = delays(retry_probs(*attempt_probs(fp.a, k)), *service_times(fp.a, cfg.L))
     assert abs(tvs - fp.TVS) < 1e-9 * fp.TVS
     assert abs(empty_prob(utilization(cfg.r, cfg.L, tvs), cfg.M) - fp.p0) < 1e-10
     assert abs(tau_update(fp.tau, fp.a, cfg, fp.p0) - fp.tau) <= 1e-11
@@ -338,7 +345,7 @@ def test_F_is_tau_update_at_the_public_queue_chain():
                 p0 = None
                 if mode is TrafficMode.UNSATM:
                     k = quiet_prob(tau, n)
-                    _, tvs = delays(retry_probs(attempt_probs(a, k)), service_times(a, l))
+                    _, tvs = delays(retry_probs(*attempt_probs(a, k)), *service_times(a, l))
                     p = utilization(r, l, tvs)
                     p0 = empty_prob(p, m)
                     assert analytical._queue(tau, a, cfg) == (p, p0, tvs)
@@ -369,7 +376,7 @@ def test_F_is_the_public_composition_property(mode, n, l, r, m, tau):
         a = a_from_tau(tau, n, l)
         p0 = None
         if mode is TrafficMode.UNSATM:
-            _, tvs = delays(retry_probs(attempt_probs(a, quiet_prob(tau, n))), service_times(a, l))
+            _, tvs = delays(retry_probs(*attempt_probs(a, quiet_prob(tau, n))), *service_times(a, l))
             p0 = empty_prob(utilization(r, l, tvs), m)
         return tau_update(tau, a, cfg, p0) - tau
 

@@ -20,18 +20,21 @@ def test_utilization_rejects_bad_inputs():
         utilization(-0.01, 100, 332.0)
     with pytest.raises(ValueError):
         utilization(0.05, 100, 0.0)
-    for r, tvs in ((math.nan, 300.0), (0.1, math.nan)):
+    for r, tvs in ((math.nan, 300.0), (0.1, math.nan), (math.inf, 300.0), (0.1, math.inf)):
         with pytest.raises(ValueError):
             utilization(r, 50, tvs)
+    for L in (0, -5):
+        with pytest.raises(ValueError, match="frame length must be"):
+            utilization(0.1, L, 300.0)
 
 
 def test_queue_forms_reject_nan_and_negative_inputs():
-    for p in (-0.1, math.nan):
+    for p in (-0.1, math.nan, math.inf):
         with pytest.raises(ValueError, match="utilization must be"):
             empty_prob(p, 5)
         with pytest.raises(ValueError, match="utilization must be"):
             queue_stats(p, 5, 1e-3)
-    for lam in (-1e-3, math.nan):
+    for lam in (-1e-3, math.nan, math.inf):
         with pytest.raises(ValueError, match="arrival rate must be"):
             queue_stats(0.5, 5, lam)
 

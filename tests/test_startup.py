@@ -26,8 +26,8 @@ PUBLIC = {
     "analytical": ["ChannelStationaryDistribution", "FixedPoint", "NonConvergenceError",
                    "SolverSettings", "a_from_tau", "channel_stationary", "solve",
                    "tau_update", "throughput"],
-    "metrics": ["AttemptProbs", "RetryProbs", "ServiceTimes", "attempt_probs", "delays",
-                "queue_adjusted", "reliability", "report", "retry_probs", "service_times"],
+    "metrics": ["attempt_probs", "delays", "queue_adjusted", "reliability", "report",
+                "retry_probs", "service_times"],
     "queueing": ["QueueStats", "empty_prob", "queue_stats", "utilization"],
     "simulator": ["SimConfig", "SimCounters", "run", "run_replication", "trace"],
 }
