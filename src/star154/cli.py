@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import dataclasses
 import functools
 import math
 import os
@@ -27,20 +28,26 @@ from .core import TASKS, Engine, NetworkConfig, PerformanceReport, TrafficMode
 _MODES = {m.value: m for m in TrafficMode}
 
 
-def _mode(args, parser) -> TrafficMode:
+def _mode(args, parser, M_values: tuple[int, ...]) -> TrafficMode:
     mode = _MODES[args.mode]
     if mode is not TrafficMode.SATURATED and args.rate is None:
         parser.error(f"--rate is required for mode {args.mode}")
+    if mode is not TrafficMode.UNSATM and M_values != (1,):
+        raise ValueError(f"--buffer applies to mode unsatm only; mode {args.mode} has one buffer")
     return mode
 
 
 def _net_config(args, parser) -> NetworkConfig:
-    mode = _mode(args, parser)
-    return NetworkConfig(
+    M = 1 if args.buffer is None else args.buffer
+    mode = _mode(args, parser, (M,))
+    cfg = NetworkConfig(
         N=args.nodes, L=args.frame_bytes, mode=mode,
-        r=args.rate if args.rate is not None else 0.0,
-        M=1 if mode is TrafficMode.SATURATED or args.buffer is None else args.buffer,
+        r=args.rate if args.rate is not None else 0.0, M=M,
     )
+    if mode is TrafficMode.SATURATED:
+        # NetworkConfig has checked the rate; sat ignores it and keys r = 0, as sweep does
+        cfg = dataclasses.replace(cfg, r=0.0)
+    return cfg
 
 
 @contextlib.contextmanager
@@ -144,12 +151,13 @@ def _cmd_sweep(args, parser) -> int:
     from .analytical import SolverSettings
 
     with _usage_errors(parser):
+        M_values = dataset.parse_range(args.buffer, int) if args.buffer else (1,)
         spec = dataset.SweepSpec(
-            mode=_mode(args, parser),
+            mode=_mode(args, parser, M_values),
             N_values=dataset.parse_range(args.nodes, int),
             L_values=dataset.parse_range(args.frame_bytes, int),
             r_values=dataset.parse_range(args.rate, float) if args.rate else (),
-            M_values=dataset.parse_range(args.buffer, int) if args.buffer else (1,),
+            M_values=M_values,
             engine=Engine(args.engine),
             solver=SolverSettings(tolerance=args.tol, max_iterations=args.max_iter),
             horizon=args.horizon, warmup=args.warmup,

@@ -8,8 +8,8 @@ a service ends, as one flat 12-tuple: PS[0..3] (delivered after i collisions),
 PC[0..3] (access drop) and PF[0..3] (still colliding; PF[3] is the retry-limit
 drop). service_times(a, L) is (T1, T2, T3), the mean attempt durations in
 symbols: all mean backoffs + 5 CCAs, until the ACK ends, until the ACK timeout.
-reliability and delays give PS, TS and TVS. attempt_probs and service_times
-check their inputs; analytical._map's F and report() run the helpers unchecked.
+reliability and delays give PS, TS and TVS. The public functions check their
+inputs; analytical._map's F and report() run the helpers unchecked.
 """
 from __future__ import annotations
 
@@ -30,6 +30,9 @@ from .core import (
 )
 
 _T1 = float(T1_SYMBOLS)
+# lower bounds of the 12 retry stages: the stage-0 weights carry the paper's
+# factor 1 - q - q^2 - q^3, which falls to -2 as PColl = q rises to 1
+_STAGE_FLOOR = (-2.0, 0.0, 0.0, 0.0, -2.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
 
 def _terms(a: float, k: float) -> tuple[float, ...]:
@@ -126,11 +129,21 @@ def attempt_probs(a: float, k: float) -> tuple[float, float, float]:
 
 
 def retry_probs(PSuc: float, PAcc: float, PColl: float) -> tuple[float, ...]:
+    if not (0.0 <= PSuc <= 1.0 and 0.0 <= PAcc <= 1.0 and 0.0 <= PColl <= 1.0):
+        raise ValueError(f"probabilities out of range: PSuc={PSuc}, PAcc={PAcc}, PColl={PColl}")
     return _stages(PSuc, PAcc, PColl, PColl**2, PColl**3)
+
+
+def _check_stages(stages: tuple[float, ...]) -> None:
+    if len(stages) != len(_STAGE_FLOOR):
+        raise ValueError(f"need {len(_STAGE_FLOOR)} retry stages, got {len(stages)}")
+    if not all(lo <= s <= 1.0 for lo, s in zip(_STAGE_FLOOR, stages)):  # NaN too
+        raise ValueError(f"retry stages out of range: {stages}")
 
 
 def reliability(stages: tuple[float, ...]) -> float:
     """Probability a frame entering service is eventually delivered."""
+    _check_stages(stages)
     delivered, total = _mass(stages)
     return delivered / total
 
@@ -141,6 +154,9 @@ def delays(stages: tuple[float, ...], T1: float, T2: float, T3: float) -> tuple[
     TS is the conditional mean given delivery; it is None when delivery never
     happens. Both exclude queueing wait.
     """
+    _check_stages(stages)
+    if not (0.0 < T1 < math.inf and 0.0 < T2 < math.inf and 0.0 < T3 < math.inf):
+        raise ValueError(f"durations must be finite and > 0, got T1={T1}, T2={T2}, T3={T3}")
     return _delays(stages, T1, T2, T3)[1:]
 
 

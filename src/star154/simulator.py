@@ -81,7 +81,9 @@ class SimCounters:
     The first block covers the whole run and satisfies the conservation
     identity arrivals = blocked + deliveries + drops + in_system_at_end.
     The second block covers only the measurement window and feeds the
-    estimators.
+    estimators. Values an identity gives are not stored: the frames
+    serviced in the window are the three w_* outcomes summed, and the
+    payload delivered is w_deliveries * 2L symbols.
     """
 
     arrivals: int = 0
@@ -92,20 +94,17 @@ class SimCounters:
     in_system_at_end: int = 0
     events: int = 0  # events processed before the end of the window
 
-    measured_slots: int = 0
     w_deliveries: int = 0
     w_access_fail_drops: int = 0
     w_retry_fail_drops: int = 0
     cca_starts: int = 0
     cca_busy: int = 0
     channel_busy_symbols: int = 0
-    success_payload_symbols: int = 0
     duplicate_deliveries: int = 0
     service_sum_delivered: float = 0.0
     sojourn_sum_delivered: float = 0.0  # wait + service
     service_sum_all: float = 0.0
     sojourn_sum_all: float = 0.0
-    serviced: int = 0
 
     def conservation_ok(self) -> bool:
         completed = self.deliveries + self.access_fail_drops + self.retry_fail_drops
@@ -124,8 +123,7 @@ class _Node:
 
     __slots__ = (
         "bitgen", "raw", "half", "queue", "frame_arrival", "frame_start",
-        "sink_seen", "busy", "nb", "be", "retries", "cca_end", "cca_busy",
-        "cca_counted", "data_end", "rec",
+        "sink_seen", "busy", "nb", "be", "retries", "cca_end", "cca_busy", "rec",
     )
 
     def __init__(self, bitgen: np.random.PCG64):
@@ -142,8 +140,6 @@ class _Node:
         self.retries = 0
         self.cca_end = -1
         self.cca_busy = False
-        self.cca_counted = False
-        self.data_end = -1
         self.rec = None  # this node's record in on_air while it transmits
 
     def next_raw(self) -> int:
@@ -243,7 +239,7 @@ def run_replication(
             )
             for i, bg in enumerate(streams)
         ]
-    c = SimCounters(measured_slots=horizon)
+    c = SimCounters()
     # the hottest window tallies live in locals and are stored in c at the end
     cca_starts = cca_busy = channel_busy_symbols = 0
 
@@ -260,7 +256,7 @@ def run_replication(
         if len(trace_sink) >= max_trace:
             raise _TraceFull
 
-    on_air: list[list] = []  # [end, collided, node] per transmission
+    on_air: list[list] = []  # [end, collided] per transmission
     in_cca: set[int] = set()
     busy_since = 0  # start slot of the channel-busy interval while on_air is non-empty
 
@@ -289,12 +285,10 @@ def run_replication(
         else:
             c.retry_fail_drops += 1
         if t >= w_start:  # events run only before w_end
-            c.serviced += 1
             c.service_sum_all += service
             c.sojourn_sum_all += service + wait
             if outcome == "deliver":
                 c.w_deliveries += 1
-                c.success_payload_symbols += two_l
                 c.service_sum_delivered += service
                 c.sojourn_sum_delivered += service + wait
             elif outcome == "access_drop":
@@ -346,8 +340,7 @@ def run_replication(
             break
 
         if kind == _BACKOFF_END:
-            counted = nd.cca_counted = t >= w_start
-            if counted:
+            if t >= w_start:
                 cca_starts += 1
             nd.cca_end = held_t = t + _CCA
             held_kind = _CCA_END
@@ -364,7 +357,7 @@ def run_replication(
         elif kind == _CCA_END:
             in_cca.discard(i)
             if nd.cca_busy:
-                if nd.cca_counted:
+                if t - _CCA >= w_start:  # the CCA started in the window
                     cca_busy += 1
                 if tracing:
                     emit(t, i, "cca_result", "busy")
@@ -403,7 +396,7 @@ def run_replication(
                     nodes[j].cca_busy = True
             if not on_air:
                 busy_since = t
-            nd.rec = rec = [held_t, collided, i]
+            nd.rec = rec = [held_t, collided]
             on_air.append(rec)
             if tracing:
                 emit(t, i, "tx_start" if kind == _TX_START else "ack_start", f"until={held_t}")
@@ -417,7 +410,6 @@ def run_replication(
                     channel_busy_symbols += t - lo
             collided = rec[1]
             if kind == _TX_END:
-                nd.data_end = t
                 if tracing:
                     emit(t, i, "tx_end", f"collided={int(collided)}")
                 if collided:
@@ -434,7 +426,8 @@ def run_replication(
                 if tracing:
                     emit(t, i, "ack_end", f"collided={int(collided)}")
                 if collided:
-                    held_t = nd.data_end + _ACK_TIMEOUT
+                    # the timeout runs from the data end, _ACK_GAP + _ACK_LEN ago
+                    held_t = t - _ACK_GAP - _ACK_LEN + _ACK_TIMEOUT
                     held_kind = _FAIL
                 else:
                     frame_done(i, t, "deliver")
@@ -493,14 +486,14 @@ def _estimates(c: SimCounters, net: NetworkConfig, horizon: int) -> dict[str, fl
     est = {
         "tau": c.cca_starts / (net.N * horizon),
         "a": c.cca_busy / c.cca_starts if c.cca_starts else nan,
-        "TH": c.success_payload_symbols / horizon,
+        "TH": c.w_deliveries * net.frame_symbols / horizon,
         "PS": c.w_deliveries / completed if completed else nan,
         "TS": c.service_sum_delivered / c.w_deliveries if c.w_deliveries else nan,
-        "TVS": c.service_sum_all / c.serviced if c.serviced else nan,
+        "TVS": c.service_sum_all / completed if completed else nan,
     }
     if net.mode is TrafficMode.UNSATM:
         est["TSW"] = c.sojourn_sum_delivered / c.w_deliveries if c.w_deliveries else nan
-        est["TVSW"] = c.sojourn_sum_all / c.serviced if c.serviced else nan
+        est["TVSW"] = c.sojourn_sum_all / completed if completed else nan
     return est
 
 

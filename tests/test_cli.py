@@ -73,6 +73,10 @@ def test_usage_errors_exit_2(tmp_path, capsys, training_csv):
          "--rate", "0.05", "--buffer", "1"],
         ["solve", "--mode", "unsat1", "--nodes", "10", "--frame-bytes", "100",
          "--rate", "0.05", "--buffer", "5"],
+        # --buffer other than 1 outside unsatm, in every command
+        ["solve", "--mode", "sat", "--nodes", "10", "--frame-bytes", "100", "--buffer", "7"],
+        ["sweep", "--mode", "unsat1", "--nodes", "5", "--frame-bytes", "100",
+         "--rate", "0.05", "--buffer", "7", "--out", out_csv],
         ["sweep", "--mode", "unsat1", "--nodes", "abc", "--frame-bytes", "100",
          "--rate", "0.05", "--out", "/tmp/x.csv"],
         [],
@@ -211,6 +215,7 @@ def test_oversized_sweep_grid_exits_2_before_it_is_built(monkeypatch, tmp_path, 
 @pytest.mark.parametrize("net", [
     ["--mode", "unsat1", "--nodes", "10", "--frame-bytes", "100", "--rate", "0.05"],
     ["--mode", "sat", "--nodes", "10", "--frame-bytes", "100"],
+    ["--mode", "sat", "--nodes", "10", "--frame-bytes", "100", "--rate", "0.05"],
     ["--mode", "unsatm", "--nodes", "10", "--frame-bytes", "100", "--rate", "0.05",
      "--buffer", "5"],
 ])
@@ -225,7 +230,7 @@ def test_solve_csv_block_is_the_write_csv_record(net, tmp_path, capsys):
     args = dict(zip(net[::2], net[1::2]))
     cfg = NetworkConfig(
         N=int(args["--nodes"]), L=int(args["--frame-bytes"]), mode=TrafficMode(args["--mode"]),
-        r=float(args.get("--rate", 0.0)), M=int(args.get("--buffer", 1)),
+        r=0.0 if args["--mode"] == "sat" else float(args["--rate"]), M=int(args.get("--buffer", 1)),
     )
     row = analytical_row(cfg, SolverSettings())
     swept = tmp_path / "sweep.csv"
@@ -358,6 +363,25 @@ def test_compare_flow(tmp_path, capsys):
     assert "wrote 1 comparisons" in out
     assert any(ln.startswith("# tau:") for ln in out.splitlines())
     assert diff_csv.exists()
+
+
+def test_saturated_simulate_matches_its_sweep_in_compare(tmp_path, capsys):
+    # sat ignores the rate, so both commands key the scenario r = 0
+    sim_csv = tmp_path / "sim.csv"
+    ana_csv = tmp_path / "ana.csv"
+    net = ["--mode", "sat", "--nodes", "5", "--frame-bytes", "50", "--rate", "0.05"]
+    code, out, _ = _run(capsys, ["simulate", *net, "--horizon", "20000", "--reps", "2",
+                                 "--seed", "3"])
+    assert code == 0
+    lines = out.splitlines()
+    row = lines[lines.index(",".join(HEADER)) + 1]
+    assert row.startswith("sat,5,50,0.0,1,simulated,")
+    sim_csv.write_text(",".join(HEADER) + "\n" + row + "\n")
+    assert main(["sweep", *net, "--out", str(ana_csv)]) == 0
+    code, out, err = _run(capsys, ["compare", "--analytical", str(ana_csv),
+                                   "--simulated", str(sim_csv), "--out", str(tmp_path / "d.csv")])
+    assert (code, err) == (0, "")
+    assert "wrote 1 comparisons" in out
 
 
 def _as_simulated(path, out):

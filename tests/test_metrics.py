@@ -110,6 +110,29 @@ def test_reliability_closed_form():
     assert abs(reliability(rp) - want) < 1e-15
 
 
+def test_retry_chain_rejects_bad_inputs():
+    nan, inf = float("nan"), float("inf")
+    for bad in ((2.0, -1.0, 0.0), (nan, 0.5, 0.5), (0.5, 0.5, 1.5), (0.5, nan, 0.5)):
+        with pytest.raises(ValueError, match="probabilities out of range"):
+            reliability(retry_probs(*bad))
+    rp = retry_probs(0.5, 0.3, 0.2)
+    for stages in (rp[:11], rp + (0.0,), ()):
+        with pytest.raises(ValueError, match="need 12 retry stages"):
+            reliability(stages)
+        with pytest.raises(ValueError, match="need 12 retry stages"):
+            delays(stages, 1190.0, 300.0, 320.0)
+    for i, bad in ((0, -2.5), (1, -0.1), (8, 1.5), (4, nan), (11, nan)):
+        stages = rp[:i] + (bad,) + rp[i + 1:]
+        with pytest.raises(ValueError, match="retry stages out of range"):
+            reliability(stages)
+        with pytest.raises(ValueError, match="retry stages out of range"):
+            delays(stages, 1190.0, 300.0, 320.0)
+    for T in ((nan, 300.0, -5.0), (1190.0, inf, 300.0), (1190.0, 300.0, 0.0), (-1.0, 300.0, 320.0),
+              (inf, 300.0, 320.0), (1190.0, 300.0, nan)):
+        with pytest.raises(ValueError, match="durations must be finite and > 0"):
+            delays(rp, *T)
+
+
 def test_reliability_grid_identity():
     rng = np.random.Generator(np.random.PCG64(88004))
     for _ in range(2000):

@@ -14,7 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from star154.core import NetworkConfig, Source, TrafficMode
-from star154.simulator import SimConfig, _Node, run, run_replication, t975, trace
+from star154.simulator import (
+    _ACK_TIMEOUT, SimConfig, _estimates, _Node, run, run_replication, t975, trace,
+)
 
 U1 = lambda n, l, r: NetworkConfig(N=n, L=l, mode=TrafficMode.UNSAT1, r=r)
 
@@ -44,9 +46,10 @@ def test_frame_conservation(net):
 
 
 def test_no_traffic_idle_network():
-    c = run_replication(U1(10, 100, 0.0), 100000, 0, seed=1)
+    net = U1(10, 100, 0.0)
+    c = run_replication(net, 100000, 0, seed=1)
     assert c.arrivals == 0 and c.cca_starts == 0
-    assert c.success_payload_symbols == 0 and c.channel_busy_symbols == 0
+    assert _estimates(c, net, 100000)["TH"] == 0.0 and c.channel_busy_symbols == 0
 
 
 def test_saturated_nodes_never_idle():
@@ -70,15 +73,16 @@ def test_single_node_never_sees_busy_channel():
 
 def test_lone_frame_timeline_and_busy_union():
     # scripted: one arrival at t=0 with zero backoff
+    net = U1(2, 100, 0.01)
     c = run_replication(
-        U1(2, 100, 0.01), 10000, 0, seed=0,
+        net, 10000, 0, seed=0,
         arrival_schedule={0: [0], 1: []}, backoff_schedule={0: [0]},
     )
     assert c.arrivals == 1 and c.deliveries == 1
     # CCA 0-8, turnaround to 20, data 20-220, ACK 240-262
     assert c.service_sum_delivered == 262.0
     assert c.channel_busy_symbols == 200 + 22
-    assert c.success_payload_symbols == 200
+    assert _estimates(c, net, 10000)["TH"] == 200 / 10000
 
 
 @pytest.mark.parametrize("offset", list(range(0, 13)))
@@ -127,8 +131,9 @@ def test_same_slot_events_run_in_insertion_order():
     # queued event runs first both times. Expected lines and counters were
     # recorded from the engine that pushed every event through the heap.
     lines = []
+    net = NetworkConfig(N=3, L=30, mode=TrafficMode.UNSAT1, r=0.01)
     c = run_replication(
-        NetworkConfig(N=3, L=30, mode=TrafficMode.UNSAT1, r=0.01), 2000, 0, seed=0,
+        net, 2000, 0, seed=0,
         trace_sink=lines, max_trace=10000,
         arrival_schedule={0: [12], 1: [0], 2: [60]},
         backoff_schedule={0: [0, 0, 3], 1: [1, 1, 0], 2: [0, 2]},
@@ -157,38 +162,62 @@ def test_same_slot_events_run_in_insertion_order():
     ]
     assert dataclasses.asdict(c) == dict(
         arrivals=3, blocked_arrivals=0, deliveries=3, access_fail_drops=0,
-        retry_fail_drops=0, in_system_at_end=0, events=41, measured_slots=2000,
+        retry_fail_drops=0, in_system_at_end=0, events=41,
         w_deliveries=3, w_access_fail_drops=0, w_retry_fail_drops=0, cca_starts=10,
-        cca_busy=5, channel_busy_symbols=314, success_payload_symbols=180,
+        cca_busy=5, channel_busy_symbols=314,
         duplicate_deliveries=0, service_sum_delivered=1674.0,
         sojourn_sum_delivered=1674.0, service_sum_all=1674.0, sojourn_sum_all=1674.0,
-        serviced=3,
     )
+    # 180 payload symbols delivered, 3 frames serviced in the window
+    est = _estimates(c, net, 2000)
+    assert est["TH"] == 180 / 2000 and est["TVS"] == 1674.0 / 3
 
 
 def test_collided_ack_causes_duplicate_delivery():
     # node 1's CCA (230-238) ends before node 0's ACK begins at 240, so it
     # transmits over the ACK; node 0 times out and resends a frame the sink
     # already has
+    lines = []
     c = run_replication(
         U1(2, 100, 0.01), 200000, 0, seed=0,
+        trace_sink=lines, max_trace=10000,
         arrival_schedule={0: [0], 1: [230]},
         backoff_schedule={0: [0, 10], 1: [0, 5000]},
     )
     assert c.deliveries == 2
     assert c.duplicate_deliveries == 1
     assert c.retry_fail_drops == 0 and c.access_fail_drops == 0
+    # the timeout after the collided ACK (240-262) runs from the data end at 220
+    node0 = [ln.split("\t") for ln in lines if ln.split("\t")[1] == "0"]
+    tx_end = next(int(t) for t, _, event, _ in node0 if event == "tx_end")
+    retry = next(int(t) for t, _, event, _ in node0 if event == "retry")
+    assert (tx_end, retry) == (220, 220 + _ACK_TIMEOUT)
 
 
 def test_warmup_excludes_early_events_from_window():
     kw = dict(
         arrival_schedule={0: [0], 1: []}, backoff_schedule={0: [0]},
     )
-    full = run_replication(U1(2, 100, 0.01), 10000, 0, seed=0, **kw)
-    late = run_replication(U1(2, 100, 0.01), 10000, 5000, seed=0, **kw)
+    net = U1(2, 100, 0.01)
+    full = run_replication(net, 10000, 0, seed=0, **kw)
+    late = run_replication(net, 10000, 5000, seed=0, **kw)
     assert full.w_deliveries == 1 and late.w_deliveries == 0
     assert late.deliveries == 1  # whole-run totals still see it
-    assert late.cca_starts == 0 and late.success_payload_symbols == 0
+    assert late.cca_starts == 0 and _estimates(late, net, 10000)["TH"] == 0.0
+    # node 1's busy CCA hears node 0's data (4990-5190); starting at 4999 it
+    # straddles the window start at 5000, and counts only where the window
+    # holds its start
+    for start, counted in ((4999, 0), (5000, 1)):
+        scripted = dict(
+            arrival_schedule={0: [4970], 1: [start]}, backoff_schedule={0: [0], 1: [0, 1000]},
+        )
+        lines = []
+        late = run_replication(net, 10000, 5000, seed=0, trace_sink=lines, max_trace=10000,
+                               **scripted)
+        assert f"{start + 8}\t1\tcca_result\tbusy" in lines
+        assert late.cca_starts == late.cca_busy == counted
+        full = run_replication(net, 15000, 0, seed=0, **scripted)
+        assert full.cca_starts == 2 and full.cca_busy == 1
 
 
 def test_queueing_wait_measured_only_with_buffers():
@@ -271,18 +300,24 @@ def test_trace_stops_at_its_last_line():
 
 
 def test_estimates_match_counters():
-    from star154.simulator import _estimates
-
     net = U1(4, 100, 0.08)
     horizon = 200000
     c = run_replication(net, horizon, 10000, seed=2)
     est = _estimates(c, net, horizon)
     assert est["tau"] == c.cca_starts / (4 * horizon)
     assert est["a"] == c.cca_busy / c.cca_starts
-    assert est["TH"] == c.success_payload_symbols / horizon
+    assert est["TH"] == c.w_deliveries * 2 * 100 / horizon
     completed = c.w_deliveries + c.w_access_fail_drops + c.w_retry_fail_drops
     assert est["PS"] == c.w_deliveries / completed
     assert not math.isnan(est["TVS"])
+    # TVS and TVSW average over every frame serviced in the window, drops too
+    net = NetworkConfig(N=8, L=40, mode=TrafficMode.UNSATM, r=0.15, M=3)
+    c = run_replication(net, horizon, 10000, seed=2)
+    est = _estimates(c, net, horizon)
+    completed = c.w_deliveries + c.w_access_fail_drops + c.w_retry_fail_drops
+    assert completed > c.w_deliveries
+    assert est["TVS"] == c.service_sum_all / completed
+    assert est["TVSW"] == c.sojourn_sum_all / completed
 
 
 def test_events_count_the_lone_frame_timeline():
@@ -307,8 +342,9 @@ def test_events_match_one_trace_line_per_event():
     assert c.events == sum(ln.split("\t")[2] in per_event for ln in lines) > 0
 
 
-# sha256 of the counters (all fields but events) of seeds 3, 4, 5 and of
-# trace() of seed 3, recorded from the Generator-based engine these draws replace
+# sha256 of the counters (all fields but events, in their recorded layout) of
+# seeds 3, 4, 5 and of trace() of seed 3, recorded from the Generator-based
+# engine these draws replace
 PINNED = {
     "unsat1": (
         NetworkConfig(N=6, L=60, mode=TrafficMode.UNSAT1, r=0.1),
@@ -335,7 +371,17 @@ def test_random_stream_and_event_order_are_pinned(mode):
     counted = []
     for seed in (3, 4, 5):
         c = run_replication(net, 60000, 2000, seed)
-        values = [getattr(c, f.name) for f in dataclasses.fields(c) if f.name != "events"]
+        # the counters as they were recorded, with the three tallies that are
+        # no longer stored rebuilt from their identities in their old places
+        done = c.w_deliveries + c.w_access_fail_drops + c.w_retry_fail_drops
+        values = [
+            c.arrivals, c.blocked_arrivals, c.deliveries, c.access_fail_drops,
+            c.retry_fail_drops, c.in_system_at_end, 60000, c.w_deliveries,
+            c.w_access_fail_drops, c.w_retry_fail_drops, c.cca_starts, c.cca_busy,
+            c.channel_busy_symbols, c.w_deliveries * net.frame_symbols,
+            c.duplicate_deliveries, c.service_sum_delivered, c.sojourn_sum_delivered,
+            c.service_sum_all, c.sojourn_sum_all, done,
+        ]
         h.update(repr(values).encode())
         counted.append(c.events)
     cfg = SimConfig(net=net, horizon_mini_slots=60000, warmup_mini_slots=2000,
@@ -389,6 +435,6 @@ def test_ci95_is_a_student_t_half_width():
     rep = run(cfg)
     th = []
     for seed in (17, 18, 19):
-        th.append(run_replication(cfg.net, 20000, 2000, seed).success_payload_symbols / 20000)
+        th.append(run_replication(cfg.net, 20000, 2000, seed).w_deliveries * 2 * 100 / 20000)
     assert rep.TH == pytest.approx(np.mean(th))
     assert rep.ci95["TH"] == pytest.approx(4.302653 * np.std(th, ddof=1) / math.sqrt(3))
