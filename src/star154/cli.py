@@ -163,6 +163,9 @@ def _cmd_sweep(args, parser) -> int:
             horizon=args.horizon, warmup=args.warmup,
             replications=args.reps, base_seed=args.seed,
         )
+        if spec.mode is TrafficMode.SATURATED:  # sat's grid keys r = 0, so check the typed rates
+            for r in spec.r_values:
+                NetworkConfig(N=spec.N_values[0], L=spec.L_values[0], mode=spec.mode, r=r)
         rows = dataset.run_sweep(spec, jobs=args.jobs)  # builds the grid's configs
     with _file_errors(parser, args.out):
         dataset.write_csv(rows, args.out, ms=args.ms)

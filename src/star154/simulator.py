@@ -2,13 +2,16 @@
 
 N nodes contend for one sink. All times are integer mini-slots (1 symbol).
 Arrivals are Bernoulli per mini-slot with probability r/2L, realized through
-geometric gaps so idle periods cost no work. A CCA lasts 8 symbols and fails
-if any transmission (data or ACK) overlaps any of them; a clean CCA is
-followed by a 12-symbol turnaround and a 2L-symbol transmission. The sink
-ACKs every cleanly received frame with a 22-symbol ACK starting 20 symbols
-after the data ends; the sender times out 54 symbols after the data ends.
-Busy CCAs escalate NB/BE and drop the frame after five failures; collisions
-consume retries and drop the frame after three retransmissions.
+geometric gaps so idle periods cost no work. A CCA lasts 8 symbols; a clean
+CCA is followed by a 12-symbol turnaround and a 2L-symbol transmission. The
+sink ACKs every cleanly received frame with a 22-symbol ACK starting 20
+symbols after the data ends; the sender times out 54 symbols after the data
+ends. A CCA over the slots [s, e) reads busy, and a transmission (data or
+ACK) over [s, e) collides, exactly when another transmission [s2, e2)
+overlaps it: s2 < e and e2 > s. The channel is kept as counters, not as a
+list of transmissions. Busy CCAs escalate NB/BE and drop the frame after
+five failures; collisions consume retries and drop the frame after three
+retransmissions.
 
 The simulation is exact with respect to the per-mini-slot rules: events only
 skip over slots in which provably nothing happens. Events run in time order,
@@ -58,14 +61,15 @@ class SimConfig:
     base_seed: int = 0
 
     def __post_init__(self):
-        if self.horizon_mini_slots <= 0:
-            raise ValueError("horizon must be positive")
-        if self.replications < 1:
-            raise ValueError("need at least one replication")
-        if self.warmup_mini_slots is not None and self.warmup_mini_slots < 0:
-            raise ValueError("warmup cannot be negative")
-        if self.base_seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.base_seed}")
+        if not isinstance(self.horizon_mini_slots, int) or self.horizon_mini_slots <= 0:
+            raise ValueError(f"horizon must be a positive integer, got {self.horizon_mini_slots}")
+        if not isinstance(self.replications, int) or self.replications < 1:
+            raise ValueError(f"replications must be a positive integer, got {self.replications}")
+        w = self.warmup_mini_slots
+        if w is not None and (not isinstance(w, int) or w < 0):
+            raise ValueError(f"warmup must be an integer >= 0, got {w}")
+        if not isinstance(self.base_seed, int) or self.base_seed < 0:
+            raise ValueError(f"seed must be an integer >= 0, got {self.base_seed}")
 
     @property
     def warmup(self) -> int:
@@ -123,7 +127,7 @@ class _Node:
 
     __slots__ = (
         "bitgen", "raw", "half", "queue", "frame_arrival", "frame_start",
-        "sink_seen", "busy", "nb", "be", "retries", "cca_end", "cca_busy", "rec",
+        "sink_seen", "busy", "nb", "be", "retries", "mark", "hit",
     )
 
     def __init__(self, bitgen: np.random.PCG64):
@@ -138,9 +142,10 @@ class _Node:
         self.nb = 0
         self.be = _MIN_BE
         self.retries = 0
-        self.cca_end = -1
-        self.cca_busy = False
-        self.rec = None  # this node's record in on_air while it transmits
+        # for the current CCA or transmission: n_starts just after it began,
+        # and whether a transmission already on air overlapped its start
+        self.mark = 0
+        self.hit = False
 
     def next_raw(self) -> int:
         raw = self.raw
@@ -256,9 +261,13 @@ def run_replication(
         if len(trace_sink) >= max_trace:
             raise _TraceFull
 
-    on_air: list[list] = []  # [end, collided] per transmission
-    in_cca: set[int] = set()
-    busy_since = 0  # start slot of the channel-busy interval while on_air is non-empty
+    # The channel. air_end is the latest end of any transmission started so
+    # far; one gone from the air ended at or before now, so air_end > t says
+    # one on air overlaps slot t. n_air transmissions are on air; n_starts
+    # counts the starts, start_slot is the latest's slot, n_before the
+    # starts before that slot.
+    air_end = n_air = n_starts = n_before = start_slot = 0
+    busy_since = 0  # start slot of the channel-busy interval while n_air > 0
 
     def start_service(i: int, t: int, arrival: int):
         nd = nodes[i]
@@ -342,21 +351,16 @@ def run_replication(
         if kind == _BACKOFF_END:
             if t >= w_start:
                 cca_starts += 1
-            nd.cca_end = held_t = t + _CCA
+            held_t = t + _CCA
             held_kind = _CCA_END
-            busy = False
-            for rec in on_air:
-                if rec[0] > t:
-                    busy = True
-                    break
-            nd.cca_busy = busy
-            in_cca.add(i)
+            nd.hit = air_end > t
+            nd.mark = n_starts
             if tracing:
                 emit(t, i, "cca_start", f"nb={nd.nb}")
 
         elif kind == _CCA_END:
-            in_cca.discard(i)
-            if nd.cca_busy:
+            # a start at slot t is not counted: it does not overlap [t - _CCA, t)
+            if nd.hit or (n_starts if start_slot < t else n_before) > nd.mark:
                 if t - _CCA >= w_start:  # the CCA started in the window
                     cca_busy += 1
                 if tracing:
@@ -385,30 +389,28 @@ def run_replication(
             else:
                 held_t = t + _ACK_LEN
                 held_kind = _ACK_END
-            collided = False
-            for rec in on_air:
-                if rec[0] > t:
-                    rec[1] = True
-                    collided = True
-            # anyone mid-CCA hears this transmission start
-            for j in in_cca:
-                if nodes[j].cca_end > t:
-                    nodes[j].cca_busy = True
-            if not on_air:
+            nd.hit = air_end > t
+            if held_t > air_end:
+                air_end = held_t
+            if t > start_slot:
+                start_slot = t
+                n_before = n_starts
+            n_starts += 1
+            nd.mark = n_starts
+            if not n_air:
                 busy_since = t
-            nd.rec = rec = [held_t, collided]
-            on_air.append(rec)
+            n_air += 1
             if tracing:
                 emit(t, i, "tx_start" if kind == _TX_START else "ack_start", f"until={held_t}")
 
         elif kind == _TX_END or kind == _ACK_END:
-            rec = nd.rec
-            on_air.remove(rec)  # a node has one record on air at most, so only rec is equal
-            if not on_air:  # the channel-busy interval closes
+            n_air -= 1
+            if not n_air:  # the channel-busy interval closes
                 lo = busy_since if busy_since > w_start else w_start
                 if t > lo:
                     channel_busy_symbols += t - lo
-            collided = rec[1]
+            # a start at slot t is not counted: it does not overlap [s, t)
+            collided = nd.hit or (n_starts if start_slot < t else n_before) > nd.mark
             if kind == _TX_END:
                 if tracing:
                     emit(t, i, "tx_end", f"collided={int(collided)}")
@@ -467,7 +469,7 @@ def run_replication(
             heappush(heap, (held_t, seq(), held_kind, i))
             held_kind = -1
 
-    if on_air:  # close the busy interval still open at the end of the window
+    if n_air:  # close the busy interval still open at the end of the window
         lo = busy_since if busy_since > w_start else w_start
         if w_end > lo:
             channel_busy_symbols += w_end - lo

@@ -148,6 +148,14 @@ def test_usage_errors_exit_2(tmp_path, capsys, training_csv):
         err = capsys.readouterr().err
         assert err.splitlines()[-1].startswith("star154: error: "), argv
         assert "Traceback" not in err
+    # sat's grid keys r = 0, yet its typed rates get the message of every other mode
+    for mode in ("sat", "unsat1"):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--mode", mode, "--nodes", "5", "--frame-bytes", "50", "--rate=-1",
+                  "--out", out_csv])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "star154: error: arrival rate must be finite and >= 0, got -1.0")
     # such data is reported like a malformed data file
     for data, problem in ((one_l, "a feature is constant"), (one_n, "target is constant"),
                           (few, "need at least 10 usable rows, got 4")):

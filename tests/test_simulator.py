@@ -124,6 +124,41 @@ def test_late_cca_hears_transmission_start(offset):
     assert c.cca_starts == 3
 
 
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    mode=st.sampled_from(list(TrafficMode)),
+    N=st.integers(2, 40), L=st.integers(1, 127), r=st.floats(0.0, 1.0),
+    M=st.integers(2, 5), seed=st.integers(0, 2**31 - 1),
+)
+def test_channel_outcomes_follow_the_overlap_rule(mode, N, L, r, M, seed):
+    # every CCA result and collision flag in a trace is the half-open overlap
+    # rule applied to the trace's own transmissions: [s, e) and [s2, e2)
+    # overlap when s2 < e and e2 > s. Only frames of 10 bytes or less are
+    # short enough for a start to fall on the slot another transmission ends.
+    net = NetworkConfig(N=N, L=L, mode=mode, r=r, M=M if mode is TrafficMode.UNSATM else 1)
+    cfg = SimConfig(net=net, horizon_mini_slots=10**6, replications=1, base_seed=seed)
+    spans = []  # (start, end) of every transmission, data or ACK
+    outcomes = []  # (start, end, own span or None, reported busy or collided)
+    cca_since, on_air = {}, {}  # per node: its open CCA's start, its span on air
+    for line in trace(cfg, max_events=2000):
+        t, node, event, detail = line.split("\t")
+        t = int(t)
+        if event == "cca_start":
+            cca_since[node] = t
+        elif event == "cca_result":
+            outcomes.append((cca_since.pop(node), t, None, detail == "busy"))
+        elif event in ("tx_start", "ack_start"):
+            on_air[node] = len(spans)
+            spans.append((t, int(detail.removeprefix("until="))))
+        elif event in ("tx_end", "ack_end"):
+            own = on_air.pop(node)
+            assert spans[own][1] == t
+            outcomes.append((*spans[own], own, detail == "collided=1"))
+    for s, e, own, reported in outcomes:
+        overlap = any(s2 < e and e2 > s for k, (s2, e2) in enumerate(spans) if k != own)
+        assert reported == overlap, (s, e, own)
+
+
 def test_same_slot_events_run_in_insertion_order():
     # each node's next step may skip the heap, but not past an event queued
     # earlier for the same slot: at 20 node 1's backoff ends as node 0's CCA
@@ -280,9 +315,27 @@ def test_trace_lines_are_wellformed_and_reproducible():
     assert lines == trace(cfg, max_events=200)
 
 
-def test_sim_config_rejects_a_negative_seed():
-    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
-        SimConfig(net=U1(5, 100, 0.05), horizon_mini_slots=1000, base_seed=-1)
+_SIM_CONFIG_RULES = {
+    "horizon_mini_slots": "horizon must be a positive integer",
+    "warmup_mini_slots": "warmup must be an integer >= 0",
+    "replications": "replications must be a positive integer",
+    "base_seed": "seed must be an integer >= 0",
+}
+_BAD_SIM_CONFIG = [
+    # a NaN or infinite horizon never reaches the window end, so it must not construct
+    ("horizon_mini_slots", math.nan), ("horizon_mini_slots", math.inf),
+    ("horizon_mini_slots", 2500.7), ("horizon_mini_slots", 0),
+    ("warmup_mini_slots", 10.5), ("warmup_mini_slots", math.nan), ("warmup_mini_slots", -1),
+    ("replications", 2.5), ("replications", 0),
+    ("base_seed", 1.5), ("base_seed", -1),
+]
+
+
+@pytest.mark.parametrize("field, value", _BAD_SIM_CONFIG,
+                         ids=[f"{f}={v}" for f, v in _BAD_SIM_CONFIG])
+def test_sim_config_rejects_bad_values(field, value):
+    with pytest.raises(ValueError, match=f"^{_SIM_CONFIG_RULES[field]}, got {value}$"):
+        SimConfig(net=U1(5, 100, 0.05), **{"horizon_mini_slots": 1000, field: value})
 
 
 def test_trace_stops_at_its_last_line():
