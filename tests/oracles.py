@@ -3,7 +3,8 @@
 Everything here is computed by a different route than the package: exact
 rational arithmetic over literal state-by-state sums instead of simplified
 closed forms, brute-force enumeration instead of telescoped formulas, and
-stationary birth-death solves instead of queueing identities.
+stationary birth-death solves instead of queueing identities, and a
+mini-slot by mini-slot stepper instead of the simulator's event queue.
 """
 from __future__ import annotations
 
@@ -11,6 +12,9 @@ import math
 from fractions import Fraction
 
 import numpy as np
+
+from star154.core import CONSTANTS, TrafficMode
+from star154.simulator import SimCounters, _Node
 
 
 def channel_state_table(tau: Fraction, N: int, L: int):
@@ -165,3 +169,152 @@ def mm1k_event_sim(lam: float, mu: float, K: int, events: int, reps: int, seed: 
         lq = sum((m - 1) * occ[m] for m in range(1, K + 1))
         out.append((occ[0], occ[K], lq))
     return out
+
+
+# MAC phases of a node in the reference stepper; each ends at the slot `until`
+_IDLE, _BACKOFF, _CCA, _TURN, _TX, _GAP, _ACK, _WAIT = range(8)
+
+
+class _Station:
+    """One node of the reference stepper: its MAC phase and the frame in service."""
+
+    def __init__(self, rng: _Node):
+        self.rng = rng  # used only for its draws
+        self.phase, self.since, self.until = _IDLE, 0, -1
+        self.queue: list[int] = []
+        self.next_arrival = None
+        self.frame_arrival = self.frame_start = self.data_end = 0
+        self.nb = self.be = self.retries = 0
+        self.sink_seen = False
+        self.span = -1  # index of its transmission in the channel's list
+
+
+def reference_replication(net, horizon: int, warmup: int, seed: int) -> SimCounters:
+    """The counters of simulator.run_replication, one mini-slot at a time.
+
+    The simulator module docstring's rules, applied literally: each node is a
+    state machine over its MAC phases, and the channel is the list of every
+    transmission ever started, scanned for the overlap rule. Each node draws
+    from a `_Node` on the engine's (seed, node) stream, and consumes it only
+    at its own transitions, in time order, so a correct engine follows the
+    same trajectory. `events` is left 0.
+
+    Phase order within a slot: first every arrival, then every node's MAC
+    transitions. One node can pass several phases in one slot (a zero backoff
+    starts the CCA in the slot it was drawn). No rule reads the order of two
+    nodes within a phase. The window [warmup, warmup + horizon) counts a CCA
+    by its start, a busy CCA only when its start lies in the window and its
+    end before the window closes, a frame outcome and a duplicate by their
+    slot, and channel time by the slots with a transmission on air.
+    """
+    C = CONSTANTS
+    w_start, w_end = warmup, warmup + horizon
+    sat = net.mode is TrafficMode.SATURATED
+    p = net.p_arrival
+    c = SimCounters()
+    nodes = [_Station(_Node(np.random.PCG64(np.random.SeedSequence((seed, i)))))
+             for i in range(net.N)]
+    spans: list[tuple[int, int]] = []  # [start, end) of every transmission, data or ACK
+
+    def overlapped(s: int, e: int, own: int = -1) -> bool:
+        return any(s2 < e and e2 > s for k, (s2, e2) in enumerate(spans) if k != own)
+
+    def backoff(nd: _Station, t: int):
+        nd.rng.be = nd.be
+        nd.phase, nd.until = _BACKOFF, t + nd.rng.draw_backoff()
+
+    def start(nd: _Station, t: int, arrival: int):
+        nd.frame_arrival, nd.frame_start = arrival, t
+        nd.sink_seen = False
+        nd.nb, nd.be, nd.retries = 0, C.macMinBE, 0
+        backoff(nd, t)
+
+    def done(nd: _Station, t: int, outcome: str):
+        service, wait = t - nd.frame_start, nd.frame_start - nd.frame_arrival
+        setattr(c, outcome, getattr(c, outcome) + 1)
+        if t >= w_start:
+            setattr(c, "w_" + outcome, getattr(c, "w_" + outcome) + 1)
+            c.service_sum_all += service
+            c.sojourn_sum_all += service + wait
+            if outcome == "deliveries":
+                c.service_sum_delivered += service
+                c.sojourn_sum_delivered += service + wait
+        nd.phase, nd.until = _IDLE, -1
+        if sat:
+            c.arrivals += 1
+            start(nd, t, t)
+        elif nd.queue:
+            start(nd, t, nd.queue.pop(0))
+
+    def transmit(nd: _Station, t: int, phase: int, length: int):
+        nd.span = len(spans)
+        spans.append((t, t + length))
+        nd.phase, nd.since, nd.until = phase, t, t + length
+
+    def step(nd: _Station, t: int):
+        if nd.phase == _BACKOFF:
+            nd.phase, nd.since, nd.until = _CCA, t, t + C.ccaSymbols
+            if t >= w_start:
+                c.cca_starts += 1
+        elif nd.phase == _CCA:
+            if overlapped(nd.since, t):
+                if nd.since >= w_start:
+                    c.cca_busy += 1
+                nd.nb += 1
+                nd.be = min(nd.be + 1, C.aMaxBE)
+                if nd.nb > C.macMaxCSMABackoffs:
+                    done(nd, t, "access_fail_drops")
+                else:
+                    backoff(nd, t)
+            else:
+                nd.phase, nd.until = _TURN, t + C.aTurnaroundTime
+        elif nd.phase == _TURN:
+            transmit(nd, t, _TX, net.frame_symbols)
+        elif nd.phase == _TX:
+            nd.data_end = t
+            if overlapped(nd.since, t, nd.span):
+                nd.phase, nd.until = _WAIT, t + C.macAckWaitDuration
+            else:
+                if nd.sink_seen and t >= w_start:
+                    c.duplicate_deliveries += 1
+                nd.sink_seen = True
+                nd.phase, nd.until = _GAP, t + C.tAck
+        elif nd.phase == _GAP:
+            transmit(nd, t, _ACK, C.ackFrameSymbols)
+        elif nd.phase == _ACK:
+            if overlapped(nd.since, t, nd.span):
+                nd.phase, nd.until = _WAIT, nd.data_end + C.macAckWaitDuration
+            else:
+                done(nd, t, "deliveries")
+        else:  # _WAIT: the ACK timed out
+            nd.retries += 1
+            if nd.retries > C.aMaxFrameRetries:
+                done(nd, t, "retry_fail_drops")
+            else:
+                nd.nb, nd.be = 0, C.macMinBE
+                backoff(nd, t)
+
+    for nd in nodes:
+        if sat:
+            c.arrivals += 1
+            start(nd, 0, 0)
+        else:
+            nd.next_arrival = nd.rng.next_arrival(0, p)
+    for t in range(w_end):
+        for nd in nodes:  # phase 1: arrivals
+            if nd.next_arrival == t:
+                c.arrivals += 1
+                if nd.phase == _IDLE:
+                    start(nd, t, t)
+                elif 1 + len(nd.queue) < net.M:
+                    nd.queue.append(t)
+                else:
+                    c.blocked_arrivals += 1
+                nd.next_arrival = nd.rng.next_arrival(t + 1, p)
+        for nd in nodes:  # phase 2: MAC transitions
+            while nd.until == t:
+                step(nd, t)
+        if t >= w_start and any(nd.phase in (_TX, _ACK) for nd in nodes):
+            c.channel_busy_symbols += 1
+    c.in_system_at_end = sum((nd.phase != _IDLE) + len(nd.queue) for nd in nodes)
+    return c

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import reference_replication
 from star154.core import NetworkConfig, Source, TrafficMode
 from star154.simulator import (
     _ACK_TIMEOUT, SimConfig, _estimates, _Node, run, run_replication, t975, trace,
@@ -158,6 +159,20 @@ def test_channel_outcomes_follow_the_overlap_rule(mode, N, L, r, M, seed):
         overlap = any(s2 < e and e2 > s for k, (s2, e2) in enumerate(spans) if k != own)
         assert reported == overlap, (s, e, own)
 
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    mode=st.sampled_from(list(TrafficMode)),
+    N=st.integers(1, 6), L=st.integers(1, 127), r=st.floats(0.0, 1.5),
+    M=st.integers(2, 5), warmup=st.integers(0, 500), horizon=st.integers(1, 5000),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_engine_matches_the_slot_by_slot_reference(mode, N, L, r, M, warmup, horizon, seed):
+    # the event loop and a stepper that visits every mini-slot must agree on
+    # every counter; the stepper has no events to count
+    net = NetworkConfig(N=N, L=L, mode=mode, r=r, M=M if mode is TrafficMode.UNSATM else 1)
+    c = run_replication(net, horizon, warmup, seed)
+    assert dataclasses.replace(c, events=0) == reference_replication(net, horizon, warmup, seed)
 
 def test_same_slot_events_run_in_insertion_order():
     # each node's next step may skip the heap, but not past an event queued
