@@ -206,8 +206,9 @@ def parallel_map(fn, items: list, jobs: int) -> list:
     if jobs > 1 and len(items) > 1:
         from concurrent.futures import ProcessPoolExecutor  # costs ~18 ms to import
 
+        # four chunks per worker: one item per message costs more than a cheap item
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(fn, items))
+            return list(pool.map(fn, items, chunksize=max(1, len(items) // (4 * jobs))))
     return [fn(item) for item in items]
 
 

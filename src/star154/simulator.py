@@ -14,9 +14,9 @@ five failures; collisions consume retries and drop the frame after three
 retransmissions.
 
 The simulation is exact with respect to the per-mini-slot rules: events only
-skip over slots in which provably nothing happens. Events run in time order,
-ties in the order they were scheduled; a node's next event bypasses the heap
-when no queued event can precede it.
+skip over slots in which provably nothing happens, and a CCA is one event, at
+its end. Events run in time order; in one slot, arrivals run first and the
+rest in the order scheduled (no rule reads the order of two nodes' events).
 """
 from __future__ import annotations
 
@@ -45,9 +45,9 @@ _MAX_BE = CONSTANTS.aMaxBE
 # costs light scenarios more than it saves, since they draw little per node
 _RAW_BLOCK = 64
 
-# event kinds, in no particular priority: ties are resolved by insertion
-# order and the physics below is insensitive to it
-_ARRIVAL, _BACKOFF_END, _CCA_END, _TX_START, _TX_END, _ACK_START, _ACK_END, _FAIL = range(8)
+_ARRIVAL, _CCA_END, _TX_START, _TX_END, _ACK_START, _ACK_END, _FAIL = range(7)
+# taken off an arrival's insertion number, so it runs before any MAC event of its slot
+_ARRIVALS_FIRST = 1 << 62
 
 
 @dataclass(frozen=True, slots=True)
@@ -96,7 +96,7 @@ class SimCounters:
     access_fail_drops: int = 0
     retry_fail_drops: int = 0
     in_system_at_end: int = 0
-    events: int = 0  # events processed before the end of the window
+    events: int = 0  # events run before the window's end; a CCA is one, at its end
 
     w_deliveries: int = 0
     w_access_fail_drops: int = 0
@@ -142,8 +142,8 @@ class _Node:
         self.nb = 0
         self.be = _MIN_BE
         self.retries = 0
-        # for the current CCA or transmission: n_starts just after it began,
-        # and whether a transmission already on air overlapped its start
+        # for the current transmission: n_starts just after it began, and
+        # whether a transmission already on air overlapped its start
         self.mark = 0
         self.hit = False
 
@@ -172,7 +172,8 @@ class _Node:
         if p >= 1.0:
             return after
         u = 1.0 - (self.next_raw() >> 11) * 2.0**-53  # in (0, 1]
-        return after + int(math.log(u) / math.log1p(-p))
+        gap = math.log(u) / math.log1p(-p)  # infinite when p is subnormal
+        return after + int(gap) if gap < math.inf else None
 
 
 class _ScriptedNode(_Node):
@@ -249,9 +250,9 @@ def run_replication(
     cca_starts = cca_busy = channel_busy_symbols = 0
 
     # events are (time, insertion number, kind, node): equal times pop in
-    # insertion order
+    # insertion order, arrivals first
     heap: list[tuple[int, int, int, int]] = []
-    heappush, heappop = heapq.heappush, heapq.heappop
+    heappush, heappop, heapreplace = heapq.heappush, heapq.heappop, heapq.heapreplace
     seq = itertools.count().__next__
 
     tracing = trace_sink is not None and max_trace > 0
@@ -264,9 +265,9 @@ def run_replication(
     # The channel. air_end is the latest end of any transmission started so
     # far; one gone from the air ended at or before now, so air_end > t says
     # one on air overlaps slot t. n_air transmissions are on air; n_starts
-    # counts the starts, start_slot is the latest's slot, n_before the
-    # starts before that slot.
-    air_end = n_air = n_starts = n_before = start_slot = 0
+    # counts the starts, start_slot is the latest's slot, and n_before and
+    # air_before are n_starts and air_end just before its first start.
+    air_end = air_before = n_air = n_starts = n_before = start_slot = 0
     busy_since = 0  # start slot of the channel-busy interval while n_air > 0
 
     def start_service(i: int, t: int, arrival: int):
@@ -281,7 +282,7 @@ def run_replication(
         delay = nd.draw_backoff()
         if tracing:
             emit(t, i, "backoff", f"delay={delay}")
-        heappush(heap, (t + delay, seq(), _BACKOFF_END, i))
+        heappush(heap, (t + delay + _CCA, seq(), _CCA_END, i))
 
     def frame_done(i: int, t: int, outcome: str):
         nd = nodes[i]
@@ -316,7 +317,7 @@ def run_replication(
     def schedule_arrival(i: int, after: int):
         t_next = nodes[i].next_arrival(after, p_arr)
         if t_next is not None:
-            heappush(heap, (t_next, seq(), _ARRIVAL, i))
+            heappush(heap, (t_next, seq() - _ARRIVALS_FIRST, _ARRIVAL, i))
 
     for i in range(N):
         if sat:
@@ -328,11 +329,10 @@ def run_replication(
     # A handler that ends by scheduling its own node's next event sets held_t
     # and held_kind instead of pushing it, and the held event runs next
     # without a trip through the heap. If the heap holds an event at held_t or
-    # earlier, that event must run first (at the same slot it was inserted
-    # first), so the held event is pushed after all.
+    # earlier, that event must run first (at the same slot it is an arrival or
+    # was inserted first), so it swaps places with the held event.
     held_kind = -1  # -1: nothing held
     held_t = n_held = 0
-    stopped_early = 0  # the last event taken lies past the window and was not run
     while True:
         if held_kind >= 0:  # same node i, nd as the event that held it
             t = held_t
@@ -344,24 +344,18 @@ def run_replication(
             nd = nodes[i]
         else:
             break
-        if t >= w_end:
-            stopped_early = 1
+        if t >= w_end:  # not run: back among the unrun events
+            heap.append((t, 0, kind, i))
             break
 
-        if kind == _BACKOFF_END:
-            if t >= w_start:
+        if kind == _CCA_END:
+            s = t - _CCA  # the CCA's start
+            if s >= w_start:
                 cca_starts += 1
-            held_t = t + _CCA
-            held_kind = _CCA_END
-            nd.hit = air_end > t
-            nd.mark = n_starts
-            if tracing:
-                emit(t, i, "cca_start", f"nb={nd.nb}")
-
-        elif kind == _CCA_END:
-            # a start at slot t is not counted: it does not overlap [t - _CCA, t)
-            if nd.hit or (n_starts if start_slot < t else n_before) > nd.mark:
-                if t - _CCA >= w_start:  # the CCA started in the window
+            # busy when the latest end among transmissions started before t
+            # lies after s; a start at slot t does not overlap [s, t)
+            if (air_end if start_slot < t else air_before) > s:
+                if s >= w_start:
                     cca_busy += 1
                 if tracing:
                     emit(t, i, "cca_result", "busy")
@@ -374,8 +368,8 @@ def run_replication(
                     delay = nd.draw_backoff()
                     if tracing:
                         emit(t, i, "backoff", f"delay={delay}")
-                    held_t = t + delay
-                    held_kind = _BACKOFF_END
+                    held_t = t + delay + _CCA
+                    held_kind = _CCA_END
             else:
                 held_t = t + _TURN
                 held_kind = _TX_START
@@ -390,11 +384,12 @@ def run_replication(
                 held_t = t + _ACK_LEN
                 held_kind = _ACK_END
             nd.hit = air_end > t
-            if held_t > air_end:
-                air_end = held_t
             if t > start_slot:
                 start_slot = t
                 n_before = n_starts
+                air_before = air_end
+            if held_t > air_end:
+                air_end = held_t
             n_starts += 1
             nd.mark = n_starts
             if not n_air:
@@ -462,22 +457,25 @@ def run_replication(
                 delay = nd.draw_backoff()
                 if tracing:
                     emit(t, i, "backoff", f"delay={delay}")
-                held_t = t + delay
-                held_kind = _BACKOFF_END
+                held_t = t + delay + _CCA
+                held_kind = _CCA_END
 
         if held_kind >= 0 and heap and heap[0][0] <= held_t:
-            heappush(heap, (held_t, seq(), held_kind, i))
-            held_kind = -1
+            held_t, _, held_kind, i = heapreplace(heap, (held_t, seq(), held_kind, i))
+            nd = nodes[i]
+            n_held -= 1  # counted once already, when it was pushed
 
     if n_air:  # close the busy interval still open at the end of the window
         lo = busy_since if busy_since > w_start else w_start
         if w_end > lo:
             channel_busy_symbols += w_end - lo
-    c.cca_starts = cca_starts
+    # a CCA that started in the window and ends at or after its end counts too
+    c.cca_starts = cca_starts + sum(
+        kind == _CCA_END and w_start <= t - _CCA < w_end for t, _, kind, _ in heap)
     c.cca_busy = cca_busy
     c.channel_busy_symbols = channel_busy_symbols
     c.in_system_at_end = sum(int(nd.busy) + len(nd.queue) for nd in nodes)
-    c.events = seq() + n_held - len(heap) - stopped_early  # pushed or held, less unrun
+    c.events = seq() + n_held - len(heap)  # pushed or held, less unrun
     return c
 
 

@@ -22,9 +22,11 @@ of pairs the change won, and a verdict against the metric's `bound`:
 "regressed" when the change's median is worse than the parent's by more
 than that share of the parent's median, "unresolved" when the parent's own
 IQR is wider than that share and some parent run beats some change run,
-else "within bound". It also holds the repetitions each run fitted, and the
-attempted and failed checks. `--trace-workloads` adds one `--trace 1` run of
-each side per named workload (seed TRACE_SEED, TRACE_SECONDS long) and
+else "within bound". It also holds the repetitions each run fitted, the
+attempted and failed checks, and each run's `checks.digest` where the
+workload reports one (simulate's digest of its estimates).
+`--trace-workloads` adds one `--trace 1` run of each side per named
+workload (seed TRACE_SEED, TRACE_SECONDS long) and
 records its exact per-layer metrics (unit count or bytes); `differs` names
 those whose values differ. One short traced run per side cannot resolve
 per-layer timings, so they are left out. `--claim W:METRIC:RATIO` states
@@ -157,6 +159,8 @@ def _pairs(trees: dict, workload: str, seeds: list[int], seconds: float, spec: d
         "correct": {s: all(r["correct"] for _, r in runs[s]) for s in SIDES},
         "repetitions": {s: [rep["repetitions"] for rep, _ in runs[s]] for s in SIDES},
     }
+    if "digest" in runs["parent"][0][0]["checks"]:
+        out["digest"] = {s: [rep["checks"]["digest"] for rep, _ in runs[s]] for s in SIDES}
     for name, metric in spec.items():
         values = {s: [r["metrics"][name]["value"] for _, r in runs[s]] for s in SIDES}
         entry = {s: _spread(values[s]) for s in SIDES}
