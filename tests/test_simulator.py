@@ -173,24 +173,28 @@ def test_engine_matches_the_slot_by_slot_reference(mode, N, L, r, M, warmup, hor
     assert dataclasses.replace(c, events=0) == reference_replication(net, horizon, warmup, seed)
 
 
-@pytest.mark.parametrize("arrivals", [[30, 65, 70], [30, 62, 70]])
+@pytest.mark.parametrize("arrivals", [[30, 65, 70], [22, 62]],
+                         ids=["mac_event_scheduled_first", "held_mac_event_yields"])
 def test_arrivals_run_before_mac_events_in_their_slot(arrivals):
-    # node 1 transmits over 20-220, so node 0's five zero-backoff CCAs from 30
-    # all read busy and its frame is dropped at 70, the slot its third frame
-    # arrives. Arrivals run first, so at M = 1 that frame finds node 0 busy and
-    # is blocked. With [30, 65, 70] the drop at 70 was scheduled (at 62) before
-    # that arrival (at 65); with [30, 62, 70] the arrival is queued when the
-    # drop's CCA end is held at 62, so the held event must yield to it.
+    # node 1 transmits over 20-220, so node 0's five zero-backoff CCAs from its
+    # first arrival all read busy, and its frame is dropped 40 slots later, in
+    # the slot its last frame arrives. Arrivals run first, so at M = 1 that
+    # frame finds node 0 busy and is blocked. With [30, 65, 70] the drop at 70
+    # was scheduled (at 62) before that arrival (at 65); with [22, 62] the
+    # arrival is queued when the drop's CCA end is held (at 54), so the held
+    # event must yield to it.
+    drop = arrivals[0] + 40
     lines = []
     c = run_replication(
         U1(2, 100, 0.01), 1000, 0, seed=0, trace_sink=lines, max_trace=10000,
         arrival_schedule={0: arrivals, 1: [0]}, backoff_schedule={0: [0] * 5, 1: [0]},
     )
-    assert [ln for ln in lines if ln.startswith("70\t")] == [
-        "70\t0\tblocked\tqueue=0", "70\t0\tcca_result\tbusy", "70\t0\taccess_drop\tservice=40",
+    assert [ln.split("\t")[1:] for ln in lines if ln.startswith(f"{drop}\t")] == [
+        ["0", "blocked", "queue=0"], ["0", "cca_result", "busy"], ["0", "access_drop", "service=40"],
     ]
-    assert (c.arrivals, c.blocked_arrivals, c.access_fail_drops, c.deliveries) == (4, 2, 1, 1)
-    assert c.in_system_at_end == 0 and c.cca_starts == 6 and c.cca_busy == 5
+    assert (c.arrivals, c.blocked_arrivals) == (len(arrivals) + 1, len(arrivals) - 1)
+    assert (c.access_fail_drops, c.deliveries, c.in_system_at_end) == (1, 1, 0)
+    assert (c.cca_starts, c.cca_busy) == (6, 5)
 
 
 def test_cross_node_ties_leave_the_counters_unchanged():
