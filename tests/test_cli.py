@@ -12,7 +12,7 @@ from star154 import dataset
 from star154.cli import build_parser, main
 from star154.core import NetworkConfig, TrafficMode
 from star154.dataset import HEADER, analytical_row, read_csv, write_csv
-from star154.predictor import MLPArchitecture, forward, init_model, save_model
+from star154.predictor import MLPArchitecture, forward, init_model, load_model, save_model
 
 
 def _run(capsys, argv):
@@ -562,6 +562,23 @@ def test_bad_model_file_exits_2(tmp_path, capsys, small_model):
         _exit_2_with_one_line(
             capsys, ["predict", "--model", str(path), "--input", "0.05,100,0.9,400"],
             str(path), problem)
+
+
+def test_model_files_with_crlf_or_cr_line_ends_load_alike(tmp_path, capsys, small_model):
+    text = small_model.read_bytes()
+    model = load_model(str(small_model))
+    predict = ["predict", "--input", "0.05,100,0.9,400", "--model"]
+    outcome = _outcome(capsys, predict + [str(small_model)])
+    assert outcome[0] == 0
+    for name, line_end in (("crlf.txt", b"\r\n"), ("cr.txt", b"\r")):
+        path = tmp_path / name
+        path.write_bytes(text.replace(b"\n", line_end))
+        back = load_model(str(path))
+        assert back.params.tobytes() == model.params.tobytes()
+        assert (back.in_min.tobytes(), back.in_max.tobytes()) == (
+            model.in_min.tobytes(), model.in_max.tobytes())
+        assert (back.out_min, back.out_max) == (model.out_min, model.out_max)
+        assert _outcome(capsys, predict + [str(path)]) == outcome
 
 
 def test_bad_csv_file_exits_2(tmp_path, capsys, training_csv):

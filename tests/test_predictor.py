@@ -8,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from star154.cli import main
 from star154.predictor import (
     DEFAULT_HIDDEN,
     DESK_HIDDEN,
@@ -145,10 +146,16 @@ TRAINED_MODEL_SHA256 = "b62deccd2599d733454d448f3569c631adf394fcc86d7c6538ea2bc2
 TRAINED_ARRAYS_SHA256 = "0499f2e34b569ff20598c3fb5fdd1ff03b9d82b35f18a59573570cd844b99313"
 
 
-def test_trained_model_file_is_pinned(tmp_path):
+def _trained_model():
+    """The 3-epoch desk-scale model the pins above and below describe."""
     X, y = _toy_data(200, seed=31)
     m, _ = train(init_model(MLPArchitecture(hidden=DESK_HIDDEN), seed=31), X, y,
                  TrainConfig(epochs=3, batch_size=8, learning_rate=0.2, seed=31))
+    return m
+
+
+def test_trained_model_file_is_pinned(tmp_path):
+    m = _trained_model()
     path = tmp_path / "m.txt"
     save_model(m, str(path))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == TRAINED_MODEL_SHA256
@@ -156,6 +163,29 @@ def test_trained_model_file_is_pinned(tmp_path):
     arrays = (back.params, back.in_min, back.in_max, np.array([back.out_min, back.out_max]))
     digest = hashlib.sha256(b"".join(a.astype("<f8").tobytes() for a in arrays))
     assert digest.hexdigest() == TRAINED_ARRAYS_SHA256
+
+
+# sha256 of the newline-joined reprs of forward() on that model at 64 seeded
+# inputs: 32 inside its training range (about [0, 1] on every input) and 32
+# drawn from [-3, 4], each outside it on some input; a refactor of the
+# forward pass that keeps its arithmetic keeps the digest (a BLAS build that
+# rounds matrix products differently does not)
+FORWARD_REPRS_SHA256 = "a2baefc27c0c620c3cd03558b56bc57db4432d8e56b41563610350c92ea51475"
+
+
+def test_forward_outputs_are_pinned(tmp_path, capsys):
+    m = _trained_model()
+    rng = np.random.Generator(np.random.PCG64(2701))
+    inputs = np.vstack([rng.uniform(0.05, 0.95, size=(32, 4)),
+                        rng.uniform(-3.0, 4.0, size=(32, 4))])
+    reprs = [repr(forward(m, x)) for x in inputs.tolist()]
+    assert hashlib.sha256("\n".join(reprs).encode()).hexdigest() == FORWARD_REPRS_SHA256
+    # the command line prints the same repr, after a save and a load
+    path = tmp_path / "m.txt"
+    save_model(m, str(path))
+    x = inputs[40].tolist()
+    assert main(["predict", "--model", str(path), "--input=" + ",".join(map(repr, x))]) == 0
+    assert capsys.readouterr().out == reprs[40] + "\n"
 
 
 def test_full_batch_loss_decreases():
