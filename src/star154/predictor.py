@@ -133,11 +133,6 @@ def init_model(arch: MLPArchitecture, seed: int) -> MLPModel:
     return model
 
 
-def _sigmoid(v: np.ndarray) -> np.ndarray:
-    # the tanh form cannot overflow for any finite v
-    return 0.5 * (1.0 + np.tanh(0.5 * v))
-
-
 def normalize_inputs(model: MLPModel, X: np.ndarray) -> np.ndarray:
     span = model.in_max - model.in_min
     return _NORM_LO + (_NORM_HI - _NORM_LO) * (X - model.in_min) / span
@@ -147,29 +142,37 @@ def normalize_target(model: MLPModel, y: np.ndarray) -> np.ndarray:
     return _NORM_LO + (_NORM_HI - _NORM_LO) * (y - model.out_min) / (model.out_max - model.out_min)
 
 
-def denormalize_target(model: MLPModel, yn: np.ndarray) -> np.ndarray:
+def denormalize_target(model: MLPModel, yn: np.ndarray | float) -> np.ndarray | float:
     return model.out_min + (yn - _NORM_LO) * (model.out_max - model.out_min) / (_NORM_HI - _NORM_LO)
 
 
 def _forward_normalized(model: MLPModel, Xn: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Forward pass on normalized inputs; returns output and all activations."""
+    """Forward pass on normalized inputs, one row or a batch of rows; returns
+    output and all activations."""
     acts = [Xn]
     h = Xn
     last = len(model.weights) - 1
     for l, (W, b) in enumerate(zip(model.weights, model.biases)):
-        z = h @ W + b
-        h = z if l == last else _sigmoid(z)
+        h = h @ W
+        h += b
+        if l != last:
+            # the sigmoid 0.5 * (1 + tanh(z / 2)), in place on the fresh z = h;
+            # the tanh form cannot overflow for any finite z
+            h *= 0.5
+            np.tanh(h, out=h)
+            h += 1.0
+            h *= 0.5
         acts.append(h)
     return h, acts
 
 
 def forward(model: MLPModel, x) -> float:
     """Denormalized prediction for one 4-component input."""
-    x = np.asarray(x, dtype=float).reshape(1, -1)
-    if x.shape[1] != model.arch.input_dim:
-        raise ValueError(f"expected {model.arch.input_dim} inputs, got {x.shape[1]}")
+    x = np.asarray(x, dtype=float).reshape(-1)
+    if x.size != model.arch.input_dim:
+        raise ValueError(f"expected {model.arch.input_dim} inputs, got {x.size}")
     yn, _ = _forward_normalized(model, normalize_inputs(model, x))
-    return float(denormalize_target(model, yn)[0, 0])
+    return denormalize_target(model, float(yn[0]))
 
 
 def outside_training_range(model: MLPModel, x) -> list[tuple[int, float, float, float]]:
@@ -333,21 +336,29 @@ def save_model(model: MLPModel, path: str) -> None:
 def load_model(path: str) -> MLPModel:
     """Read a file written by save_model; a malformed file raises ValueError.
 
-    Blank lines are ignored. The header holds ``mlp-v2`` and the five layer
-    sizes, each range line exactly two finite reals, low below high, and the
-    last line the parameters in hex, 16 digits each, every one finite.
+    The file is UTF-8 text whose lines end in \\n, \\r\\n or a lone \\r, as
+    text mode reads them. Blank lines are ignored. The header holds ``mlp-v2``
+    and the five layer sizes, each range line exactly two finite reals, low
+    below high, and the last line the parameters in hex, 16 digits each, every
+    one finite.
     """
+    with open(path, "rb") as fh:
+        data = fh.read()
     try:
-        with open(path) as fh:
-            text = fh.read()
+        text = data.decode()
     except UnicodeDecodeError:
         raise ValueError(f"{path}: not a text file") from None
-    raw = text.split("\n")
-    lines = list(filter(None, map(str.strip, raw)))
+    if "\r" in text:  # test first: replace() is slow to search a long line for "\r\n"
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    # the parameter line is the last non-blank one: split and strip only the short lines above it
+    above, _, last = text.rstrip().rpartition("\n")
+    lines = list(filter(None, map(str.strip, above.split("\n"))))
+    if last:
+        lines.append(last.lstrip())
 
     def bad(k: int, problem: str) -> ValueError:
         """The error for the k-th non-blank line, located by its number in the file."""
-        line_no = [n for n, ln in enumerate(raw, start=1) if ln.strip()][k]
+        line_no = [n for n, ln in enumerate(text.split("\n"), start=1) if ln.strip()][k]
         return ValueError(f"{path}:{line_no}: {problem}")
 
     if not lines:
@@ -364,7 +375,7 @@ def load_model(path: str) -> MLPModel:
         arch = MLPArchitecture(input_dim=sizes[0], hidden=tuple(sizes[1:4]), output_dim=sizes[4])
     except ValueError as e:
         raise bad(0, str(e)) from None
-    n_ranges = arch.input_dim + 1
+    n_params, n_ranges = arch.n_params, arch.input_dim + 1
     expected = 1 + n_ranges + 1  # header, ranges, parameters
     if len(lines) < expected:
         raise ValueError(f"{path}: truncated: {len(lines)} of {expected} non-blank lines")
@@ -380,23 +391,23 @@ def load_model(path: str) -> MLPModel:
             raise bad(k, f"expected a finite range with low < high, got {lines[k]!r}")
         ranges.append((lo, hi))
     k, digits = expected - 1, lines[-1]
-    if len(digits) != 16 * arch.n_params:
-        raise bad(k, f"parameters: expected {16 * arch.n_params} hex digits, got {len(digits)}")
+    if len(digits) != 16 * n_params:
+        raise bad(k, f"parameters: expected {16 * n_params} hex digits, got {len(digits)}")
     try:
         # fromhex skips whitespace between byte pairs, so count the bytes too
         payload = bytearray.fromhex(digits)
     except ValueError as e:
         raise bad(k, f"parameters: {e}") from None
-    if len(payload) != 8 * arch.n_params:
-        raise bad(k, f"parameters: expected {8 * arch.n_params} bytes, got {len(payload)}")
+    if len(payload) != 8 * n_params:
+        raise bad(k, f"parameters: expected {8 * n_params} bytes, got {len(payload)}")
     # a bytearray keeps the array writable; astype is a no-op on little-endian hosts
     flat = np.frombuffer(payload, dtype="<f8").astype(float, copy=False)
     finite = np.isfinite(flat)
     if not finite.all():
         i = int(finite.argmin())
         raise bad(k, f"parameters: parameter {i + 1} is {float(flat[i])}, not a finite real")
-    in_min, in_max = (np.array(col) for col in zip(*ranges[:-1]))
-    out_min, out_max = ranges[-1]
+    *inputs, (out_min, out_max) = ranges
+    in_min, in_max = np.array(inputs).T
     return MLPModel(
         arch=arch, params=flat,
         in_min=in_min, in_max=in_max, out_min=out_min, out_max=out_max,
