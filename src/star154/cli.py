@@ -2,8 +2,8 @@
 
 Units are symbols (1 symbol = 16 us) for delays and frames per frame duration
 for the arrival rate. Exit codes: 0 success, 1 computational failure
-(non-convergence) or a closed stdout, 2 usage error or a missing, unreadable,
-malformed or untrainable input file.
+(non-convergence, a prediction that is not finite) or a closed stdout, 2
+usage error or a missing, unreadable, malformed or untrainable input file.
 
 Each command-line value is checked once, by the config type that holds it or
 the function that consumes it; commands build and call those inside
@@ -251,12 +251,16 @@ def _cmd_predict(args, parser) -> int:
                 f"{args.model}: model has {arch.input_dim} inputs and {arch.output_dim} "
                 f"outputs; predict needs {len(x)} inputs and 1 output"
             )
-    outside = predictor.outside_training_range(model, x)
+    answer = predictor.forward(model, x)
+    outside = "; ".join(f"input {j + 1} = {v!r} outside the training range [{lo!r}, {hi!r}]"
+                        for j, v, lo, hi in predictor.outside_training_range(model, x))
+    if not math.isfinite(answer):  # the arithmetic overflowed: there is no answer to print
+        print(f"{parser.prog}: error: the model's answer is {answer!r}, not a finite real"
+              + (f"; {outside}" if outside else ""), file=sys.stderr)
+        return 1
     if outside:
-        print(f"{parser.prog}: warning: " + "; ".join(
-            f"input {j + 1} = {v!r} outside the training range [{lo!r}, {hi!r}]"
-            for j, v, lo, hi in outside) + "; the answer is an extrapolation", file=sys.stderr)
-    print(repr(predictor.forward(model, x)))
+        print(f"{parser.prog}: warning: {outside}; the answer is an extrapolation", file=sys.stderr)
+    print(repr(answer))
     return 0
 
 

@@ -167,11 +167,16 @@ def _forward_normalized(model: MLPModel, Xn: np.ndarray) -> tuple[np.ndarray, li
 
 
 def forward(model: MLPModel, x) -> float:
-    """Denormalized prediction for one 4-component input."""
+    """Denormalized prediction for one 4-component input.
+
+    An input far outside the training range can overflow the arithmetic; the
+    answer is then inf or nan, returned without a numpy warning.
+    """
     x = np.asarray(x, dtype=float).reshape(-1)
     if x.size != model.arch.input_dim:
         raise ValueError(f"expected {model.arch.input_dim} inputs, got {x.size}")
-    yn, _ = _forward_normalized(model, normalize_inputs(model, x))
+    with np.errstate(over="ignore", invalid="ignore"):
+        yn, _ = _forward_normalized(model, normalize_inputs(model, x))
     return denormalize_target(model, float(yn[0]))
 
 

@@ -2,6 +2,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,9 @@ from star154 import dataset
 from star154.cli import build_parser, main
 from star154.core import NetworkConfig, TrafficMode
 from star154.dataset import HEADER, analytical_row, read_csv, write_csv
-from star154.predictor import MLPArchitecture, forward, init_model, load_model, save_model
+from star154.predictor import (
+    DESK_HIDDEN, MLPArchitecture, forward, init_model, load_model, save_model,
+)
 
 
 def _run(capsys, argv):
@@ -533,6 +536,32 @@ def test_predict_warns_on_inputs_outside_the_training_range(tmp_path, capsys):
                  "input 4 = -1000000.0 outside the training range [0.0, 5000.0]"):
         assert text in err
     assert "input 2" not in err
+
+    # input 1 overflows to inf once scaled; the sigmoids saturate, and the
+    # answer stays finite, with no numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = _outcome(capsys, predict + ["1.7e308,100,0.9,400"])
+    assert code == 0 and out == repr(forward(model, [1.7e308, 100, 0.9, 400])) + "\n"
+    assert np.isfinite(float(out))
+    assert err == ("star154: warning: input 1 = 1.7e+308 outside the training range "
+                   "[0.02, 0.1]; the answer is an extrapolation\n")
+
+
+def test_predict_exits_1_when_the_answer_is_not_finite(tmp_path, capsys):
+    model = init_model(MLPArchitecture(hidden=DESK_HIDDEN), seed=5)
+    model.in_min, model.in_max = np.zeros(4), np.array([1e-3, 1e-3, 1.0, 1.0])
+    path = tmp_path / "model.txt"
+    save_model(model, str(path))
+    # inputs 1 and 2 scale to +inf and -inf, whose sum in the first layer is nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = _outcome(
+            capsys, ["predict", "--model", str(path), "--input=1e306,-1e306,0.5,0.5"])
+    assert (code, out) == (1, "")
+    assert err == ("star154: error: the model's answer is nan, not a finite real; "
+                   "input 1 = 1e+306 outside the training range [0.0, 0.001]; "
+                   "input 2 = -1e+306 outside the training range [0.0, 0.001]\n")
 
 
 def test_predict_refuses_a_non_finite_input(capsys, small_model):
