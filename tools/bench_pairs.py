@@ -23,8 +23,11 @@ of pairs the change won, and a verdict against the metric's `bound`:
 than that share of the parent's median, "unresolved" when the parent's own
 IQR is wider than that share and some parent run beats some change run,
 else "within bound". It also holds the repetitions each run fitted, the
-attempted and failed checks, and each run's `checks.digest` where the
-workload reports one (simulate's digest of its estimates).
+attempted and failed checks, and each run's `checks.digest`,
+`checks.heldout_R` and `checks.predict_p50_ms` where the workload reports
+them: simulate's digest of its estimates, and the pipeline's held-out R
+(equal on both sides when training's arithmetic did not move) and median
+predict latency.
 `--trace-workloads` adds one `--trace 1` run of each side per named
 workload (seed TRACE_SEED, TRACE_SECONDS long) and
 records its exact per-layer metrics (unit count or bytes); `differs` names
@@ -55,6 +58,7 @@ from pathlib import Path
 SIDES = ("parent", "change")
 EXACT_UNITS = ("count", "bytes")  # per-layer metrics that must repeat exactly
 TRACE_SEED, TRACE_SECONDS = 1, 3.0  # the one traced run per side and workload
+RUN_CHECKS = ("digest", "heldout_R", "predict_p50_ms")  # recorded per run where reported
 
 
 def _seeds(text: str) -> list[int]:
@@ -159,8 +163,9 @@ def _pairs(trees: dict, workload: str, seeds: list[int], seconds: float, spec: d
         "correct": {s: all(r["correct"] for _, r in runs[s]) for s in SIDES},
         "repetitions": {s: [rep["repetitions"] for rep, _ in runs[s]] for s in SIDES},
     }
-    if "digest" in runs["parent"][0][0]["checks"]:
-        out["digest"] = {s: [rep["checks"]["digest"] for rep, _ in runs[s]] for s in SIDES}
+    for key in RUN_CHECKS:
+        if key in runs["parent"][0][0]["checks"]:
+            out[key] = {s: [rep["checks"][key] for rep, _ in runs[s]] for s in SIDES}
     for name, metric in spec.items():
         values = {s: [r["metrics"][name]["value"] for _, r in runs[s]] for s in SIDES}
         entry = {s: _spread(values[s]) for s in SIDES}
