@@ -156,8 +156,8 @@ def _forward_normalized(model: MLPModel, Xn: np.ndarray) -> tuple[np.ndarray, li
         h = h @ W
         h += b
         if l != last:
-            # the sigmoid 0.5 * (1 + tanh(z / 2)), in place on the fresh z = h;
-            # the tanh form cannot overflow for any finite z
+            # h = sigmoid(h) = 0.5 * (1 + tanh(h / 2)), in place on the fresh
+            # h @ W + b; the tanh form cannot overflow for any finite h
             h *= 0.5
             np.tanh(h, out=h)
             h += 1.0
