@@ -347,7 +347,7 @@ def load_model(path: str) -> MLPModel:
     below high, and the last line the parameters in hex, 16 digits each, every
     one finite.
     """
-    with open(path, "rb") as fh:
+    with open(path, "rb", buffering=0) as fh:  # one read of the whole file
         data = fh.read()
     try:
         text = data.decode()
@@ -411,8 +411,8 @@ def load_model(path: str) -> MLPModel:
     if not finite.all():
         i = int(finite.argmin())
         raise bad(k, f"parameters: parameter {i + 1} is {float(flat[i])}, not a finite real")
-    *inputs, (out_min, out_max) = ranges
-    in_min, in_max = np.array(inputs).T
+    in_min, in_max = (np.array(col) for col in zip(*ranges[:-1]))
+    out_min, out_max = ranges[-1]
     return MLPModel(
         arch=arch, params=flat,
         in_min=in_min, in_max=in_max, out_min=out_min, out_max=out_max,
