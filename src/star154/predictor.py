@@ -147,8 +147,7 @@ def denormalize_target(model: MLPModel, yn: np.ndarray | float) -> np.ndarray | 
 
 
 def _forward_normalized(model: MLPModel, Xn: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Forward pass on normalized inputs, one row or a batch of rows; returns
-    output and all activations."""
+    """Forward pass on normalized inputs; returns output and all activations."""
     acts = [Xn]
     h = Xn
     last = len(model.weights) - 1
@@ -156,8 +155,7 @@ def _forward_normalized(model: MLPModel, Xn: np.ndarray) -> tuple[np.ndarray, li
         h = h @ W
         h += b
         if l != last:
-            # h = sigmoid(h) = 0.5 * (1 + tanh(h / 2)), in place on the fresh
-            # h @ W + b; the tanh form cannot overflow for any finite h
+            # sigmoid in place, as 0.5 * (1 + tanh(h / 2)): no overflow for finite h
             h *= 0.5
             np.tanh(h, out=h)
             h += 1.0
@@ -357,9 +355,7 @@ def load_model(path: str) -> MLPModel:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     # the parameter line is the last non-blank one: split and strip only the short lines above it
     above, _, last = text.rstrip().rpartition("\n")
-    lines = list(filter(None, map(str.strip, above.split("\n"))))
-    if last:
-        lines.append(last.lstrip())
+    lines = list(filter(None, map(str.strip, [*above.split("\n"), last])))
 
     def bad(k: int, problem: str) -> ValueError:
         """The error for the k-th non-blank line, located by its number in the file."""
