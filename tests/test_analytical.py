@@ -415,13 +415,35 @@ ANALYTICAL_CSV_SHA256 = {
 }
 
 
+# sha256 of each mode's solves over the same grid, one line per scenario of
+# iterations, evaluations and repr(residual), none of which the CSV holds: a
+# rewrite that moves the damped trajectory but lands on the same tau bits
+# changes this digest and not the one above
+SOLVE_TRAJECTORY_SHA256 = {
+    "unsat1": "4765322582217e5530ca6243fb2ba7fb49ee9947776c4c22e613c3fa6b2187c8",
+    "unsatm": "114768dc5fa40cb33057fbcabada8f5747353f589763c9b010254096434db1be",
+    "sat": "8d2e21428ed6e782700b50b56713c99e088b01c705c83acf24e101a15bcfcb09",
+}
+
+
+def _pinned_spec(mode: str) -> dataset.SweepSpec:
+    return dataset.SweepSpec(mode=TrafficMode(mode), N_values=(2, 5, 20), L_values=(30, 127),
+                             r_values=(0.0, 0.05, 0.2), M_values=(2, 5))
+
+
 def test_analytical_sweep_csv_is_pinned(tmp_path):
     for mode, digest in ANALYTICAL_CSV_SHA256.items():
-        spec = dataset.SweepSpec(mode=TrafficMode(mode), N_values=(2, 5, 20), L_values=(30, 127),
-                                 r_values=(0.0, 0.05, 0.2), M_values=(2, 5))
         path = tmp_path / f"{mode}.csv"
-        dataset.write_csv(dataset.run_sweep(spec), str(path), ms=True)
+        dataset.write_csv(dataset.run_sweep(_pinned_spec(mode)), str(path), ms=True)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, mode
+
+
+def test_solve_trajectories_are_pinned():
+    for mode, digest in SOLVE_TRAJECTORY_SHA256.items():
+        spec = _pinned_spec(mode)
+        fps = [solve(cfg, spec.solver) for cfg in dataset.generate_grid(spec)]
+        lines = [f"{fp.iterations} {fp.evaluations} {fp.residual!r}" for fp in fps]
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == digest, mode
 
 
 @st.composite
