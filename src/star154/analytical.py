@@ -105,7 +105,10 @@ def _channel(tau: float, N: int, L: int) -> tuple[float, float, float, float, fl
         + (2 * L + CYCLE_YZN) * y * zn
         - (2 * L + CYCLE_YZ_ACK) * y * z_ack
     )
-    return x, y, z, T, min(max(1.0 - (CLEAN_CCA_STARTS * (1.0 - x) + 1.0) / T, 0.0), 1.0)
+    a = 1.0 - (CLEAN_CCA_STARTS * (1.0 - x) + 1.0) / T
+    # every [0, 1] clip in this module is this comparison: the same float as min(max(a, 0.0), 1.0),
+    # NaN and -0.0 included, without two builtin calls on F's path
+    return x, y, z, T, 0.0 if a < 0.0 else 1.0 if a > 1.0 else a
 
 
 def _check_network(N: int, L: int) -> None:
@@ -159,7 +162,7 @@ def throughput(tau: float, N: int, L: int) -> float:
         return 0.0
     _, y, z, T, _ = _channel(tau, N, L)
     th = 2 * L * y * z**ACK_SUC_POWER / T
-    return min(max(th, 0.0), 1.0)
+    return 0.0 if th < 0.0 else 1.0 if th > 1.0 else th
 
 
 def tau_update(
@@ -203,7 +206,8 @@ def _update(a: float, terms: tuple[float, ...], L: int, idle: float) -> float:
     retry_geo = 1.0 + D + D2 + D3
     numerator = retry_geo * (1.0 + a + a2 + a3 + a4)
     # bracket >= 78 symbols for every a, k in [0, 1], so the denominator is too
-    return min(max(numerator / (bracket * retry_geo + idle), 0.0), 1.0)
+    tau = numerator / (bracket * retry_geo + idle)
+    return 0.0 if tau < 0.0 else 1.0 if tau > 1.0 else tau
 
 
 def _queue(tau: float, a: float, cfg: NetworkConfig) -> tuple[float, float, float]:
@@ -255,7 +259,8 @@ def _damped(F: _Map, settings: SolverSettings) -> tuple[float, int, int, float |
         f = F(tau)
         if abs(f) <= settings.tolerance:
             return tau, it, it, f
-        tau = min(max(tau + settings.damping * f, 0.0), 1.0)
+        tau += settings.damping * f
+        tau = 0.0 if tau < 0.0 else 1.0 if tau > 1.0 else tau
     return tau, settings.max_iterations, settings.max_iterations, None
 
 
@@ -302,7 +307,8 @@ def _polish(F: _Map, tau: float, f: float) -> tuple[float, int]:
     for _ in range(2):
         if f == 0.0:
             return t, evaluations
-        lo, hi = max(t - h, 0.0), min(t + h, 1.0)
+        lo, hi = t - h, t + h
+        lo, hi = 0.0 if lo < 0.0 else lo, 1.0 if hi > 1.0 else hi
         slope = (F(hi) - F(lo)) / (hi - lo)
         evaluations += 2
         if not math.isfinite(slope) or slope == 0.0:

@@ -30,6 +30,9 @@ from .core import (
 )
 
 _T1 = float(T1_SYMBOLS)
+# float copies of core's exact coefficients: a float * float term skips converting an int
+_T2_COEFFS, _T3_COEFFS = tuple(map(float, T2_COEFFS)), tuple(map(float, T3_PRINTED_COEFFS))
+_RETRY_LIMIT = float(RETRY_LIMIT)
 # lower bounds of the 12 retry stages: the stage-0 weights carry the paper's
 # factor 1 - q - q^2 - q^3, which falls to -2 as PColl = q rises to 1
 _STAGE_FLOOR = (-2.0, 0.0, 0.0, 0.0, -2.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
@@ -67,8 +70,8 @@ def _durations(powers: tuple[float, ...], L: int) -> tuple[float, float, float]:
     one = 1.0 - powers[4]
     return (
         _T1,
-        _attempt_duration(T2_COEFFS, powers, one, L),
-        _attempt_duration(T3_PRINTED_COEFFS, powers, one, L),
+        _attempt_duration(_T2_COEFFS, powers, one, L),
+        _attempt_duration(_T3_COEFFS, powers, one, L),
     )
 
 
@@ -94,12 +97,12 @@ def _delays(
     s0, s1, s2, s3, c0, c1, c2, c3, _, _, _, drop = stages
     PS = delivered / total
     # stage i costs i * T3 before its last attempt; summed in stage order
-    ts_num = s0 * T2 + s1 * (T3 + T2) + s2 * (2 * T3 + T2) + s3 * (3 * T3 + T2)
+    ts_num = s0 * T2 + s1 * (T3 + T2) + s2 * (2.0 * T3 + T2) + s3 * (3.0 * T3 + T2)
     TS = None if PS == 0.0 else ts_num / delivered
     tvs_num = (
-        c0 * T1 + c1 * (T3 + T1) + c2 * (2 * T3 + T1) + c3 * (3 * T3 + T1)
+        c0 * T1 + c1 * (T3 + T1) + c2 * (2.0 * T3 + T1) + c3 * (3.0 * T3 + T1)
         + ts_num
-        + RETRY_LIMIT * drop * T3
+        + _RETRY_LIMIT * drop * T3
     )
     return PS, TS, tvs_num / total
 

@@ -57,17 +57,19 @@ def _layer_views(arch: MLPArchitecture, flat: np.ndarray) -> tuple[list[np.ndarr
     The layout is the model file's: each layer's (fan_in, fan_out) weights
     row-major, layer by layer, then each layer's biases.
     """
-    if flat.shape != (arch.n_params,):
-        raise ValueError(f"expected {arch.n_params} parameters, got shape {flat.shape}")
     sizes = arch.layer_sizes
     weights, biases = [], []
-    pos = 0
-    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        weights.append(flat[pos : pos + fan_in * fan_out].reshape(fan_in, fan_out))
-        pos += fan_in * fan_out
-    for fan_out in sizes[1:]:
-        biases.append(flat[pos : pos + fan_out])
-        pos += fan_out
+    pos = 0  # walks the layout to n_params, so the check below needs no second count
+    if flat.ndim == 1:  # slicing another shape would fail before the check
+        for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+            weights.append(flat[pos : pos + fan_in * fan_out])
+            pos += fan_in * fan_out
+        for fan_out in sizes[1:]:
+            biases.append(flat[pos : pos + fan_out])
+            pos += fan_out
+    if flat.shape != (pos,):
+        raise ValueError(f"expected {arch.n_params} parameters, got shape {flat.shape}")
+    weights = [w.reshape(fan_in, fan_out) for w, fan_in, fan_out in zip(weights, sizes, sizes[1:])]
     return weights, biases
 
 

@@ -15,6 +15,7 @@ from star154.predictor import (
     DivergenceDetected,
     EvalReport,
     MLPArchitecture,
+    MLPModel,
     TASKS,
     TrainConfig,
     denormalize_target,
@@ -388,6 +389,26 @@ def test_load_ignores_blank_lines_and_reports_file_line_numbers(tmp_path):
         with pytest.raises(ValueError) as exc:
             load_model(path)
         assert str(exc.value).startswith(f"{path}:{line}: ") and problem in str(exc.value)
+
+
+def test_load_counts_the_parameters_once(tmp_path, monkeypatch):
+    path = tmp_path / "m.txt"
+    save_model(init_model(SMALL, seed=0), str(path))
+    count = MLPArchitecture.n_params
+    calls = []
+
+    def counting(arch):
+        calls.append(arch)
+        return count.fget(arch)
+
+    monkeypatch.setattr(MLPArchitecture, "n_params", property(counting))
+    load_model(str(path))
+    assert len(calls) == 1
+    # the layer views check the shape without counting, and name the count only in the error
+    for shape in ((67,), (69,), (68, 1), ()):
+        with pytest.raises(ValueError, match=re.escape(f"expected 68 parameters, got shape {shape}")):
+            MLPModel(arch=SMALL, params=np.zeros(shape), in_min=np.zeros(4), in_max=np.ones(4),
+                     out_min=0.0, out_max=1.0)
 
 
 def test_load_rejects_binary_files(tmp_path):

@@ -28,6 +28,9 @@ attempted and failed checks, and each run's `checks.digest`,
 them: simulate's digest of its estimates, and the pipeline's held-out R
 (equal on both sides when training's arithmetic did not move) and median
 predict latency.
+`rss_kib_per_repetition` holds, per side, the least-squares slope of
+`peak_rss_mb` against each run's repetitions, in KiB per repetition: memory
+the harness keeps per repetition shows there, apart from the package's own.
 `--trace-workloads` adds one `--trace 1` run of each side per named
 workload (seed TRACE_SEED, TRACE_SECONDS long) and
 records its exact per-layer metrics (unit count or bytes); `differs` names
@@ -126,6 +129,15 @@ def _spread(runs: list[float]) -> dict:
             "runs": [round(v, 6) for v in runs]}
 
 
+def _rss_slope(runs: list[tuple[dict, dict]]) -> float | None:
+    """Least-squares slope of peak_rss_mb on repetitions, in KiB; None if repetitions never vary."""
+    reps = [report["repetitions"] for report, _ in runs]
+    rss = [result["metrics"]["peak_rss_mb"]["value"] for _, result in runs]
+    if len(set(reps)) < 2:
+        return None
+    return round(1024 * statistics.linear_regression(reps, rss).slope, 3)
+
+
 def _verdict(parent: dict, change: dict, direction: str, bound: float) -> dict:
     """Whether the change's median is worse than the parent's by more than bound.
 
@@ -162,6 +174,7 @@ def _pairs(trees: dict, workload: str, seeds: list[int], seconds: float, spec: d
         "attempted": {s: sum(r["attempted"] for _, r in runs[s]) for s in SIDES},
         "correct": {s: all(r["correct"] for _, r in runs[s]) for s in SIDES},
         "repetitions": {s: [rep["repetitions"] for rep, _ in runs[s]] for s in SIDES},
+        "rss_kib_per_repetition": {s: _rss_slope(runs[s]) for s in SIDES},
     }
     for key in RUN_CHECKS:
         if key in runs["parent"][0][0]["checks"]:
