@@ -106,8 +106,8 @@ def _channel(tau: float, N: int, L: int) -> tuple[float, float, float, float, fl
         - (2 * L + CYCLE_YZ_ACK) * y * z_ack
     )
     a = 1.0 - (CLEAN_CCA_STARTS * (1.0 - x) + 1.0) / T
-    # every [0, 1] clip in this module is this comparison: the same float as min(max(a, 0.0), 1.0),
-    # NaN and -0.0 included, without two builtin calls on F's path
+    # every [0, 1] clip in this module is this comparison: the same float as
+    # min(max(a, 0.0), 1.0), NaN and -0.0 included, without two builtin calls
     return x, y, z, T, 0.0 if a < 0.0 else 1.0 if a > 1.0 else a
 
 

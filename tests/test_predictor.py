@@ -406,7 +406,8 @@ def test_load_counts_the_parameters_once(tmp_path, monkeypatch):
     assert len(calls) == 1
     # the layer views check the shape without counting, and name the count only in the error
     for shape in ((67,), (69,), (68, 1), ()):
-        with pytest.raises(ValueError, match=re.escape(f"expected 68 parameters, got shape {shape}")):
+        message = f"expected 68 parameters, got shape {shape}"
+        with pytest.raises(ValueError, match=re.escape(message)):
             MLPModel(arch=SMALL, params=np.zeros(shape), in_min=np.zeros(4), in_max=np.ones(4),
                      out_min=0.0, out_max=1.0)
 
