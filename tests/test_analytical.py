@@ -426,6 +426,50 @@ SOLVE_TRAJECTORY_SHA256 = {
 }
 
 
+# sha256 per mode of repr(F(tau)), a_from_tau, throughput, tau_update at F's a and
+# p0, and channel_stationary's total_T and weights, at fixed tau values on a few
+# scenarios each, N = 1 included: unlike the pins above, these see the public
+# forms and F at tau values no solve visits
+MAP_VALUES_SHA256 = {
+    "sat": "ad60f02b50aaa6101bf9f59a7594828b2201e31488361ec6e7af94b7889c0b9e",
+    "unsat1": "fa9226fa10623c83621d88eefdb1578c05ca8cf3879af5d0c387f36e36a5e36a",
+    "unsatm": "b04f5eaf1b637a4b84973fae608e7e149abd8b86acbd574759f797a1acde01dd",
+}
+_MAP_SCENARIOS = {
+    "sat": [(1, 30, 0.0, 1), (2, 127, 0.0, 1), (10, 60, 0.0, 1), (50, 1, 0.0, 1)],
+    "unsat1": [(1, 30, 0.05, 1), (5, 30, 0.0, 1), (10, 60, 0.05, 1), (20, 127, 0.2, 1)],
+    "unsatm": [(1, 60, 0.05, 2), (3, 30, 0.0, 2), (10, 60, 0.05, 5), (20, 100, 0.2, 4)],
+}
+_MAP_TAUS = (0.0, 1.0, 5e-324, 1e-12, *(10.0**-e for e in range(1, 12)),
+             *(i / 17 for i in range(1, 17)))
+
+
+def _map_values(cfg: NetworkConfig) -> list[str]:
+    taus = list(_MAP_TAUS)
+    if cfg.N >= analytical.MIN_NODES:
+        root = solve(cfg).tau
+        taus += [root, math.nextafter(root, 0.0), math.nextafter(root, 1.0),
+                 root * (1.0 - 1e-3), root * (1.0 + 1e-3)]
+    F, lines = analytical._map(cfg), []
+    for tau in taus:
+        a = a_from_tau(tau, cfg.N, cfg.L)
+        p0 = analytical._queue(tau, a, cfg)[1] if cfg.mode is TrafficMode.UNSATM else None
+        values = [F(tau), a, throughput(tau, cfg.N, cfg.L), tau_update(tau, a, cfg, p0)]
+        if tau > 0.0:
+            dist = channel_stationary(tau, cfg.N, cfg.L)
+            values += [dist.total_T, *(w for _, _, w in dist.states)]
+        lines.append(repr(values))
+    return lines
+
+
+def test_map_values_are_pinned():
+    for mode, digest in MAP_VALUES_SHA256.items():
+        lines = []
+        for n, l, r, m in _MAP_SCENARIOS[mode]:
+            lines += _map_values(NetworkConfig(N=n, L=l, mode=TrafficMode(mode), r=r, M=m))
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == digest, mode
+
+
 def _pinned_spec(mode: str) -> dataset.SweepSpec:
     return dataset.SweepSpec(mode=TrafficMode(mode), N_values=(2, 5, 20), L_values=(30, 127),
                              r_values=(0.0, 0.05, 0.2), M_values=(2, 5))
