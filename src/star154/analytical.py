@@ -20,7 +20,11 @@ from .core import (
     NetworkConfig, TrafficMode, attempt_terms, quiet_prob,
 )
 
-_, _STEP1, _STEP2, _STEP3, _STEP4 = ATTEMPT_STEPS
+# float copies of core's exact ints, so F's arithmetic converts none per evaluation;
+# every int here is far below 2**53, so each copy and each sum below is exact
+_, _STEP1, _STEP2, _STEP3, _STEP4 = map(float, ATTEMPT_STEPS)
+_ACK_SUC_POWER, _WAIT_STATES = float(ACK_SUC_POWER), float(WAIT_STATES)
+_ACK_WAIT_SAVING, _CLEAN_CCA_STARTS = float(ACK_WAIT_SAVING), float(CLEAN_CCA_STARTS)
 _Map = Callable[[float], float]  # F, one traffic mode's map built by _map
 
 # where the damped iteration starts: a rare attempt
@@ -86,26 +90,35 @@ class ChannelStationaryDistribution:
         return {n: d * w / self.total_T for n, d, w in self.states}
 
 
-def _channel(tau: float, N: int, L: int) -> tuple[float, float, float, float, float]:
+def _scenario(N: int, L: int) -> tuple[float, ...]:
+    """The floats of N and L that _channel and _update take, exact: bound once per solve.
+
+    (N, N - 1, then 2L plus CYCLE_ONE, CYCLE_X, CYCLE_YZN, CYCLE_YZ_ACK,
+    CLEAN_COLLISION_SYMBOLS and COLLISION_TAIL.)
+    """
+    frame = 2 * L
+    return tuple(map(float, (
+        N, N - 1, frame + CYCLE_ONE, frame + CYCLE_X, frame + CYCLE_YZN, frame + CYCLE_YZ_ACK,
+        frame + CLEAN_COLLISION_SYMBOLS, frame + COLLISION_TAIL,
+    )))
+
+
+def _channel(tau: float, s: tuple[float, ...]) -> tuple[float, float, float, float, float]:
     """x, y, z (= k), the cycle length T and the busy probability a at tau; no range check.
 
-    T is the duration-weighted total of the channel states, relative to
-    theta. a counts the channel-idle symbols a CCA can start from and still
-    finish clean, over T.
+    s is _scenario(N, L). T is the duration-weighted total of the channel
+    states, relative to theta. a counts the channel-idle symbols a CCA can
+    start from and still finish clean, over T.
     """
-    x = (1.0 - tau) ** N
-    z = quiet_prob(tau, N)
-    y = N * tau * z
-    zn, z_ack = z**WAIT_STATES, z**ACK_SUC_POWER
-    geo = ACK_SUC_POWER if z == 1.0 else (1.0 - z_ack) / (1.0 - z)
-    T = (
-        2 * L + CYCLE_ONE
-        - (2 * L + CYCLE_X) * x
-        + y * geo
-        + (2 * L + CYCLE_YZN) * y * zn
-        - (2 * L + CYCLE_YZ_ACK) * y * z_ack
-    )
-    a = 1.0 - (CLEAN_CCA_STARTS * (1.0 - x) + 1.0) / T
+    n, n1, c_one, c_x, c_yzn, c_yz_ack, _, _ = s
+    silent = 1.0 - tau  # one node starts no CCA in a mini-slot
+    x = silent**n
+    z = silent**n1  # core.quiet_prob(tau, N)
+    y = n * tau * z
+    zn, z_ack = z**_WAIT_STATES, z**_ACK_SUC_POWER
+    geo = _ACK_SUC_POWER if z == 1.0 else (1.0 - z_ack) / (1.0 - z)
+    T = c_one - c_x * x + y * geo + c_yzn * y * zn - c_yz_ack * y * z_ack
+    a = 1.0 - (_CLEAN_CCA_STARTS * (1.0 - x) + 1.0) / T
     # every [0, 1] clip in this module is this comparison: the same float as
     # min(max(a, 0.0), 1.0), NaN and -0.0 included, without two builtin calls
     return x, y, z, T, 0.0 if a < 0.0 else 1.0 if a > 1.0 else a
@@ -122,7 +135,7 @@ def a_from_tau(tau: float, N: int, L: int) -> float:
     if not 0.0 <= tau <= 1.0:
         raise ValueError(f"tau out of [0,1]: {tau}")
     _check_network(N, L)
-    return _channel(tau, N, L)[4]
+    return _channel(tau, _scenario(N, L))[4]
 
 
 def channel_stationary(tau: float, N: int, L: int) -> ChannelStationaryDistribution:
@@ -132,7 +145,7 @@ def channel_stationary(tau: float, N: int, L: int) -> ChannelStationaryDistribut
     if tau > 1.0:
         raise ValueError(f"tau out of (0,1]: {tau}")
     _check_network(N, L)
-    x, y, z, T, _ = _channel(tau, N, L)
+    x, y, z, T, _ = _channel(tau, _scenario(N, L))
     n = WAIT_STATES
     states: list[tuple[str, int, float]] = [
         ("IDLE1", IDLE1_SYMBOLS, 1.0 - x),
@@ -160,8 +173,8 @@ def throughput(tau: float, N: int, L: int) -> float:
     _check_network(N, L)
     if tau == 0.0:
         return 0.0
-    _, y, z, T, _ = _channel(tau, N, L)
-    th = 2 * L * y * z**ACK_SUC_POWER / T
+    _, y, z, T, _ = _channel(tau, _scenario(N, L))
+    th = 2 * L * y * z**_ACK_SUC_POWER / T
     return 0.0 if th < 0.0 else 1.0 if th > 1.0 else th
 
 
@@ -180,28 +193,27 @@ def tau_update(
     if not 0.0 <= a <= 1.0:
         raise ValueError(f"a out of [0,1]: {a}")
     terms, L, r = attempt_terms(a, quiet_prob(tau_prev, cfg.N)), cfg.L, cfg.r
+    s = _scenario(cfg.N, L)
     if cfg.mode is TrafficMode.SATURATED:
-        return _update(a, terms, L, 0.0)
+        return _update(a, terms, s, 0.0)
     if cfg.mode is TrafficMode.UNSAT1:
-        return _update(a, terms, L, 2 * L / r) if r else 0.0
+        return _update(a, terms, s, 2 * L / r) if r else 0.0
     if p0 is None:
         raise ValueError("multi-buffer mode needs the queue-empty probability p0")
     if not 0.0 <= p0 <= 1.0:
         raise ValueError(f"p0 out of [0,1]: {p0}")
-    return _update(a, terms, L, p0 * 2 * L / r) if r else 0.0
+    return _update(a, terms, s, p0 * 2 * L / r) if r else 0.0
 
 
-def _update(a: float, terms: tuple[float, ...], L: int, idle: float) -> float:
-    """tau_update's step from terms = core.attempt_terms(a, k) and the arrival term idle; unchecked."""
+def _update(a: float, terms: tuple[float, ...], s: tuple[float, ...], idle: float) -> float:
+    """tau_update's step from terms = core.attempt_terms(a, k), s = _scenario(N, L) and the
+    arrival term idle; unchecked."""
     a2, a3, a4, a5, k26, _, _, D, D2, D3 = terms
+    clean, tail = s[6], s[7]  # 2L + CLEAN_COLLISION_SYMBOLS, 2L + COLLISION_TAIL
+    saving = _ACK_WAIT_SAVING * k26
     bracket = (
-        2 * L + CLEAN_COLLISION_SYMBOLS
-        + _STEP1 * a
-        + _STEP2 * a2
-        + _STEP3 * a3
-        + _STEP4 * a4
-        - ACK_WAIT_SAVING * k26
-        - (2 * L + COLLISION_TAIL - ACK_WAIT_SAVING * k26) * a5
+        clean + _STEP1 * a + _STEP2 * a2 + _STEP3 * a3 + _STEP4 * a4 - saving
+        - (tail - saving) * a5
     )
     retry_geo = 1.0 + D + D2 + D3
     numerator = retry_geo * (1.0 + a + a2 + a3 + a4)
@@ -226,40 +238,42 @@ def _queue(tau: float, a: float, cfg: NetworkConfig) -> tuple[float, float, floa
 def _map(cfg: NetworkConfig) -> _Map:
     """F(tau) = tau_update(tau, a(tau), cfg, p0(tau)) - tau for cfg: the map every route solves.
 
-    The traffic mode is decided here, once per solve: F closes over N, L, r,
-    M and the arrival term, 2L/r in unsat1, none in sat, and p0 2L/r in
-    unsatm, with p0 from _queue's chain at every evaluation. F checks tau
-    once and computes k, the powers of a and D and k**K_POWER once; its
-    pieces are the ones a_from_tau, _queue and tau_update call, so the bits
-    are theirs.
+    The traffic mode is decided here, once per solve: F closes over
+    _scenario(N, L), L, r, M and the arrival term, 2L/r in unsat1, none in
+    sat, and p0 2L/r in unsatm, with p0 from _queue's chain at every
+    evaluation. F checks tau once and computes k, the powers of a and D and
+    k**K_POWER once; its pieces are the ones a_from_tau, _queue and
+    tau_update call, so the bits are theirs.
     """
-    N, L, r, M = cfg.N, cfg.L, cfg.r, cfg.M
+    L, r, M = cfg.L, cfg.r, cfg.M
+    s, frame = _scenario(cfg.N, L), float(2 * L)
     unsatm = cfg.mode is TrafficMode.UNSATM
     # outside unsatm; None without arrivals, where tau_update is 0
-    idle = 0.0 if cfg.mode is TrafficMode.SATURATED else 2 * L / r if r else None
+    idle = 0.0 if cfg.mode is TrafficMode.SATURATED else frame / r if r else None
 
     def F(tau: float) -> float:
         if not 0.0 <= tau <= 1.0:
             raise ValueError(f"tau out of [0,1]: {tau}")
-        _, _, k, _, a = _channel(tau, N, L)
+        _, _, k, _, a = _channel(tau, s)
         terms = attempt_terms(a, k)
         if unsatm:
-            TVS = metrics._service_from(a, terms, L)[2]
+            TVS = metrics._service_from(a, terms, frame)[2]
             p0 = queueing.empty_prob(queueing.utilization(r, L, TVS), M)
-            return (_update(a, terms, L, p0 * 2 * L / r) if r else 0.0) - tau
-        return (0.0 if idle is None else _update(a, terms, L, idle)) - tau
+            # p0 * frame is tau_update's p0 * 2 * L: p0 * 2 is exact, so both round p0 2L once
+            return (_update(a, terms, s, p0 * frame / r) if r else 0.0) - tau
+        return (0.0 if idle is None else _update(a, terms, s, idle)) - tau
 
     return F
 
 
 def _damped(F: _Map, settings: SolverSettings) -> tuple[float, int, int, float | None]:
     """tau <- clip(tau + d F(tau)) to tolerance: tau, iterations = evaluations, F(tau) or None."""
-    tau = _INITIAL_TAU
+    tau, tol, d = _INITIAL_TAU, settings.tolerance, settings.damping
     for it in range(1, settings.max_iterations + 1):
         f = F(tau)
-        if abs(f) <= settings.tolerance:
+        if abs(f) <= tol:
             return tau, it, it, f
-        tau += settings.damping * f
+        tau += d * f
         tau = 0.0 if tau < 0.0 else 1.0 if tau > 1.0 else tau
     return tau, settings.max_iterations, settings.max_iterations, None
 

@@ -165,6 +165,11 @@ def quiet_prob(tau: float, N: int) -> float:
     return (1.0 - tau) ** (N - 1)
 
 
+# float exponents: float ** float calls the C library's pow on the same doubles
+# as float ** int, without converting the int on every call
+_CCA_LIMIT, _K_POWER = float(CCA_LIMIT), float(K_POWER)
+
+
 def attempt_terms(a: float, k: float) -> tuple[float, ...]:
     """(a^2, a^3, a^4, a^5, k^26, PSuc, PAcc, D, D^2, D^3): what one attempt's closed forms share.
 
@@ -172,10 +177,10 @@ def attempt_terms(a: float, k: float) -> tuple[float, ...]:
     service attempt at busy probability a and quiet probability k (quiet_prob).
     No range check: callers validate a and k.
     """
-    a5 = a**CCA_LIMIT
-    k26 = k**K_POWER
+    a5 = a**_CCA_LIMIT
+    k26 = k**_K_POWER
     D = (1.0 - a5) * (1.0 - k26)
-    return a**2, a**3, a**4, a5, k26, (1.0 - a5) * k26, a5, D, D**2, D**3
+    return a**2.0, a**3.0, a**4.0, a5, k26, (1.0 - a5) * k26, a5, D, D**2.0, D**3.0
 
 
 class Source(str, Enum):

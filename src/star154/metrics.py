@@ -52,26 +52,26 @@ def _stages(PSuc: float, PAcc: float, q: float, q2: float, q3: float) -> tuple[f
     return (
         head * PSuc, q * PSuc, q2 * PSuc, q3 * PSuc,
         head * PAcc, q * PAcc, q2 * PAcc, q3 * PAcc,
-        q, q2, q3, q**RETRY_LIMIT,
+        q, q2, q3, q**_RETRY_LIMIT,
     )
 
 
-def _attempt_duration(c, powers, one: float, L: int) -> float:
+def _attempt_duration(c, powers, one: float, frame: float) -> float:
     c0, c1, c2, c3, c4, c5 = c
     a, a2, a3, a4, a5 = powers
-    return (c0 + c1 * a + c2 * a2 + c3 * a3 + c4 * a4 - c5 * a5 + 2 * L * one) / one
+    return (c0 + c1 * a + c2 * a2 + c3 * a3 + c4 * a4 - c5 * a5 + frame * one) / one
 
 
-def _durations(powers: tuple[float, ...], L: int) -> tuple[float, float, float]:
-    """T1, T2 and T3 from the powers (a, a^2, a^3, a^4, a^5) at frame length L."""
+def _durations(powers: tuple[float, ...], frame: float) -> tuple[float, float, float]:
+    """T1, T2 and T3 from the powers (a, a^2, a^3, a^4, a^5) and frame = float(2 * L)."""
     a = powers[0]
     if not 0.0 <= a < 1.0:
         raise ValueError(f"a must be in [0,1): {a}")
     one = 1.0 - powers[4]
     return (
         _T1,
-        _attempt_duration(_T2_COEFFS, powers, one, L),
-        _attempt_duration(_T3_COEFFS, powers, one, L),
+        _attempt_duration(_T2_COEFFS, powers, one, frame),
+        _attempt_duration(_T3_COEFFS, powers, one, frame),
     )
 
 
@@ -107,15 +107,17 @@ def _delays(
     return PS, TS, tvs_num / total
 
 
-def _service_from(a: float, terms: tuple[float, ...], L: int) -> tuple[float, float | None, float]:
-    """PS, TS and TVS at busy probability a and frame length L, from attempt_terms(a, k)."""
+def _service_from(
+    a: float, terms: tuple[float, ...], frame: float
+) -> tuple[float, float | None, float]:
+    """PS, TS and TVS at busy probability a and frame = float(2 * L), from attempt_terms(a, k)."""
     a2, a3, a4, a5, _, PSuc, PAcc, q, q2, q3 = terms
-    return _delays(_stages(PSuc, PAcc, q, q2, q3), *_durations((a, a2, a3, a4, a5), L))
+    return _delays(_stages(PSuc, PAcc, q, q2, q3), *_durations((a, a2, a3, a4, a5), frame))
 
 
 def _service(a: float, k: float, L: int) -> tuple[float, float | None, float]:
     """PS, TS and TVS at busy probability a, quiet probability k and frame length L."""
-    return _service_from(a, _terms(a, k), L)
+    return _service_from(a, _terms(a, k), float(2 * L))
 
 
 def service_times(a: float, L: int) -> tuple[float, float, float]:
@@ -124,7 +126,7 @@ def service_times(a: float, L: int) -> tuple[float, float, float]:
         raise ValueError(f"a must be in [0,1): {a}")
     if not L >= 1:
         raise ValueError(f"frame length must be >= 1, got {L}")
-    return _durations((a, *attempt_terms(a, 1.0)[:4]), L)  # k plays no part
+    return _durations((a, *attempt_terms(a, 1.0)[:4]), float(2 * L))  # k plays no part
 
 
 def attempt_probs(a: float, k: float) -> tuple[float, float, float]:

@@ -195,14 +195,19 @@ def _gradients(model: MLPModel, Xn: np.ndarray, yn: np.ndarray, grad_w, grad_b) 
     """Backprop gradient of mean squared error over the batch, written into
     grad_w and grad_b: the _layer_views of one array shaped like model.params."""
     out, acts = _forward_normalized(model, Xn)
-    # d(MSE)/d(out) with MSE = mean((out - y)^2)
-    delta = 2.0 * (out - yn) / Xn.shape[0]
+    # d(MSE)/d(out) with MSE = mean((out - y)^2), in place: 2.0 * (out - y) / n
+    delta = out - yn
+    delta *= 2.0
+    delta /= Xn.shape[0]
     for l in range(len(model.weights) - 1, -1, -1):
         np.matmul(acts[l].T, delta, out=grad_w[l])
-        delta.sum(axis=0, out=grad_b[l])
+        np.add.reduce(delta, axis=0, out=grad_b[l])  # delta.sum without its Python wrapper
         if l > 0:
             h = acts[l]  # sigmoid activations of layer l
-            delta = (delta @ model.weights[l].T) * h * (1.0 - h)
+            # (delta @ W.T) * h * (1 - h), multiplied in that order in place
+            delta = delta @ model.weights[l].T
+            delta *= h
+            delta *= 1.0 - h
 
 
 def _mse(model: MLPModel, Xn: np.ndarray, yn: np.ndarray) -> float:
@@ -265,7 +270,8 @@ def train(
         Xp, yp = Xn[perm], yn[perm]
         for lo in range(0, len(Xp), bs):
             _gradients(model, Xp[lo : lo + bs], yp[lo : lo + bs], grad_w, grad_b)
-            model.params -= lr * grad
+            grad *= lr  # the next _gradients rewrites every entry
+            model.params -= grad
         train_mse = _mse(model, Xn, yn)
         if not math.isfinite(train_mse):
             raise DivergenceDetected(f"training loss became {train_mse} at epoch {epoch}")

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from star154 import analytical, core, metrics
-from star154.analytical import _channel
+from star154.analytical import _channel, _scenario
 from star154.dataset import SweepSpec, generate_grid
 from star154.core import (
     CONSTANTS,
@@ -195,7 +195,7 @@ def test_probs_identities_on_random_grid():
         n = int(rng.integers(1, 40))
         k = quiet_prob(tau, n)
         D = _D(float(rng.random()), k)
-        x, y, z, _, _ = _channel(tau, n, 30)
+        x, y, z, _, _ = _channel(tau, _scenario(n, 30))
         assert abs(x - (1 - tau) * k) < 1e-12
         assert x + y <= 1 + 1e-12
         assert z == k

@@ -31,6 +31,9 @@ predict latency.
 `rss_kib_per_repetition` holds, per side, the least-squares slope of
 `peak_rss_mb` against each run's repetitions, in KiB per repetition: memory
 the harness keeps per repetition shows there, apart from the package's own.
+`rss_mb_at_zero_repetitions` holds the same fit's intercept, in MiB: the
+process's memory before any repetition, where the package's own shows. Both
+are null when every run of a side fitted the same number of repetitions.
 `--trace-workloads` adds one `--trace 1` run of each side per named
 workload (seed TRACE_SEED, TRACE_SECONDS long) and
 records its exact per-layer metrics (unit count or bytes); `differs` names
@@ -129,13 +132,17 @@ def _spread(runs: list[float]) -> dict:
             "runs": [round(v, 6) for v in runs]}
 
 
-def _rss_slope(runs: list[tuple[dict, dict]]) -> float | None:
-    """Least-squares slope of peak_rss_mb on repetitions, in KiB; None if repetitions never vary."""
+def _rss_fit(runs: list[tuple[dict, dict]]) -> tuple[float | None, float | None]:
+    """Least-squares fit of peak_rss_mb on repetitions: slope in KiB and intercept in MiB.
+
+    (None, None) when the repetitions never vary.
+    """
     reps = [report["repetitions"] for report, _ in runs]
     rss = [result["metrics"]["peak_rss_mb"]["value"] for _, result in runs]
     if len(set(reps)) < 2:
-        return None
-    return round(1024 * statistics.linear_regression(reps, rss).slope, 3)
+        return None, None
+    fit = statistics.linear_regression(reps, rss)
+    return round(1024 * fit.slope, 3), round(fit.intercept, 3)
 
 
 def _verdict(parent: dict, change: dict, direction: str, bound: float) -> dict:
@@ -168,13 +175,15 @@ def _pairs(trees: dict, workload: str, seeds: list[int], seconds: float, spec: d
             rate = result["metrics"]["rate_per_s"]["value"]
             print(f"{workload} seed {seed} {side}: rate_per_s {rate:.6g}, "
                   f"{report['repetitions']} repetitions", file=sys.stderr, flush=True)
+    fits = {s: _rss_fit(runs[s]) for s in SIDES}
     out = {
         "pairs": len(seeds), "seeds": seeds, "first": first,
         "failed": {s: sum(r["failed"] for _, r in runs[s]) for s in SIDES},
         "attempted": {s: sum(r["attempted"] for _, r in runs[s]) for s in SIDES},
         "correct": {s: all(r["correct"] for _, r in runs[s]) for s in SIDES},
         "repetitions": {s: [rep["repetitions"] for rep, _ in runs[s]] for s in SIDES},
-        "rss_kib_per_repetition": {s: _rss_slope(runs[s]) for s in SIDES},
+        "rss_kib_per_repetition": {s: fits[s][0] for s in SIDES},
+        "rss_mb_at_zero_repetitions": {s: fits[s][1] for s in SIDES},
     }
     for key in RUN_CHECKS:
         if key in runs["parent"][0][0]["checks"]:
