@@ -137,6 +137,8 @@ def _cmd_simulate(args, parser) -> int:
             net=cfg, horizon_mini_slots=args.horizon, warmup_mini_slots=args.warmup,
             replications=args.reps, base_seed=args.seed,
         )
+        if args.trace == "":
+            raise ValueError("--trace needs a file path")
         lines = simulator.trace(sim_cfg, max_events=args.trace_events) if args.trace else None
         rep = simulator.run(sim_cfg, jobs=args.jobs)
     if args.trace:
@@ -205,15 +207,13 @@ def _cmd_train(args, parser) -> int:
             learning_rate=args.lr, epochs=args.epochs, batch_size=args.batch,
             seed=args.seed, validation_fraction=args.val_frac,
         )
-        if args.hidden:
+        if args.hidden is not None:
             hidden = tuple(int(h) for h in args.hidden.split(","))
-            if len(hidden) != 3:
-                parser.error("--hidden needs three comma-separated sizes")
         elif args.desk_scale:
             hidden = predictor.DESK_HIDDEN
         else:
             hidden = predictor.DEFAULT_HIDDEN[args.target]
-        arch = predictor.MLPArchitecture(input_dim=4, hidden=hidden, output_dim=1)
+        arch = predictor.MLPArchitecture(hidden=hidden)
     with _file_errors(parser, args.data):
         rows = dataset.read_csv(args.data)
     X, y = dataset.training_matrix(rows, args.target)
@@ -238,19 +238,13 @@ def _cmd_predict(args, parser) -> int:
 
     with _usage_errors(parser):
         x = [float(v) for v in args.input.split(",")]
-        if len(x) != 4:
-            parser.error(f"--input needs 4 comma-separated reals, got {len(x)}")
+        if len(x) != predictor.INPUTS:
+            parser.error(f"--input needs {predictor.INPUTS} comma-separated reals, got {len(x)}")
         for j, v in enumerate(x):
             if not math.isfinite(v):
                 raise ValueError(f"--input value {j + 1} is {v!r}; predict needs finite reals")
     with _file_errors(parser, args.model):
         model = predictor.load_model(args.model)
-        arch = model.arch
-        if (arch.input_dim, arch.output_dim) != (len(x), 1):
-            raise ValueError(
-                f"{args.model}: model has {arch.input_dim} inputs and {arch.output_dim} "
-                f"outputs; predict needs {len(x)} inputs and 1 output"
-            )
     answer = predictor.forward(model, x)
     outside = "; ".join(f"input {j + 1} = {v!r} outside the training range [{lo!r}, {hi!r}]"
                         for j, v, lo, hi in predictor.outside_training_range(model, x))
@@ -326,9 +320,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="training CSV from the sweep subcommand")
     p.add_argument("--target", required=True, choices=sorted(TASKS),
                    help="n: (r,L,PS,TVS)->N; ps: (r,L,N,TVS)->PS; tvs: (r,L,PS,N)->TVS")
-    p.add_argument("--hidden", default=None, help="three hidden sizes, e.g. 100,80,50")
-    p.add_argument("--desk-scale", action="store_true",
-                   help="use the small 32,24,16 architecture for quick runs")
+    sizes = p.add_mutually_exclusive_group()
+    sizes.add_argument("--hidden", default=None, help="three hidden sizes, e.g. 100,80,50")
+    sizes.add_argument("--desk-scale", action="store_true",
+                       help="use the small 32,24,16 architecture for quick runs")
     p.add_argument("--epochs", type=int, default=200)
     p.add_argument("--lr", type=float, default=0.05)
     p.add_argument("--batch", type=int, default=32)

@@ -129,12 +129,10 @@ class NetworkConfig:
 
             logging.getLogger(__name__).warning(
                 "frame length %d bytes outside nominal [%d, %d]", self.L, lo, hi)
-        if self.mode is TrafficMode.UNSAT1 and self.M != 1:
-            raise ValueError("single-buffer mode requires M = 1")
+        if self.mode is not TrafficMode.UNSATM and self.M != 1:
+            raise ValueError(f"mode {self.mode.value} has one buffer: M must be 1, got {self.M}")
         if self.mode is TrafficMode.UNSATM and self.M <= 1:
             raise ValueError("multi-buffer mode requires M > 1")
-        if self.M < 1:
-            raise ValueError(f"buffer capacity must be >= 1, got {self.M}")
         if not (self.r >= 0.0) or not math.isfinite(self.r):
             raise ValueError(f"arrival rate must be finite and >= 0, got {self.r}")
         if self.mode is not TrafficMode.SATURATED and self.r > 2 * self.L:

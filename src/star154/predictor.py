@@ -5,7 +5,7 @@ Three fixed prediction tasks, each mapping four known quantities to a fifth:
   ps:  (r, L, N, TVS)  -> PS
   tvs: (r, L, PS, N)   -> TVS
 
-Architecture: 4 inputs, three sigmoid hidden layers, one linear output.
+Architecture: INPUTS = 4 inputs, three sigmoid hidden layers, one linear output.
 Training is plain mini-batch gradient descent on mean squared error, written
 out by hand so every gradient can be checked against finite differences.
 Inputs and target are min-max scaled to [0.1, 0.9]; the scaling constants
@@ -28,22 +28,21 @@ DEFAULT_HIDDEN: dict[str, tuple[int, int, int]] = {
 }
 DESK_HIDDEN: tuple[int, int, int] = (32, 24, 16)
 
+INPUTS = 4  # every task in TASKS maps four known quantities to one
 _NORM_LO, _NORM_HI = 0.1, 0.9
 
 
 @dataclass(frozen=True, slots=True)
 class MLPArchitecture:
-    input_dim: int = 4
-    hidden: tuple[int, int, int] = (100, 80, 50)
-    output_dim: int = 1
+    hidden: tuple[int, int, int]
 
     def __post_init__(self):
-        if self.input_dim < 1 or self.output_dim < 1 or any(h < 1 for h in self.hidden):
-            raise ValueError("all layer sizes must be >= 1")
+        if len(self.hidden) != 3 or any(h < 1 for h in self.hidden):
+            raise ValueError(f"need 3 hidden layer sizes, each >= 1, got {self.hidden}")
 
     @property
     def layer_sizes(self) -> tuple[int, ...]:
-        return (self.input_dim, *self.hidden, self.output_dim)
+        return (INPUTS, *self.hidden, 1)
 
     @property
     def n_params(self) -> int:
@@ -126,7 +125,7 @@ def init_model(arch: MLPArchitecture, seed: int) -> MLPModel:
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     model = MLPModel(
         arch=arch, params=np.zeros(arch.n_params),
-        in_min=np.zeros(arch.input_dim), in_max=np.ones(arch.input_dim),
+        in_min=np.zeros(INPUTS), in_max=np.ones(INPUTS),
         out_min=0.0, out_max=1.0,
     )
     for W in model.weights:
@@ -173,8 +172,8 @@ def forward(model: MLPModel, x) -> float:
     answer is then inf or nan, returned without a numpy warning.
     """
     x = np.asarray(x, dtype=float).reshape(-1)
-    if x.size != model.arch.input_dim:
-        raise ValueError(f"expected {model.arch.input_dim} inputs, got {x.size}")
+    if x.size != INPUTS:
+        raise ValueError(f"expected {INPUTS} inputs, got {x.size}")
     with np.errstate(over="ignore", invalid="ignore"):
         yn, _ = _forward_normalized(model, normalize_inputs(model, x))
     return denormalize_target(model, float(yn[0]))
@@ -245,6 +244,8 @@ def train(
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float).reshape(-1)
+    if X.ndim != 2 or X.shape[1] != INPUTS or y.shape != X.shape[:1]:
+        raise ValueError(f"X has shape {X.shape} and y {y.shape}; need (n, {INPUTS}) and (n,)")
     if len(X) < 10:
         raise ValueError(f"need at least 10 usable rows, got {len(X)}")
     if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
@@ -336,7 +337,7 @@ def save_model(model: MLPModel, path: str) -> None:
     """
     sizes = model.arch.layer_sizes
     lines = ["mlp-v2 " + " ".join(str(s) for s in sizes)]
-    for j in range(model.arch.input_dim):
+    for j in range(INPUTS):
         lines.append(f"{float(model.in_min[j])!r} {float(model.in_max[j])!r}")
     lines.append(f"{float(model.out_min)!r} {float(model.out_max)!r}")
     lines.append(model.params.astype("<f8").tobytes().hex())
@@ -349,9 +350,9 @@ def load_model(path: str) -> MLPModel:
 
     The file is UTF-8 text whose lines end in \\n, \\r\\n or a lone \\r, as
     text mode reads them. Blank lines are ignored. The header holds ``mlp-v2``
-    and the five layer sizes, each range line exactly two finite reals, low
-    below high, and the last line the parameters in hex, 16 digits each, every
-    one finite.
+    and the five layer sizes, INPUTS first and 1 last; each range line holds
+    exactly two finite reals, low below high, and the last line the parameters
+    in hex, 16 digits each, every one finite.
     """
     with open(path, "rb", buffering=0) as fh:  # one read of the whole file
         data = fh.read()
@@ -381,10 +382,12 @@ def load_model(path: str) -> MLPModel:
         sizes = [int(s) for s in head[1:]]
         if len(sizes) != 5:
             raise ValueError(f"expected 5 layer sizes, got {len(sizes)}")
-        arch = MLPArchitecture(input_dim=sizes[0], hidden=tuple(sizes[1:4]), output_dim=sizes[4])
+        if (sizes[0], sizes[4]) != (INPUTS, 1):
+            raise ValueError(f"expected {INPUTS} inputs and 1 output, got {sizes[0]} and {sizes[4]}")
+        arch = MLPArchitecture(hidden=tuple(sizes[1:4]))
     except ValueError as e:
         raise bad(0, str(e)) from None
-    n_params, n_ranges = arch.n_params, arch.input_dim + 1
+    n_params, n_ranges = arch.n_params, INPUTS + 1
     expected = 1 + n_ranges + 1  # header, ranges, parameters
     if len(lines) < expected:
         raise ValueError(f"{path}: truncated: {len(lines)} of {expected} non-blank lines")

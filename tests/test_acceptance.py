@@ -410,7 +410,7 @@ def test_11_inverse_predictor_quality():
         g = np.random.Generator(np.random.PCG64(np.random.SeedSequence((777, i))))
         hidden = tuple(int(h) for h in g.integers(3, 13, size=3))
         model = predictor.init_model(
-            predictor.MLPArchitecture(input_dim=4, hidden=hidden), seed=1000 + i
+            predictor.MLPArchitecture(hidden=hidden), seed=1000 + i
         )
         x = g.uniform(0.05, 0.95, size=4)
         worst = max(worst, predictor.gradient_check(model, x, float(g.uniform(0.1, 0.9))))
@@ -423,7 +423,7 @@ def test_11_inverse_predictor_quality():
     X = g.uniform(0.0, 1.0, size=(10, 4))
     y = 2.0 * X[:, 0] - X[:, 1] + 0.5 * X[:, 2] * X[:, 3] + 3.0
     model = predictor.init_model(
-        predictor.MLPArchitecture(input_dim=4, hidden=(8, 6, 4)), seed=0
+        predictor.MLPArchitecture(hidden=(8, 6, 4)), seed=0
     )
     cfg = predictor.TrainConfig(
         learning_rate=0.6, epochs=50_000, batch_size=1, seed=0,
@@ -443,7 +443,7 @@ def test_11_inverse_predictor_quality():
         X = np.array([[row[f] for f in features] for row in rows])
         y = np.array([row[target] for row in rows], dtype=float)
         model = predictor.init_model(
-            predictor.MLPArchitecture(input_dim=4, hidden=predictor.DESK_HIDDEN), seed=42
+            predictor.MLPArchitecture(hidden=predictor.DESK_HIDDEN), seed=42
         )
         tcfg = predictor.TrainConfig(
             learning_rate=0.2, epochs=epochs_n, batch_size=8, seed=42,

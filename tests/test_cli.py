@@ -136,11 +136,14 @@ def test_usage_errors_exit_2(tmp_path, capsys, training_csv):
         # layer sizes and training settings
         train + ["--hidden", "a,b,c"],
         train + ["--hidden", "0,4,4"],
+        train + ["--hidden", "5,5"],
+        train + ["--hidden", ""],
         train + ["--lr", "inf"],
         # worker counts and trace lengths the simulator and the sweep reject
         SIM + ["--jobs", "0"],
         SIM + ["--jobs", "-2", "--trace", trace],
         SIM + ["--trace", trace, "--trace-events", "-1"],
+        SIM + ["--trace", ""],
         ["sweep", "--mode", "sat", "--nodes", "5", "--frame-bytes", "50", "--jobs", "0",
          "--out", out_csv],
     ]
@@ -151,6 +154,12 @@ def test_usage_errors_exit_2(tmp_path, capsys, training_csv):
         err = capsys.readouterr().err
         assert err.splitlines()[-1].startswith("star154: error: "), argv
         assert "Traceback" not in err
+    # --hidden and --desk-scale both name the sizes: the train parser refuses the pair
+    with pytest.raises(SystemExit) as exc:
+        main(train + ["--hidden", "8,8,8", "--desk-scale"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "star154 train: error: argument --desk-scale: not allowed with argument --hidden")
     # sat's grid keys r = 0, yet its typed rates get the message of every other mode
     for mode in ("sat", "unsat1"):
         with pytest.raises(SystemExit) as exc:
@@ -643,13 +652,15 @@ def test_bad_csv_file_exits_2(tmp_path, capsys, training_csv):
 
 
 def test_predict_rejects_a_model_of_another_shape(tmp_path, capsys):
-    for arch, shape in ((MLPArchitecture(input_dim=3, hidden=(3, 3, 2)), "3 inputs and 1 outputs"),
-                        (MLPArchitecture(hidden=(3, 3, 2), output_dim=2), "4 inputs and 2 outputs")):
+    # whole files, ranges and parameters included, of networks with 3 inputs or 2 outputs
+    for sizes, shape in (((3, 3, 3, 2, 1), "got 3 and 1"), ((4, 3, 3, 2, 2), "got 4 and 2")):
+        n_params = sum(fan_in * fan_out + fan_out for fan_in, fan_out in zip(sizes, sizes[1:]))
         path = tmp_path / "other.txt"
-        save_model(init_model(arch, seed=5), str(path))
+        path.write_text("\n".join(["mlp-v2 " + " ".join(map(str, sizes)),
+                                   *["0.0 1.0"] * (sizes[0] + 1), "00" * 8 * n_params]) + "\n")
         _exit_2_with_one_line(
             capsys, ["predict", "--model", str(path), "--input", "0.05,100,0.9,400"],
-            str(path), shape, "predict needs 4 inputs and 1 output")
+            f"{path}:1: expected 4 inputs and 1 output, {shape}")
 
 
 @pytest.mark.parametrize("command", ["sweep", "train", "compare", "simulate"])

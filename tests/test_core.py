@@ -114,6 +114,14 @@ def test_config_mode_buffer_rules():
         NetworkConfig(N=0, L=100, mode=TrafficMode.SATURATED)
     with pytest.raises(ValueError):
         NetworkConfig(N=2, L=100, mode=TrafficMode.UNSAT1, r=-0.1)
+    # sat keys one row per scenario, as unsat1 does; SweepSpec collapses their M axis
+    for mode in (TrafficMode.SATURATED, TrafficMode.UNSAT1):
+        for M in (7, 0, -2):
+            with pytest.raises(ValueError, match=f"mode {mode.value} has one buffer: M must be 1"):
+                NetworkConfig(N=3, L=30, mode=mode, r=0.05, M=M)
+    for M in (0, -3):
+        with pytest.raises(ValueError, match="multi-buffer mode requires M > 1"):
+            NetworkConfig(N=3, L=30, mode=TrafficMode.UNSATM, r=0.05, M=M)
 
 
 def test_config_rejects_arrival_probability_above_one():

@@ -14,6 +14,7 @@ from star154.predictor import (
     DESK_HIDDEN,
     DivergenceDetected,
     EvalReport,
+    INPUTS,
     MLPArchitecture,
     MLPModel,
     TASKS,
@@ -30,7 +31,7 @@ from star154.predictor import (
     train,
 )
 
-SMALL = MLPArchitecture(input_dim=4, hidden=(5, 4, 3), output_dim=1)
+SMALL = MLPArchitecture(hidden=(5, 4, 3))
 
 
 def _toy_data(n, seed):
@@ -44,6 +45,7 @@ def test_task_table():
     assert TASKS["n"] == (("r", "L", "PS", "TVS"), "N")
     assert TASKS["ps"] == (("r", "L", "N", "TVS"), "PS")
     assert TASKS["tvs"] == (("r", "L", "PS", "N"), "TVS")
+    assert {len(features) for features, _ in TASKS.values()} == {INPUTS}
     assert DEFAULT_HIDDEN["n"] == (100, 80, 50)
     assert DEFAULT_HIDDEN["ps"] == DEFAULT_HIDDEN["tvs"] == (80, 50, 30)
     assert DESK_HIDDEN == (32, 24, 16)
@@ -59,6 +61,16 @@ def test_init_shapes_and_bounds():
     assert all(not b.any() for b in m.biases)
     for w, fan_in in zip(m.weights, (4, 100, 80, 50)):
         assert np.abs(w).max() <= 1.0 / math.sqrt(fan_in)
+
+
+def test_architecture_takes_three_hidden_sizes_and_nothing_else():
+    for hidden in ((5,), (5, 4), (5, 4, 3, 2), (5, 0, 3), (-1, 4, 3)):
+        message = f"need 3 hidden layer sizes, each >= 1, got {hidden}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            MLPArchitecture(hidden=hidden)
+    with pytest.raises(TypeError):
+        MLPArchitecture()  # no default sizes: DEFAULT_HIDDEN and DESK_HIDDEN name them
+    assert MLPArchitecture(hidden=(5, 4, 3)).layer_sizes == (INPUTS, 5, 4, 3, 1)
 
 
 def test_weights_and_biases_are_views_of_params(tmp_path):
@@ -253,6 +265,11 @@ def test_train_input_validation():
     with pytest.raises(ValueError, match="^1 validation row: need 0 or at least 2 to correlate"):
         train(init_model(SMALL, seed=1), X, y, TrainConfig(validation_fraction=0.02),
               on_epoch=lambda epoch, mse: pytest.fail("trained on a split it then refuses"))
+    # data of another shape is refused with both shapes, before the split and the scaling
+    for bad_X, bad_y in ((X[:, :3], y), (X[:, 0], y), (X, y[:-1]), (X[:, :, None], y)):
+        message = f"X has shape {bad_X.shape} and y {bad_y.shape}; need (n, 4) and (n,)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            train(init_model(SMALL, seed=1), bad_X, bad_y, TrainConfig())
 
 
 def test_evaluate_perfect_predictions():
@@ -332,9 +349,11 @@ def _edit_params(text: str, start: int, digits: str) -> str:
     (lambda t: "\n  \n", "empty model file"),
     (lambda t: _edit_line(t, 0, "mlp-v2 4 5 4 3"), "expected 5 layer sizes"),
     (lambda t: _edit_line(t, 0, "mlp-v2 4 5 x 3 1"), "invalid literal"),
-    (lambda t: _edit_line(t, 0, "mlp-v2 4 5 0 3 1"), "layer sizes must be >= 1"),
-    # 72 parameters, 1152 hex digits, where the file holds SMALL's 68
-    (lambda t: _edit_line(t, 0, "mlp-v2 4 5 4 3 2"), "expected 1152 hex digits, got 1088"),
+    (lambda t: _edit_line(t, 0, "mlp-v2 4 5 0 3 1"),
+     "need 3 hidden layer sizes, each >= 1, got (5, 0, 3)"),
+    # refused at the header, before the ranges and parameters are read
+    (lambda t: _edit_line(t, 0, "mlp-v2 4 5 4 3 2"),
+     ":1: expected 4 inputs and 1 output, got 4 and 2"),
     (lambda t: _edit_line(t, 0, "mlp-v1 4 5 4 3 1"),
      "model format mlp-v1 is no longer read; retrain with star154 train"),
     (lambda t: _edit_line(t, 2, "0.5"), "range of two reals"),
@@ -426,10 +445,7 @@ _reals = st.floats(allow_nan=False, allow_infinity=False)
 
 @st.composite
 def _models(draw):
-    arch = MLPArchitecture(
-        input_dim=draw(_sizes), hidden=(draw(_sizes), draw(_sizes), draw(_sizes)),
-        output_dim=draw(_sizes),
-    )
+    arch = MLPArchitecture(hidden=(draw(_sizes), draw(_sizes), draw(_sizes)))
     model = init_model(arch, seed=0)
 
     def fill(size):
@@ -439,7 +455,7 @@ def _models(draw):
         return sorted(draw(st.lists(_reals, min_size=2, max_size=2, unique=True)))
 
     model.params[:] = fill(arch.n_params)
-    model.in_min, model.in_max = np.array([span() for _ in range(arch.input_dim)]).T
+    model.in_min, model.in_max = np.array([span() for _ in range(INPUTS)]).T
     model.out_min, model.out_max = span()
     return model
 

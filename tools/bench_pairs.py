@@ -13,7 +13,9 @@ moves no branch and touches no file. Each commit is exported with
 unchanged, so each side measures exactly its committed files. Every run
 lasts BENCHMARK.json's `run_seconds`. Pair i runs both sides on the i-th
 seed of its workload; the parent runs first in even pairs and the change in
-odd ones, so a drift of the host over time falls on both sides alike.
+odd ones, so a drift of the host over time falls on both sides alike. Each
+workload needs at least two seeds, so that each side has an IQR: fewer is a
+usage error, raised before any run.
 
 For each workload the output holds, per end-to-end metric of BENCHMARK.json,
 each side's median, IQR (75th - 25th percentile, linear interpolation) and
@@ -68,11 +70,13 @@ RUN_CHECKS = ("digest", "heldout_R", "predict_p50_ms")  # recorded per run where
 
 
 def _seeds(text: str) -> list[int]:
-    """'101-110,9999' -> [101, ..., 110, 9999]."""
+    """'101-110,9999' -> [101, ..., 110, 9999]; fewer than two seeds is an error."""
     seeds = []
     for part in text.split(","):
         lo, _, hi = part.partition("-")
         seeds += range(int(lo), int(hi or lo) + 1)
+    if len(seeds) < 2:
+        raise argparse.ArgumentTypeError(f"{text!r} gives {len(seeds)} seeds; an IQR needs 2")
     return seeds
 
 
