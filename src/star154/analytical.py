@@ -279,31 +279,29 @@ def _damped(F: _Map, settings: SolverSettings) -> tuple[float, int, int, float |
 
 
 def _bisect(F: _Map, settings: SolverSettings) -> tuple[float, int, int, float | None]:
-    """Root of F on [0, 1]: tau, halvings, F evaluations, and F(tau) or None for a spent budget.
+    """Root of F on [0, 1]: tau, halvings, F evaluations, and F(tau) or None if unpolishable.
 
     F(0) >= 0 and F(1) <= 0 for every valid configuration, so the root is
-    bracketed from the start.
+    bracketed from the start. Halving stops once |F| is 1% of tolerance; None
+    marks a spent budget (tau is the next midpoint) or a bracket of two
+    adjacent floats (tau is the end with the smaller |F|).
     """
-    lo, hi = 0.0, 1.0
+    lo, hi, f_hi = 0.0, 1.0, None
     f_lo = F(lo)
     if f_lo == 0.0:
         return 0.0, 1, 1, 0.0
-    # 200 halvings take the interval below 1e-60, unless max_iterations is smaller;
-    # stop once |F| is 1% of tolerance
-    budget = min(200, settings.max_iterations)
-    for it in range(1, budget + 1):
+    for it in range(1, settings.max_iterations + 1):
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:  # adjacent floats: a Newton step lands on lo or hi again
+            return (hi if f_hi is not None and abs(f_hi) < abs(f_lo) else lo), it - 1, it, None
         f_mid = F(mid)
         if f_mid == 0.0 or abs(f_mid) < settings.tolerance * 1e-2:
             return mid, it, it + 1, f_mid
         if (f_mid > 0.0) == (f_lo > 0.0):
             lo, f_lo = mid, f_mid
         else:
-            hi = mid
-    tau = 0.5 * (lo + hi)
-    if budget == settings.max_iterations:
-        return tau, it, it + 1, None
-    return tau, it, it + 2, F(tau)
+            hi, f_hi = mid, f_mid
+    return 0.5 * (lo + hi), settings.max_iterations, settings.max_iterations + 1, None
 
 
 def _polish(F: _Map, tau: float, f: float) -> tuple[float, int]:
@@ -348,7 +346,7 @@ def solve(cfg: NetworkConfig, settings: SolverSettings = SolverSettings()) -> Fi
         raise ValueError(f"the analytical model needs at least {MIN_NODES} nodes, got {cfg.N}")
     F = _map(cfg)
     tau, it, evaluations, f = (_bisect if settings.use_bisection else _damped)(F, settings)
-    if f is not None:  # a landed route is polished; a spent budget reports its last iterate
+    if f is not None:  # a landed route is polished; otherwise tau is reported as it stands
         tau, polished = _polish(F, tau, f)
         evaluations += polished
     # one more F evaluation, through the public functions: a, p0 and the residual

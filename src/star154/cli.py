@@ -137,8 +137,6 @@ def _cmd_simulate(args, parser) -> int:
             net=cfg, horizon_mini_slots=args.horizon, warmup_mini_slots=args.warmup,
             replications=args.reps, base_seed=args.seed,
         )
-        if args.trace == "":
-            raise ValueError("--trace needs a file path")
         lines = simulator.trace(sim_cfg, max_events=args.trace_events) if args.trace else None
         rep = simulator.run(sim_cfg, jobs=args.jobs)
     if args.trace:
@@ -343,6 +341,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    for flag in ("out", "trace"):  # opened only after the work: refuse an empty path first
+        if getattr(args, flag, None) == "":
+            parser.error(f"--{flag} needs a file path")
     try:
         code = args.fn(args, parser)
         sys.stdout.flush()

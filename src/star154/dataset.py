@@ -99,40 +99,36 @@ MAX_AXIS_VALUES = 100_000  # the most values one grid axis, or a whole grid, may
 
 
 def parse_range(text: str, kind=float) -> tuple:
-    """Parse '2', '2,5,10', or 'start:stop:step' (stop inclusive) into values.
+    """Parse '2', '2,5,10', or 'start:stop:step' into values.
 
-    Every value must be finite and the result non-empty, no longer than
-    MAX_AXIS_VALUES and free of repeats; an integer axis also needs an
-    integral start, stop and step. Anything else raises ValueError, so no
-    axis silently yields other grid points than its text names.
+    A range holds start + k*step (k = 0, 1, ...) up to and including stop, in
+    exact decimal arithmetic, each value rounded to 12 decimals. Every value
+    must be finite and the result non-empty, no longer than MAX_AXIS_VALUES
+    and free of repeats; an integer axis also needs an integral start, stop
+    and step. Anything else raises ValueError, so no axis silently yields
+    other grid points than its text names.
     """
     text = text.strip()
     if ":" in text:
+        from fractions import Fraction  # only a sweep range needs exact decimals
+
         parts = text.split(":")
         if len(parts) != 3:
             raise ValueError(f"range needs start:stop:step, got {text!r}")
-        start, stop, step = (float(p) for p in parts)
-        if not all(map(math.isfinite, (start, stop, step))):
+        bounds = [float(p) for p in parts]
+        if not all(map(math.isfinite, bounds)):
             raise ValueError(f"range bounds must be finite in {text!r}")
+        # the shortest decimal of each float: the typed decimal up to 15 significant
+        # digits, and never a huge exponent (1e-999999999 reads as 0.0)
+        start, stop, step = (Fraction(repr(b)) for b in bounds)
         if step <= 0:
             raise ValueError(f"step must be positive in {text!r}")
-        if kind is int and not all(v.is_integer() for v in (start, stop, step)):
+        if kind is int and any(v.denominator != 1 for v in (start, stop, step)):
             raise ValueError(f"an integer axis needs integral start, stop and step, got {text!r}")
-        # tolerate float drift at the inclusive end: start + k*step misses the
-        # typed stop by a few last-place units of the larger bound, and never
-        # by a sizeable share of one step
-        top = stop + 1e-9 * step + 1e-12 * max(abs(start), abs(stop))
-        span = (top - start) / step
-        # value k is start + k*step in floats: settle the estimate's last-bit
-        # errors, and stop counting where a tiny step no longer moves the value
-        count = math.floor(min(max(span, -1.0), MAX_AXIS_VALUES)) + 1
-        while count and start + (count - 1) * step > top:
-            count -= 1
-        while count <= MAX_AXIS_VALUES and start + count * step <= top:
-            count += 1
+        count = (stop - start) // step + 1
         if count > MAX_AXIS_VALUES:
             raise ValueError(f"range {text!r} has more than {MAX_AXIS_VALUES} values")
-        values = tuple(kind(round(start + k * step if k else start, 12)) for k in range(count))
+        values = tuple(kind(round(start + k * step, 12)) for k in range(count))
         if len(set(values)) < len(values):
             raise ValueError(f"step finer than 1e-12 in {text!r}: range values are rounded "
                              "to 12 decimals, so some would repeat")

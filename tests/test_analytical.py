@@ -284,11 +284,17 @@ def test_solver_reports_nonconvergence_with_partial_state():
         assert partial.residual > 1e-12
 
 
-@pytest.mark.parametrize("cfg", [
-    NetworkConfig(N=10, L=50, mode=TrafficMode.UNSATM, r=0.08, M=5), UNSAT(10, 100, 0.05),
-    SAT(10, 100),
-], ids=["unsatm", "unsat1", "sat"])
-def test_solver_evaluates_each_point_once(cfg, monkeypatch):
+_ROUTES = (SolverSettings(), SolverSettings(use_bisection=True))
+# a tolerance below F's rounding noise: the bisection halves until its bracket is two
+# adjacent floats, and must stop there rather than evaluate lo or hi again
+_UNREACHABLE = SolverSettings(tolerance=1e-300, use_bisection=True)
+
+
+@pytest.mark.parametrize("cfg, solvers", [
+    (NetworkConfig(N=10, L=50, mode=TrafficMode.UNSATM, r=0.08, M=5), _ROUTES),
+    (UNSAT(10, 100, 0.05), _ROUTES), (SAT(10, 100), _ROUTES), (UNSAT(2, 30, 0.1), (_UNREACHABLE,)),
+], ids=["unsatm", "unsat1", "sat", "unreachable"])
+def test_solver_evaluates_each_point_once(cfg, solvers, monkeypatch):
     def recording(name, fn):
         def wrapper(tau, *args):
             seen[name].append(tau)
@@ -296,13 +302,18 @@ def test_solver_evaluates_each_point_once(cfg, monkeypatch):
         return wrapper
 
     real_map = analytical._map
-    for solver in (SolverSettings(), SolverSettings(use_bisection=True)):
+    for solver in solvers:
         seen = {"F": [], "tau_update": []}
         with monkeypatch.context() as patch:
             patch.setattr(analytical, "_map", lambda c: recording("F", real_map(c)))
             patch.setattr(analytical, "tau_update", recording("tau_update", tau_update))
-            fp = solve(cfg, solver)
-        assert fp.converged
+            if solver is _UNREACHABLE:
+                with pytest.raises(NonConvergenceError) as err:
+                    solve(cfg, solver)
+                fp = err.value.fixed_point
+            else:
+                fp = solve(cfg, solver)
+                assert fp.converged
         points = seen["F"]
         assert len(points) == len(set(points))
         # the reported point, once more through the public functions

@@ -154,6 +154,16 @@ def test_usage_errors_exit_2(tmp_path, capsys, training_csv):
         err = capsys.readouterr().err
         assert err.splitlines()[-1].startswith("star154: error: "), argv
         assert "Traceback" not in err
+    # an empty output path is refused before any work, naming its flag
+    for argv in (["sweep", "--mode", "sat", "--nodes", "5", "--frame-bytes", "50", "--out", ""],
+                 ["compare", "--analytical", training_csv, "--simulated", training_csv,
+                  "--out", ""],
+                 train[:-1] + [""]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "star154: error: --out needs a file path"), argv
     # --hidden and --desk-scale both name the sizes: the train parser refuses the pair
     with pytest.raises(SystemExit) as exc:
         main(train + ["--hidden", "8,8,8", "--desk-scale"])

@@ -12,6 +12,7 @@ import pytest
 from star154 import analytical, core, metrics
 from star154.analytical import _channel, _scenario
 from star154.dataset import SweepSpec, generate_grid
+from star154.simulator import run_replication
 from star154.core import (
     CONSTANTS,
     NetworkConfig,
@@ -56,6 +57,41 @@ def test_derived_coefficients_equal_the_printed_integers():
     # printed in the paper, not derived
     assert (core.IDLE1_SYMBOLS, core.FAIL_EXTRA_SYMBOLS, core.K_POWER) == (19, 6, 26)
     assert core.T3_PRINTED_COEFFS == (144, 170, 330, 330, 330, 1256)
+
+
+def _first_attempt_fails_after_a_clean_cca(L: int, d: int) -> bool:
+    """Two nodes: A's CCA starts at t0 and B's at t0 + d. Does A's first attempt, made after
+    an idle CCA, fail? B's retries back off 40 periods each, out of A's way."""
+    t0, lines = 1000, []
+    run_replication(NetworkConfig(N=2, L=L, mode=TrafficMode.UNSAT1, r=1e-9), t0 + 3000, 0,
+                    seed=0, trace_sink=lines, max_trace=200,
+                    arrival_schedule={0: [t0], 1: [t0 + d]},
+                    backoff_schedule={0: [0], 1: [0] + [40] * 8})
+    events = [line.split("\t")[2:] for line in lines if line.split("\t")[1] == "0"]
+    cca = next(detail for event, detail in events if event == "cca_result")
+    outcome = next(event for event, _ in events if event in ("retry", "deliver"))
+    return cca == "idle" and outcome == "retry"
+
+
+@pytest.mark.parametrize("L", [30, 100])
+def test_simulated_collision_windows_beside_the_printed_constants(L):
+    # the offsets of B's CCA start from A's at which A's attempt collides: B's ACK over
+    # A's data, the two frames on air together, B's data over A's ACK
+    offsets = [d for d in range(-2 * L - 60, 2 * L + 61)
+               if _first_attempt_fails_after_a_clean_cca(L, d)]
+    ack = list(range(2 * L + 20, 2 * L + 33))
+    assert offsets == [-d for d in reversed(ack)] + list(range(-12, 13)) + ack
+    # the simulator's rule spans 13 + 25 + 13 = 51 offsets; the printed power is 26
+    assert (len(offsets), core.K_POWER) == (51, 26)
+    # T3's printed coefficients are T2's plus ACK_WAIT_SAVING on all six, while the
+    # collided attempt's own sum adds it to c0 and c5 only; so at a = 1 the printed
+    # numerator exceeds T2's by the four middle additions
+    saving, (c0, c1, c2, c3, c4, c5) = core.ACK_WAIT_SAVING, core.T2_COEFFS
+    assert core.T3_PRINTED_COEFFS == tuple(c + saving for c in core.T2_COEFFS)
+    assert (c0 + saving, c1, c2, c3, c4, c5 + saving) == (
+        core.CLEAN_COLLISION_SYMBOLS, *core.ATTEMPT_STEPS[1:], core.T1_SYMBOLS + core.COLLISION_TAIL)
+    numerator = lambda c: c[0] + c[1] + c[2] + c[3] + c[4] - c[5]
+    assert (numerator(core.T2_COEFFS), numerator(core.T3_PRINTED_COEFFS)) == (0, 4 * saving) == (0, 48)
 
 
 def test_cycle_totals_collect_the_state_table():

@@ -1,9 +1,11 @@
 """Grids, CSV persistence, and the analytical-vs-simulated diff pipeline."""
 import math
+import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from star154.analytical import SolverSettings
@@ -45,11 +47,11 @@ def test_parse_range_inclusive_end_with_float_drift():
     vals = parse_range("0.001:0.13:0.0129")
     assert len(vals) == 11
     assert vals[0] == 0.001 and vals[-1] == 0.13
-    # the tolerance scales with the step, so a tiny step stops at its stop
+    # values step in exact decimals, so a tiny step stops at its stop
     vals = parse_range("0:1e-10:1e-11")
     assert len(vals) == 11
     assert vals[0] == 0.0 and vals[-1] == 1e-10
-    # and with the bounds, so drift far from zero keeps the last value
+    # and far from zero, where float stepping drifts, the last value is still the stop
     vals = parse_range("-2609.144:-2609.143832:4e-06")
     assert len(vals) == 43 and vals[-1] == -2609.143832
 
@@ -120,6 +122,57 @@ def test_parse_range_returns_bounded_finite_values_or_raises(text, kind):
     assert all(isinstance(v, kind) for v in values)
     assert all(kind is int or math.isfinite(v) for v in values)
     assert len(set(values)) == len(values)
+
+
+_decimal = st.builds("{}e{}".format, st.integers(-10**15 + 1, 10**15 - 1), st.integers(-20, 6))
+# start, stop and step on one scale, so that most ranges hold a countable number of values
+_scaled_range = st.builds(
+    lambda a, b, c, e, f: f"{a}e{e}:{b}e{e}:{c}e{e + f}",
+    st.integers(-10**7, 10**7), st.integers(-10**7, 10**7), st.integers(1, 10**4),
+    st.integers(-16, 4), st.integers(-2, 2),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.one_of(_scaled_range, st.builds("{}:{}:{}".format, _decimal, _decimal, _decimal)),
+       kind=st.sampled_from([float, int]))
+@example("300:300.00000000001296:2e-12", float)  # float drift once added 150 values past the stop
+@example("7e-6:6.999999e-06:3.761", float)  # start above stop: no values
+@example("533.3:533.3:5e-14", float)  # one value, however fine the step
+@example("55:8946.082:493.949", float)  # 7464.235, not 7464.235000000001
+@example("0.7:0.8999999999999999:0.1", float)  # a stop typed short of 0.9 ends at 0.8
+def test_parse_range_steps_in_exact_decimals(text, kind):
+    # decimals of at most 15 significant digits are exactly what their floats print as
+    start, stop, step = map(Fraction, text.split(":"))
+    n = (stop - start) // step + 1 if step > 0 else None
+    if n is None:
+        problem = "step must be positive"
+    elif kind is int and any(v.denominator != 1 for v in (start, stop, step)):
+        problem = "an integer axis needs integral start, stop and step"
+    elif n > MAX_AXIS_VALUES:
+        problem = f"range {text!r} has more than"
+    elif n <= 0:
+        problem = "no values"
+    else:
+        values = tuple(kind(round(start + k * step, 12)) for k in range(n))
+        problem = "step finer than 1e-12" if len(set(values)) < n else None
+    if problem is not None:
+        with pytest.raises(ValueError) as err:
+            parse_range(text, kind)
+        assert str(err.value).startswith(problem)
+        return
+    assert start + (n - 1) * step <= stop < start + n * step
+    assert parse_range(text, kind) == values
+
+
+def test_parse_range_reads_huge_exponents_quickly():
+    # as floats, so no exact decimal with a 10**999999999 denominator is ever built
+    parse_range("0:1:0.5")
+    began = time.perf_counter()
+    assert parse_range("1e-999999999:1:0.1") == tuple(k / 10 for k in range(11))
+    with pytest.raises(ValueError, match="step must be positive"):
+        parse_range("0:1:1e-999999999")
+    assert time.perf_counter() - began < 0.01
 
 
 # -- grid generation ----------------------------------------------------------

@@ -46,6 +46,12 @@ least 9 of every 10 pairs, and beats the parent's median by more than the
 parent's IQR. `src_lines` holds each side's `wc -l` of every
 `src/star154/*.py` and their total. The output holds only what these runs
 measured. Standard library and git only.
+
+`--workload tier1` is opt-in: it runs no bench/run.py workload but the
+Tier-1 test command (TIER1, with `src` first on PYTHONPATH) once per side in
+each pair, and its seeds only count the pairs. Per run it records the wall
+time, the child's user CPU time, the outcome counts of pytest's summary line
+and pytest's 10 slowest durations; per side, the wall and CPU spreads.
 """
 from __future__ import annotations
 
@@ -54,6 +60,8 @@ import io
 import json
 import os
 import platform
+import re
+import resource
 import shutil
 import statistics
 import subprocess
@@ -67,6 +75,9 @@ SIDES = ("parent", "change")
 EXACT_UNITS = ("count", "bytes")  # per-layer metrics that must repeat exactly
 TRACE_SEED, TRACE_SECONDS = 1, 3.0  # the one traced run per side and workload
 RUN_CHECKS = ("digest", "heldout_R", "predict_p50_ms")  # recorded per run where reported
+TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors", "--durations=10")
+_SUMMARY = re.compile(r"^=* ?((?:\d+ \w+, )*\d+ \w+) in [\d.]+s")  # "1 failed, 379 passed in 64.21s"
+_DURATION = re.compile(r"^(\d+\.\d+)s (setup|call|teardown) +(\S.*)$")  # "49.10s call  tests/..."
 
 
 def _seeds(text: str) -> list[int]:
@@ -85,7 +96,7 @@ def _parse(argv):
     p.add_argument("parent")
     p.add_argument("change")
     p.add_argument("--workload", action="append", required=True,
-                   help="a workload of bench/run.py; give --seeds after each")
+                   help="a workload of bench/run.py, or tier1; give --seeds after each")
     p.add_argument("--seeds", action="append", type=_seeds, required=True,
                    help="one seed per pair, such as 101-110,9999")
     p.add_argument("--trace-workloads", default="",
@@ -130,6 +141,39 @@ def _run(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> tu
     return json.loads(report)["report"], json.loads(result)
 
 
+def pytest_counts(output: str) -> dict:
+    """The outcome counts of pytest's last summary line, such as {"failed": 1, "passed": 379}."""
+    lines = [m for m in map(_SUMMARY.match, output.splitlines()) if m]
+    if not lines:
+        return {}
+    plural = {"error": "errors", "warning": "warnings"}
+    return {plural.get(word, word): int(n)
+            for n, word in (part.split() for part in lines[-1][1].split(", "))}
+
+
+def pytest_durations(output: str) -> list[dict]:
+    """pytest's --durations lines, slowest first: seconds, phase and test id."""
+    return [{"seconds": float(m[1]), "phase": m[2], "test": m[3]}
+            for m in map(_DURATION.match, output.splitlines()) if m]
+
+
+def _tier1(tree: Path) -> dict:
+    """One Tier-1 run in tree: wall and child user CPU seconds, outcome counts, slowest tests."""
+    path = os.pathsep.join(filter(None, ("src", os.environ.get("PYTHONPATH"))))
+    cpu = resource.getrusage(resource.RUSAGE_CHILDREN).ru_utime
+    began = time.perf_counter()
+    proc = subprocess.run([sys.executable, *TIER1], cwd=tree, capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+    wall = time.perf_counter() - began
+    counts = pytest_counts(proc.stdout)
+    if not counts:
+        raise SystemExit(f"bench_pairs: Tier-1 in {tree} printed no summary line "
+                         f"(exit {proc.returncode}):\n{proc.stdout[-2000:]}{proc.stderr}")
+    return {"wall_s": round(wall, 3),
+            "user_cpu_s": round(resource.getrusage(resource.RUSAGE_CHILDREN).ru_utime - cpu, 3),
+            "counts": counts, "slowest": pytest_durations(proc.stdout)}
+
+
 def _spread(runs: list[float]) -> dict:
     q1, _, q3 = statistics.quantiles(runs, n=4, method="inclusive")
     return {"median": round(statistics.median(runs), 6), "iqr": round(q3 - q1, 6),
@@ -167,18 +211,37 @@ def _verdict(parent: dict, change: dict, direction: str, bound: float) -> dict:
     return {"bound": bound, "worse_by": round(worse_by, 4), "verdict": verdict}
 
 
-def _pairs(trees: dict, workload: str, seeds: list[int], seconds: float, spec: dict) -> dict:
-    runs = {side: [] for side in SIDES}
-    first = []
+def _alternate(seeds: list[int], run) -> tuple[dict, list[str]]:
+    """run(side, seed) for both sides once per seed, the parent first in even pairs:
+    each side's results in pair order, and which side ran first in each pair."""
+    runs, first = {side: [] for side in SIDES}, []
     for i, seed in enumerate(seeds):
         order = SIDES if i % 2 == 0 else SIDES[::-1]
         first.append(order[0])
         for side in order:
-            report, result = _run(trees[side], workload, seed, seconds, trace=0)
-            runs[side].append((report, result))
-            rate = result["metrics"]["rate_per_s"]["value"]
-            print(f"{workload} seed {seed} {side}: rate_per_s {rate:.6g}, "
-                  f"{report['repetitions']} repetitions", file=sys.stderr, flush=True)
+            runs[side].append(run(side, seed))
+    return runs, first
+
+
+def _compared(values: dict, better: str) -> dict:
+    """Each side's spread, the change/parent ratio of the medians and the pairs the change won."""
+    entry = {s: _spread(values[s]) for s in SIDES}
+    sign = 1 if better == "higher" else -1
+    wins = sum(sign * (c - p) > 0 for p, c in zip(values["parent"], values["change"]))
+    entry["change_over_parent"] = round(entry["change"]["median"] / entry["parent"]["median"], 4)
+    entry["change_wins"] = f"{wins}/{len(values['parent'])}"
+    return entry
+
+
+def _pairs(trees: dict, workload: str, seeds: list[int], seconds: float, spec: dict) -> dict:
+    def run(side: str, seed: int) -> tuple[dict, dict]:
+        report, result = _run(trees[side], workload, seed, seconds, trace=0)
+        rate = result["metrics"]["rate_per_s"]["value"]
+        print(f"{workload} seed {seed} {side}: rate_per_s {rate:.6g}, "
+              f"{report['repetitions']} repetitions", file=sys.stderr, flush=True)
+        return report, result
+
+    runs, first = _alternate(seeds, run)
     fits = {s: _rss_fit(runs[s]) for s in SIDES}
     out = {
         "pairs": len(seeds), "seeds": seeds, "first": first,
@@ -194,13 +257,25 @@ def _pairs(trees: dict, workload: str, seeds: list[int], seconds: float, spec: d
             out[key] = {s: [rep["checks"][key] for rep, _ in runs[s]] for s in SIDES}
     for name, metric in spec.items():
         values = {s: [r["metrics"][name]["value"] for _, r in runs[s]] for s in SIDES}
-        entry = {s: _spread(values[s]) for s in SIDES}
-        sign = 1 if metric["better"] == "higher" else -1
-        wins = sum(sign * (c - p) > 0 for p, c in zip(values["parent"], values["change"]))
-        entry["change_over_parent"] = round(entry["change"]["median"] / entry["parent"]["median"], 4)
-        entry["change_wins"] = f"{wins}/{len(seeds)}"
+        entry = _compared(values, metric["better"])
         entry.update(_verdict(entry["parent"], entry["change"], metric["better"], metric["bound"]))
         out[name] = entry
+    return out
+
+
+def _tier1_pairs(trees: dict, seeds: list[int]) -> dict:
+    def run(side: str, seed: int) -> dict:
+        result = _tier1(trees[side])
+        print(f"tier1 pair {seed} {side}: {result['wall_s']} s wall, {result['counts']}",
+              file=sys.stderr, flush=True)
+        return result
+
+    runs, first = _alternate(seeds, run)
+    out = {"pairs": len(seeds), "first": first}
+    for name in ("wall_s", "user_cpu_s"):
+        out[name] = _compared({s: [r[name] for r in runs[s]] for s in SIDES}, "lower")
+    for name in ("counts", "slowest"):
+        out[name] = {s: [r[name] for r in runs[s]] for s in SIDES}
     return out
 
 
@@ -244,7 +319,8 @@ def main(argv=None) -> int:
             commits[side] = _export(commit, trees[side])
             src_lines[side] = _src_lines(trees[side])
         t0 = time.time()
-        workloads = {w: _pairs(trees, w, seeds, seconds, end_to_end)
+        workloads = {w: _tier1_pairs(trees, seeds) if w == "tier1"
+                     else _pairs(trees, w, seeds, seconds, end_to_end)
                      for w, seeds in zip(args.workload, args.seeds)}
         traces = {w: _traces(trees, w)
                   for w in filter(None, args.trace_workloads.split(","))}
@@ -257,7 +333,9 @@ def main(argv=None) -> int:
                     "--trace 0 in git-archive exports of both commits, alternating which side "
                     "runs first in each pair (parent first in even pairs); one seed per pair. "
                     f"Per-layer counts: --seed {TRACE_SEED} --seconds "
-                    f"{TRACE_SECONDS:g} --trace 1, once per side"),
+                    f"{TRACE_SECONDS:g} --trace 1, once per side"
+                    + (f". tier1: PYTHONPATH=src python {' '.join(TIER1)}, one run per side "
+                       "in each pair" if "tier1" in workloads else "")),
         "host": f"{os.cpu_count()} cores {platform.machine()}, Python "
                 f"{platform.python_version()}, {platform.system()} {platform.release()}",
         "statistic": "median and IQR (75th - 25th percentile, linear interpolation) over the "
