@@ -37,7 +37,8 @@ def test_pytest_durations_keep_seconds_phase_and_test_id():
     assert slowest[:2] == [
         {"seconds": 49.1, "phase": "call",
          "test": "tests/test_acceptance.py::test_11_inverse_predictor_quality"},
-        {"seconds": 1.8, "phase": "call", "test": "tests/test_acceptance.py::test_08_simulator_agrees"},
+        {"seconds": 1.8, "phase": "call",
+         "test": "tests/test_acceptance.py::test_08_simulator_agrees"},
     ]
     assert [d["phase"] for d in slowest] == ["call", "call", "setup", "call"]
     assert slowest[-1]["test"] == "tests/test_core.py::test_windows[a b-30]"

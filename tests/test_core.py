@@ -88,10 +88,12 @@ def test_simulated_collision_windows_beside_the_printed_constants(L):
     # numerator exceeds T2's by the four middle additions
     saving, (c0, c1, c2, c3, c4, c5) = core.ACK_WAIT_SAVING, core.T2_COEFFS
     assert core.T3_PRINTED_COEFFS == tuple(c + saving for c in core.T2_COEFFS)
-    assert (c0 + saving, c1, c2, c3, c4, c5 + saving) == (
-        core.CLEAN_COLLISION_SYMBOLS, *core.ATTEMPT_STEPS[1:], core.T1_SYMBOLS + core.COLLISION_TAIL)
-    numerator = lambda c: c[0] + c[1] + c[2] + c[3] + c[4] - c[5]
-    assert (numerator(core.T2_COEFFS), numerator(core.T3_PRINTED_COEFFS)) == (0, 4 * saving) == (0, 48)
+    assert (c0 + saving, c1, c2, c3, c4, c5 + saving) == (core.CLEAN_COLLISION_SYMBOLS,
+                                                         *core.ATTEMPT_STEPS[1:],
+                                                         core.T1_SYMBOLS + core.COLLISION_TAIL)
+    numerator = lambda c: sum(c[:5]) - c[5]
+    assert (numerator(core.T2_COEFFS), numerator(core.T3_PRINTED_COEFFS)) == (0, 4 * saving)
+    assert 4 * saving == 48
 
 
 def test_cycle_totals_collect_the_state_table():

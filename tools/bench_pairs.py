@@ -76,8 +76,9 @@ EXACT_UNITS = ("count", "bytes")  # per-layer metrics that must repeat exactly
 TRACE_SEED, TRACE_SECONDS = 1, 3.0  # the one traced run per side and workload
 RUN_CHECKS = ("digest", "heldout_R", "predict_p50_ms")  # recorded per run where reported
 TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors", "--durations=10")
-_SUMMARY = re.compile(r"^=* ?((?:\d+ \w+, )*\d+ \w+) in [\d.]+s")  # "1 failed, 379 passed in 64.21s"
-_DURATION = re.compile(r"^(\d+\.\d+)s (setup|call|teardown) +(\S.*)$")  # "49.10s call  tests/..."
+# pytest's summary and --durations lines: "1 failed, 379 passed in 64.21s", "49.10s call  tests/…"
+_SUMMARY = re.compile(r"^=* ?((?:\d+ \w+, )*\d+ \w+) in [\d.]+s")
+_DURATION = re.compile(r"^(\d+\.\d+)s (setup|call|teardown) +(\S.*)$")
 
 
 def _seeds(text: str) -> list[int]:
