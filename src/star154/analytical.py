@@ -12,12 +12,12 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from . import metrics, queueing  # modules, not names: metrics imports this one back
+from . import queueing  # a module, not names: see _queue
 from .core import (
     ACK_FAIL_POWER, ACK_SUC_POWER, ACK_SUC_SYMBOLS, ACK_WAIT_SAVING, ATTEMPT_STEPS,
     CLEAN_CCA_STARTS, CLEAN_COLLISION_SYMBOLS, COLLISION_TAIL, CONSTANTS, CYCLE_ONE, CYCLE_X,
     CYCLE_YZ_ACK, CYCLE_YZN, FAIL_EXTRA_SYMBOLS, IDLE1_SYMBOLS, WAIT_STATES,
-    NetworkConfig, TrafficMode, attempt_terms, quiet_prob,
+    NetworkConfig, TrafficMode, attempt_terms, quiet_prob, service_chain,
 )
 
 # float copies of core's exact ints, so F's arithmetic converts none per evaluation;
@@ -222,15 +222,16 @@ def _update(a: float, terms: tuple[float, ...], s: tuple[float, ...], idle: floa
     return 0.0 if tau < 0.0 else 1.0 if tau > 1.0 else tau
 
 
-def _queue(tau: float, a: float, cfg: NetworkConfig) -> tuple[float, float, float]:
-    """Queue utilization p, empty probability p0 and mean service time TVS at (tau, a).
+def _queue(a: float, terms: tuple[float, ...], cfg: NetworkConfig) -> tuple[float, float, float]:
+    """Queue utilization p, empty probability p0 and mean service time TVS at a, from
+    terms = core.attempt_terms(a, k); unchecked.
 
     Multi-buffer mode: the node model's mean service time sets the M/M/1/K
     load, and its empty probability weights the arrival term. The queueing
-    functions are looked up on their module at every call, here and in the
-    map _map builds, so a wrapper put on it counts each one.
+    functions are looked up on their module at every call, so a wrapper put
+    on it counts each one.
     """
-    TVS = metrics._service(a, quiet_prob(tau, cfg.N), cfg.L)[2]
+    TVS = service_chain(a, terms, float(2 * cfg.L))[2]
     p = queueing.utilization(cfg.r, cfg.L, TVS)
     return p, queueing.empty_prob(p, cfg.M), TVS
 
@@ -239,14 +240,13 @@ def _map(cfg: NetworkConfig) -> _Map:
     """F(tau) = tau_update(tau, a(tau), cfg, p0(tau)) - tau for cfg: the map every route solves.
 
     The traffic mode is decided here, once per solve: F closes over
-    _scenario(N, L), L, r, M and the arrival term, 2L/r in unsat1, none in
-    sat, and p0 2L/r in unsatm, with p0 from _queue's chain at every
-    evaluation. F checks tau once and computes k, the powers of a and D and
-    k**K_POWER once; its pieces are the ones a_from_tau, _queue and
-    tau_update call, so the bits are theirs.
+    _scenario(N, L), r and the arrival term, 2L/r in unsat1, none in sat,
+    and p0 2L/r in unsatm, with p0 from _queue at every evaluation. F checks
+    tau once and computes k, the powers of a and D and k**K_POWER once; its
+    pieces are the ones a_from_tau, _queue and tau_update call, so the bits
+    are theirs.
     """
-    L, r, M = cfg.L, cfg.r, cfg.M
-    s, frame = _scenario(cfg.N, L), float(2 * L)
+    r, s, frame = cfg.r, _scenario(cfg.N, cfg.L), float(2 * cfg.L)
     unsatm = cfg.mode is TrafficMode.UNSATM
     # outside unsatm; None without arrivals, where tau_update is 0
     idle = 0.0 if cfg.mode is TrafficMode.SATURATED else frame / r if r else None
@@ -257,8 +257,7 @@ def _map(cfg: NetworkConfig) -> _Map:
         _, _, k, _, a = _channel(tau, s)
         terms = attempt_terms(a, k)
         if unsatm:
-            TVS = metrics._service_from(a, terms, frame)[2]
-            p0 = queueing.empty_prob(queueing.utilization(r, L, TVS), M)
+            p0 = _queue(a, terms, cfg)[1]
             # p0 * frame is tau_update's p0 * 2 * L: p0 * 2 is exact, so both round p0 2L once
             return (_update(a, terms, s, p0 * frame / r) if r else 0.0) - tau
         return (0.0 if idle is None else _update(a, terms, s, idle)) - tau
@@ -352,7 +351,8 @@ def solve(cfg: NetworkConfig, settings: SolverSettings = SolverSettings()) -> Fi
     # one more F evaluation, through the public functions: a, p0 and the residual
     # describe the reported tau (and bench/spans.py counts the tau_update call)
     a = a_from_tau(tau, cfg.N, cfg.L)
-    p, p0, TVS = _queue(tau, a, cfg) if cfg.mode is TrafficMode.UNSATM else (None, None, None)
+    unsatm = cfg.mode is TrafficMode.UNSATM
+    p, p0, TVS = _queue(a, attempt_terms(a, quiet_prob(tau, cfg.N)), cfg) if unsatm else (None,) * 3
     res = abs(tau_update(tau, a, cfg, p0) - tau)
     ok = res <= settings.tolerance
     fp = FixedPoint(tau=tau, a=a, iterations=it, residual=res, converged=ok, p=p, p0=p0,

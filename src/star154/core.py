@@ -1,4 +1,6 @@
-"""Domain types and protocol constants shared by every other module.
+"""Domain types and protocol constants shared by every other module, and the
+closed forms of one node's attempt and service that the analytical fixed point
+and metrics both run.
 
 Time unit everywhere is one symbol (16 us); one mini-slot = 1 symbol, and
 one backoff period = 20 symbols. Frame payload of L bytes occupies 2L symbols
@@ -96,6 +98,9 @@ CYCLE_YZN = CONSTANTS.tAck - CONSTANTS.aTurnaroundTime - 1  # the sum in y holds
 CYCLE_YZ_ACK = FAIL_EXTRA_SYMBOLS + CONSTANTS.macAckWaitDuration - ACK_SUC_SYMBOLS
 
 L_NOMINAL_RANGE = (30, 127)  # bytes; values outside only draw a warning
+# the most frames a MAC buffer may hold: 1.27 MB of 127-byte frames, beyond any
+# 802.15.4 node's RAM; queueing's near-one window builds an (M+1)-element list
+MAX_BUFFER = 10_000
 # frame lengths outside L_NOMINAL_RANGE already warned about in this process:
 # each distinct L warns once, so a sweep does not repeat it per grid point
 _warned_lengths: set[int] = set()
@@ -118,6 +123,7 @@ class NetworkConfig:
     M: int = 1
 
     def __post_init__(self):
+        object.__setattr__(self, "mode", TrafficMode(self.mode))  # the enum or its value
         if not isinstance(self.N, int) or self.N < 1:
             raise ValueError(f"node count must be a positive integer, got {self.N}")
         if not isinstance(self.L, int) or self.L < 1:
@@ -133,6 +139,8 @@ class NetworkConfig:
             raise ValueError(f"mode {self.mode.value} has one buffer: M must be 1, got {self.M}")
         if self.mode is TrafficMode.UNSATM and self.M <= 1:
             raise ValueError("multi-buffer mode requires M > 1")
+        if self.M > MAX_BUFFER:
+            raise ValueError(f"buffer M = {self.M} exceeds the cap of {MAX_BUFFER} frames")
         if not (self.r >= 0.0) or not math.isfinite(self.r):
             raise ValueError(f"arrival rate must be finite and >= 0, got {self.r}")
         if self.mode is not TrafficMode.SATURATED and self.r > 2 * self.L:
@@ -163,9 +171,10 @@ def quiet_prob(tau: float, N: int) -> float:
     return (1.0 - tau) ** (N - 1)
 
 
-# float exponents: float ** float calls the C library's pow on the same doubles
-# as float ** int, without converting the int on every call
-_CCA_LIMIT, _K_POWER = float(CCA_LIMIT), float(K_POWER)
+# float copies of the exact ints: float ** float calls the C library's pow on the same
+# doubles as float ** int, and a float * float term skips converting an int
+_CCA_LIMIT, _K_POWER, _RETRY_LIMIT, _T1 = map(float, (CCA_LIMIT, K_POWER, RETRY_LIMIT, T1_SYMBOLS))
+_T2_COEFFS, _T3_COEFFS = tuple(map(float, T2_COEFFS)), tuple(map(float, T3_PRINTED_COEFFS))
 
 
 def attempt_terms(a: float, k: float) -> tuple[float, ...]:
@@ -179,6 +188,87 @@ def attempt_terms(a: float, k: float) -> tuple[float, ...]:
     k26 = k**_K_POWER
     D = (1.0 - a5) * (1.0 - k26)
     return a**2.0, a**3.0, a**4.0, a5, k26, (1.0 - a5) * k26, a5, D, D**2.0, D**3.0
+
+
+def retry_stages(PSuc: float, PAcc: float, q: float, q2: float, q3: float) -> tuple[float, ...]:
+    """The flat 12 retry stages from one attempt's outcomes and the powers of PColl = q.
+
+    A service ends at stage i = 0..3: PS[0..3] (delivered after i collisions),
+    PC[0..3] (access drop) and PF[0..3] (still colliding; PF[3] is the
+    retry-limit drop). No range check: callers validate the probabilities.
+    """
+    # stage-0 weight: complement of ending at stages 1..3 instead
+    head = 1.0 - q - q2 - q3
+    return (
+        head * PSuc, q * PSuc, q2 * PSuc, q3 * PSuc,
+        head * PAcc, q * PAcc, q2 * PAcc, q3 * PAcc,
+        q, q2, q3, q**_RETRY_LIMIT,
+    )
+
+
+def _attempt_duration(c, powers, one: float, frame: float) -> float:
+    c0, c1, c2, c3, c4, c5 = c
+    a, a2, a3, a4, a5 = powers
+    return (c0 + c1 * a + c2 * a2 + c3 * a3 + c4 * a4 - c5 * a5 + frame * one) / one
+
+
+def attempt_durations(powers: tuple[float, ...], frame: float) -> tuple[float, float, float]:
+    """(T1, T2, T3) from the powers (a, a^2, a^3, a^4, a^5) and frame = float(2 * L).
+
+    The mean attempt durations in symbols: all mean backoffs and five CCAs,
+    until the ACK ends, until the ACK timeout. Refuses a outside [0, 1),
+    where 1 - a^5 vanishes.
+    """
+    a = powers[0]
+    if not 0.0 <= a < 1.0:
+        raise ValueError(f"a must be in [0,1): {a}")
+    one = 1.0 - powers[4]
+    return (
+        _T1,
+        _attempt_duration(_T2_COEFFS, powers, one, frame),
+        _attempt_duration(_T3_COEFFS, powers, one, frame),
+    )
+
+
+def stage_mass(stages: tuple[float, ...]) -> tuple[float, float]:
+    """Probability of delivery and of any service outcome, summed in stage order."""
+    s0, s1, s2, s3, c0, c1, c2, c3, _, _, _, drop = stages
+    delivered = s0 + s1 + s2 + s3
+    total = delivered + (c0 + c1 + c2 + c3) + drop
+    if total == 0.0:
+        raise ValueError("no service outcome has positive probability")
+    return delivered, total
+
+
+def service_delays(
+    stages: tuple[float, ...], T1: float, T2: float, T3: float
+) -> tuple[float, float | None, float]:
+    """PS, TS and TVS from the flat retry stages and the attempt durations.
+
+    A service ending at stage i spent i collided attempts (T3 each) before
+    its final attempt; a frame dropped at the retry limit spent RETRY_LIMIT.
+    """
+    delivered, total = stage_mass(stages)
+    s0, s1, s2, s3, c0, c1, c2, c3, _, _, _, drop = stages
+    PS = delivered / total
+    # stage i costs i * T3 before its last attempt; summed in stage order
+    ts_num = s0 * T2 + s1 * (T3 + T2) + s2 * (2.0 * T3 + T2) + s3 * (3.0 * T3 + T2)
+    TS = None if PS == 0.0 else ts_num / delivered
+    tvs_num = (
+        c0 * T1 + c1 * (T3 + T1) + c2 * (2.0 * T3 + T1) + c3 * (3.0 * T3 + T1)
+        + ts_num
+        + _RETRY_LIMIT * drop * T3
+    )
+    return PS, TS, tvs_num / total
+
+
+def service_chain(
+    a: float, terms: tuple[float, ...], frame: float
+) -> tuple[float, float | None, float]:
+    """PS, TS and TVS at busy probability a and frame = float(2 * L), from attempt_terms(a, k)."""
+    a2, a3, a4, a5, _, PSuc, PAcc, q, q2, q3 = terms
+    return service_delays(
+        retry_stages(PSuc, PAcc, q, q2, q3), *attempt_durations((a, a2, a3, a4, a5), frame))
 
 
 class Source(str, Enum):

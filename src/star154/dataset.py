@@ -43,6 +43,7 @@ class SweepSpec:
     base_seed: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "mode", TrafficMode(self.mode))  # the enum or its value
         axes = self.axes()
         if not all(axes):
             raise ValueError("empty grid")

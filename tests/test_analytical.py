@@ -20,7 +20,7 @@ from star154.analytical import (
     tau_update,
     throughput,
 )
-from star154.core import NetworkConfig, TrafficMode
+from star154.core import NetworkConfig, TrafficMode, attempt_terms, quiet_prob
 from star154.metrics import attempt_probs, delays, retry_probs, service_times
 
 from oracles import exact_a_from_tau, exact_tau_update, exact_throughput, exact_total_T
@@ -240,7 +240,6 @@ def test_solver_multibuffer_consistency():
     assert fp.converged
     assert fp.p0 is not None and fp.TVS is not None and fp.p is not None
     # the recorded queue state must reproduce itself through the metrics
-    from star154.core import quiet_prob
     from star154.metrics import attempt_probs, delays, retry_probs, service_times
     from star154.queueing import empty_prob, utilization
 
@@ -339,7 +338,6 @@ def test_warm_multibuffer_solve_and_report_execute_no_import(monkeypatch):
 def test_F_is_tau_update_at_the_public_queue_chain():
     # _map's F and _queue evaluate the multi-buffer queue in one pass; the public
     # chain builds each dataclass. Both must give the same bits everywhere.
-    from star154.core import quiet_prob
     from star154.queueing import empty_prob, utilization
 
     rng = np.random.Generator(np.random.PCG64(1717))
@@ -359,7 +357,7 @@ def test_F_is_tau_update_at_the_public_queue_chain():
                     _, tvs = delays(retry_probs(*attempt_probs(a, k)), *service_times(a, l))
                     p = utilization(r, l, tvs)
                     p0 = empty_prob(p, m)
-                    assert analytical._queue(tau, a, cfg) == (p, p0, tvs)
+                    assert analytical._queue(a, attempt_terms(a, k), cfg) == (p, p0, tvs)
                 want = tau_update(tau, a, cfg, p0) - tau
                 assert repr(F(tau)) == repr(want), (cfg, tau)
 
@@ -378,7 +376,6 @@ def _outcome(fn):
        tau=st.one_of(st.sampled_from([0.0, 5e-324, 1.0, -5e-324, 1.5, math.nan, math.inf]),
                      st.floats(0.0, 1.0)))
 def test_F_is_the_public_composition_property(mode, n, l, r, m, tau):
-    from star154.core import quiet_prob
     from star154.queueing import empty_prob, utilization
 
     cfg = NetworkConfig(N=n, L=l, mode=mode, r=r, M=m if mode is TrafficMode.UNSATM else 1)
@@ -464,7 +461,9 @@ def _map_values(cfg: NetworkConfig) -> list[str]:
     F, lines = analytical._map(cfg), []
     for tau in taus:
         a = a_from_tau(tau, cfg.N, cfg.L)
-        p0 = analytical._queue(tau, a, cfg)[1] if cfg.mode is TrafficMode.UNSATM else None
+        p0 = None
+        if cfg.mode is TrafficMode.UNSATM:
+            p0 = analytical._queue(a, attempt_terms(a, quiet_prob(tau, cfg.N)), cfg)[1]
         values = [F(tau), a, throughput(tau, cfg.N, cfg.L), tau_update(tau, a, cfg, p0)]
         if tau > 0.0:
             dist = channel_stationary(tau, cfg.N, cfg.L)

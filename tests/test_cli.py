@@ -42,6 +42,17 @@ def test_solve_reports_metrics_and_csv(capsys):
     assert lines[-1].startswith("# converged in ")
 
 
+def test_solve_takes_the_largest_buffer_and_refuses_a_larger_one(capsys):
+    argv = ["solve", "--mode", "unsatm", "--nodes", "10", "--frame-bytes", "50",
+            "--rate", "0.08", "--buffer"]
+    code, out, _ = _run(capsys, argv + ["10000"])
+    assert code == 0 and out.startswith("# mode=unsatm N=10 L=50 bytes r=0.08 M=10000\n")
+    with pytest.raises(SystemExit) as e:
+        main(argv + ["10001"])
+    assert e.value.code == 2
+    assert "buffer M = 10001 exceeds the cap of 10000 frames" in capsys.readouterr().err
+
+
 def test_solve_output_is_byte_identical(capsys):
     _, out1, _ = _run(capsys, SOLVE)
     _, out2, _ = _run(capsys, SOLVE)

@@ -160,6 +160,32 @@ def test_config_mode_buffer_rules():
     for M in (0, -3):
         with pytest.raises(ValueError, match="multi-buffer mode requires M > 1"):
             NetworkConfig(N=3, L=30, mode=TrafficMode.UNSATM, r=0.05, M=M)
+    NetworkConfig(N=3, L=30, mode=TrafficMode.UNSATM, r=0.05, M=core.MAX_BUFFER)
+    with pytest.raises(ValueError, match=f"exceeds the cap of {core.MAX_BUFFER} frames"):
+        NetworkConfig(N=3, L=30, mode=TrafficMode.UNSATM, r=0.05, M=core.MAX_BUFFER + 1)
+
+
+@pytest.mark.parametrize("mode", ["sat", TrafficMode.SATURATED, "unsatm", "bogus", 3])
+def test_config_and_sweep_store_the_mode_enum_from_the_enum_or_its_value(mode):
+    rate, buffer = (0.05, 3) if mode == "unsatm" else (0.0, 1)
+    if mode not in {m.value for m in TrafficMode}:
+        for make in (lambda: NetworkConfig(N=10, L=50, mode=mode),
+                     lambda: SweepSpec(mode=mode, N_values=(10,), L_values=(50,),
+                                       r_values=(0.05,), M_values=(1,))):
+            with pytest.raises(ValueError, match="is not a valid TrafficMode"):
+                make()
+        return
+    cfg = NetworkConfig(N=10, L=50, mode=mode, r=rate, M=buffer)
+    spec = SweepSpec(mode=mode, N_values=(10,), L_values=(50,), r_values=(rate,),
+                     M_values=(buffer,))
+    assert cfg.mode is spec.mode is TrafficMode(mode)
+    assert generate_grid(spec) == [cfg]
+    typed = dataclasses.replace(cfg, mode=TrafficMode(mode))
+    assert analytical.solve(cfg) == analytical.solve(typed)
+    if cfg.mode is TrafficMode.SATURATED:  # a plain "sat" once simulated an idle network
+        counters = run_replication(cfg, 4000, 400, seed=1)
+        assert counters == run_replication(typed, 4000, 400, seed=1)
+        assert counters.cca_starts > 0
 
 
 def test_config_rejects_arrival_probability_above_one():

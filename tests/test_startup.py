@@ -3,6 +3,8 @@
 Every import-guard case runs in a fresh interpreter and checks sys.modules
 after the command, never the time it took.
 """
+import ast
+import graphlib
 import importlib
 import json
 import os
@@ -66,12 +68,38 @@ def test_importing_the_package_loads_no_submodule_and_no_numpy():
     assert "numpy" not in loaded
 
 
-@pytest.mark.parametrize("first", ["metrics", "analytical"])
-def test_analytical_and_metrics_import_each_other_in_either_order_without_numpy(first):
-    # the two modules import each other; whichever comes first must finish loading both
-    loaded = _fresh(f"import json, sys, star154.{first}; print(json.dumps(sorted(sys.modules)))")
-    assert {"star154.analytical", "star154.metrics", "star154.queueing"} <= set(loaded)
+@pytest.mark.parametrize("module", ["metrics", "analytical"])
+def test_analytical_and_metrics_each_import_alone_without_numpy(module):
+    code = f"import json, sys, star154.{module}; print(json.dumps(sorted(sys.modules)))"
+    loaded = set(_fresh(code))
+    assert {"star154.analytical", "star154.core", "star154.queueing"} <= loaded
     assert "numpy" not in loaded
+    if module == "analytical":  # metrics imports analytical, never the other way round
+        assert not {"star154.metrics", "star154.dataset"} & loaded
+
+
+def _package_imports() -> dict[str, set[str]]:
+    """Each module of the package -> the package modules it imports anywhere in its body."""
+    package = Path(SRC) / "star154"
+    modules = {path.stem for path in package.glob("*.py")}
+    graph = {}
+    for path in package.glob("*.py"):
+        imported = set()
+        for node in ast.walk(ast.parse(path.read_text())):  # function-level imports too
+            if isinstance(node, ast.ImportFrom) and node.level == 1:  # from .x import y
+                names = [node.module] if node.module else [a.name for a in node.names]
+                imported |= {name for name in names if name in modules}  # from . import x
+        graph[path.stem] = imported
+    return graph
+
+
+def test_package_imports_form_a_dag():
+    graph = _package_imports()
+    assert "analytical" in graph["metrics"]  # the parse sees the package's own edges
+    try:
+        graphlib.TopologicalSorter(graph).prepare()
+    except graphlib.CycleError as e:
+        pytest.fail(f"import cycle: {' -> '.join(e.args[1])}")
 
 
 @pytest.fixture(scope="module")
