@@ -77,18 +77,18 @@ CLEAN_COLLISION_SYMBOLS = ATTEMPT_STEPS[0] + COLLISION_TAIL
 # (c0..c5) of the successful-attempt duration
 # (c0 + c1 a + c2 a^2 + c3 a^3 + c4 a^4 - c5 a^5 + 2L (1 - a^5)) / (1 - a^5)
 T2_COEFFS = (CLEAN_SUCCESS_SYMBOLS, *ATTEMPT_STEPS[1:], T1_SYMBOLS + SUCCESS_TAIL)
-# T3's (c0..c5), printed in the paper, not derived: unlike T2's, they leave 48 at a = 1
-T3_PRINTED_COEFFS = (144, 170, 330, 330, 330, 1256)
+# T3's (c0..c5) as printed in the paper, not the collided attempt's own sum: they leave 48 at a = 1
+T3_PRINTED_COEFFS = tuple(c + ACK_WAIT_SAVING for c in T2_COEFFS)
 CCA_LIMIT = CONSTANTS.macMaxCSMABackoffs + 1  # CCAs per attempt: PAcc = a**CCA_LIMIT
 RETRY_LIMIT = CONSTANTS.aMaxFrameRetries + 1  # attempts per frame: PColl**RETRY_LIMIT
 K_POWER = 26  # PSuc = (1 - PAcc) k**K_POWER: printed, not derived
-IDLE1_SYMBOLS = 19  # the channel chain's first state (analytical.channel_stationary): printed
 FAIL_EXTRA_SYMBOLS = 6  # TxFail and AckFail last 2L + FAIL_EXTRA_SYMBOLS: printed, not derived
 WAIT_STATES = CONSTANTS.aTurnaroundTime  # n: CW1..CWn and IW1..IWn, one symbol each
 ACK_SUC_SYMBOLS = CONSTANTS.ackFrameSymbols - CONSTANTS.aTurnaroundTime
 ACK_FAIL_POWER = WAIT_STATES + 1  # AckFail's weight (1 - z**ACK_FAIL_POWER) y z**n
 ACK_SUC_POWER = 2 * WAIT_STATES + 1  # AckSuc's weight y z**ACK_SUC_POWER
-CLEAN_CCA_STARTS = IDLE1_SYMBOLS - CONSTANTS.ccaSymbols + 1  # IDLE1 symbols a CCA fits in from
+CLEAN_CCA_STARTS = CONSTANTS.aTurnaroundTime  # two CCAs starting this close both read idle
+IDLE1_SYMBOLS = CLEAN_CCA_STARTS + CONSTANTS.ccaSymbols - 1  # channel_stationary's first state
 # The cycle length T, durations times weights summed over the states, collected:
 # 2L + CYCLE_ONE - (2L + CYCLE_X) x + y (1 + z + ... + z**(ACK_SUC_POWER - 1))
 # + (2L + CYCLE_YZN) y z**n - (2L + CYCLE_YZ_ACK) y z**ACK_SUC_POWER
@@ -124,10 +124,15 @@ class NetworkConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "mode", TrafficMode(self.mode))  # the enum or its value
+        for name in ("N", "L", "M", "r"):  # a bool is an int to Python: True would pass as 1
+            if isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be a number, not a bool, got {getattr(self, name)}")
         if not isinstance(self.N, int) or self.N < 1:
-            raise ValueError(f"node count must be a positive integer, got {self.N}")
+            raise ValueError(f"node count N must be a positive integer, got {self.N}")
         if not isinstance(self.L, int) or self.L < 1:
-            raise ValueError(f"frame length must be a positive integer, got {self.L}")
+            raise ValueError(f"frame length L must be a positive integer, got {self.L}")
+        if not isinstance(self.M, int):
+            raise ValueError(f"buffer M must be an integer, got {self.M}")
         lo, hi = L_NOMINAL_RANGE
         if not lo <= self.L <= hi and self.L not in _warned_lengths:
             _warned_lengths.add(self.L)

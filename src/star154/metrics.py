@@ -15,13 +15,13 @@ import math
 from . import queueing  # a module, not names: a wrapper put on it counts report's calls
 from .analytical import FixedPoint, throughput
 from .core import (
-    NetworkConfig, PerformanceReport, Source, TrafficMode, attempt_durations, attempt_terms,
-    quiet_prob, retry_stages, service_chain, service_delays, stage_mass,
+    RETRY_LIMIT, NetworkConfig, PerformanceReport, Source, TrafficMode, attempt_durations,
+    attempt_terms, quiet_prob, retry_stages, service_chain, service_delays, stage_mass,
 )
 
-# lower bounds of the 12 retry stages: the stage-0 weights carry the paper's
-# factor 1 - q - q^2 - q^3, which falls to -2 as PColl = q rises to 1
-_STAGE_FLOOR = (-2.0, 0.0, 0.0, 0.0, -2.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+# lower bounds of the 12 retry stages: the stage-0 weights carry the paper's factor
+# 1 - q - q^2 - q^3, which falls to 2 - RETRY_LIMIT as PColl = q rises to 1
+_STAGE_FLOOR = (2.0 - RETRY_LIMIT, 0.0, 0.0, 0.0) * 2 + (0.0, 0.0, 0.0, 0.0)
 
 
 def service_times(a: float, L: int) -> tuple[float, float, float]:

@@ -1,4 +1,4 @@
-"""tools/bench_pairs.py's reading of pytest's output for the tier1 workload."""
+"""tools/bench_pairs.py: its reading of pytest's output for the tier1 workload and its RSS fit."""
 import importlib.util
 from pathlib import Path
 
@@ -42,3 +42,36 @@ def test_pytest_durations_keep_seconds_phase_and_test_id():
     ]
     assert [d["phase"] for d in slowest] == ["call", "call", "setup", "call"]
     assert slowest[-1]["test"] == "tests/test_core.py::test_windows[a b-30]"
+
+
+def _canned(runs):
+    """A stand-in for bench_pairs._run that replays (repetitions, peak_rss_mb) pairs."""
+    def run(tree, workload, seed, seconds, trace):
+        repetitions, rss = runs.pop(0)
+        metrics = {"rate_per_s": {"value": 10.0}, "peak_rss_mb": {"value": rss}}
+        return ({"repetitions": repetitions, "checks": {}},
+                {"metrics": metrics, "failed": 0, "attempted": 1, "correct": True})
+    return run
+
+
+def test_rss_repetition_headroom_follows_the_parent_slope(monkeypatch):
+    spec = {"rate_per_s": {"better": "higher", "bound": 0.25},
+            "peak_rss_mb": {"better": "lower", "bound": 0.1}}
+    # 0.01 MiB (10.24 KiB) per repetition from 40 MiB; both sides of a pair run the same
+    reps = [900, 1000, 1100, 1000]
+    runs = [(r, 40.0 + 0.01 * r) for r in reps for _ in range(2)]
+    monkeypatch.setattr(bench_pairs, "_run", _canned(runs))
+    out = bench_pairs._pairs(dict.fromkeys(bench_pairs.SIDES), "sweep", [1, 2, 3, 4], 1.0, spec)
+    assert out["rss_kib_per_repetition"]["parent"] == 10.24
+    # 10% of the 50 MiB median is 500 repetitions over the median of 1000
+    assert out["rss_repetition_headroom"] == {"repetitions": 500.0, "factor": 1.5}
+    # a flat or falling slope sets no bound on repetitions
+    runs = [(1000, 50.0)] * 4
+    monkeypatch.setattr(bench_pairs, "_run", _canned(runs))
+    assert bench_pairs._pairs(dict.fromkeys(bench_pairs.SIDES), "sweep", [1, 2], 1.0, spec)["rss_repetition_headroom"] is None
+    assert bench_pairs._rss_headroom(-3.0, 50.0, reps, 0.1) is None
+    # BENCH_32's parent fits: sweep, simulate and pipeline
+    assert [bench_pairs._rss_headroom(*fit, 0.1) for fit in (
+        (18.196, 54.666016, [983]), (4.498, 39.644531, [650]), (90.561, 45.751953, [81, 82]),
+    )] == [{"repetitions": 307.6, "factor": 1.313}, {"repetitions": 902.5, "factor": 2.389},
+           {"repetitions": 51.7, "factor": 1.635}]

@@ -53,24 +53,38 @@ def test_derived_coefficients_equal_the_printed_integers():
     assert core.ACK_SUC_SYMBOLS == c.ackFrameSymbols - c.aTurnaroundTime == 10
     assert (core.ACK_FAIL_POWER, core.ACK_SUC_POWER) == (c.aTurnaroundTime + 1,
                                                          2 * c.aTurnaroundTime + 1) == (13, 25)
-    assert core.CLEAN_CCA_STARTS == core.IDLE1_SYMBOLS - c.ccaSymbols + 1 == 12
-    # printed in the paper, not derived
-    assert (core.IDLE1_SYMBOLS, core.FAIL_EXTRA_SYMBOLS, core.K_POWER) == (19, 6, 26)
+    assert core.CLEAN_CCA_STARTS == c.aTurnaroundTime == 12
+    assert core.IDLE1_SYMBOLS == core.CLEAN_CCA_STARTS + c.ccaSymbols - 1 == 19
     assert core.T3_PRINTED_COEFFS == (144, 170, 330, 330, 330, 1256)
+    # printed in the paper, not derived: each has its simulated counterpart recorded below
+    assert (core.FAIL_EXTRA_SYMBOLS, core.K_POWER) == (6, 26)
+
+
+def _two_nodes(L: int, d: int) -> tuple[tuple[list, list], int]:
+    """Two nodes: A's CCA starts at t0 and B's at t0 + d, and each retry backs off 40
+    periods, out of the way. Each node's (event, detail) trace and the channel's busy
+    symbols, until A's first attempt has ended, 2L + 86 symbols after t0 at the latest."""
+    t0, lines = 1000, []
+    counters = run_replication(
+        NetworkConfig(N=2, L=L, mode=TrafficMode.UNSAT1, r=1e-9), t0 + 2 * L + 100, 0,
+        seed=0, trace_sink=lines, max_trace=200,
+        arrival_schedule={0: [t0], 1: [t0 + d]},
+        backoff_schedule={0: [0] + [40] * 8, 1: [0] + [40] * 8})
+    events = ([], [])
+    for line in lines:
+        _, node, event, detail = line.split("\t")
+        events[int(node)].append((event, detail))
+    return events, counters.channel_busy_symbols
+
+
+def _first_cca(events: list) -> str:
+    return next(detail for event, detail in events if event == "cca_result")
 
 
 def _first_attempt_fails_after_a_clean_cca(L: int, d: int) -> bool:
-    """Two nodes: A's CCA starts at t0 and B's at t0 + d. Does A's first attempt, made after
-    an idle CCA, fail? B's retries back off 40 periods each, out of A's way."""
-    t0, lines = 1000, []
-    run_replication(NetworkConfig(N=2, L=L, mode=TrafficMode.UNSAT1, r=1e-9), t0 + 3000, 0,
-                    seed=0, trace_sink=lines, max_trace=200,
-                    arrival_schedule={0: [t0], 1: [t0 + d]},
-                    backoff_schedule={0: [0], 1: [0] + [40] * 8})
-    events = [line.split("\t")[2:] for line in lines if line.split("\t")[1] == "0"]
-    cca = next(detail for event, detail in events if event == "cca_result")
-    outcome = next(event for event, _ in events if event in ("retry", "deliver"))
-    return cca == "idle" and outcome == "retry"
+    """Does A's first attempt, made after an idle CCA, fail?"""
+    (a, _), _ = _two_nodes(L, d)
+    return _first_cca(a) == "idle" and any(event == "retry" for event, _ in a)
 
 
 @pytest.mark.parametrize("L", [30, 100])
@@ -94,6 +108,38 @@ def test_simulated_collision_windows_beside_the_printed_constants(L):
     numerator = lambda c: sum(c[:5]) - c[5]
     assert (numerator(core.T2_COEFFS), numerator(core.T3_PRINTED_COEFFS)) == (0, 4 * saving)
     assert 4 * saving == 48
+
+
+@pytest.mark.parametrize("L", [30, 100])
+def test_simulated_clean_cca_window_gives_idle1(L):
+    # over the offsets at which the two frames, if both sent, would overlap, both CCAs
+    # read idle exactly when they start within the turnaround of each other
+    idle = [d for d in range(1 - 2 * L, 2 * L)
+            if all(_first_cca(node) == "idle" for node in _two_nodes(L, d)[0])]
+    assert idle == list(range(-CONSTANTS.aTurnaroundTime, CONSTANTS.aTurnaroundTime + 1))
+    # so IDLE1's 19 is those 12 starts, then one 8-symbol CCA from the last of them
+    assert (core.CLEAN_CCA_STARTS, core.IDLE1_SYMBOLS) == (12, 12 + 8 - 1)
+
+
+@pytest.mark.parametrize("L", [30, 100])
+def test_simulated_collision_overhang_beside_the_printed_fail_extra(L):
+    # two data frames sent d symbols apart collide for |d| <= 12 and keep the channel busy
+    # for 2L + |d|; at 13 the later CCA already sees the earlier frame, which is delivered
+    overhang = {}
+    for d in range(-13, 14):
+        events, busy = _two_nodes(L, d)
+        if ("tx_end", "collided=1") in events[0]:
+            overhang[d] = busy - 2 * L
+        else:
+            earlier, later = events if d > 0 else events[::-1]
+            assert abs(d) == 13 and _first_cca(later) == "busy"
+            assert any(event == "deliver" for event, _ in earlier)
+    assert overhang == {d: abs(d) for d in range(-12, 13)}
+    # TxFail and AckFail's printed 2L + 6 is the mean over the 13 offsets 0..12; over the
+    # 25 offsets -12..12, as the K_POWER test counts the data window, it is 156/25 = 6.24
+    one_sided = Fraction(sum(overhang[d] for d in range(13)), 13)
+    two_sided = Fraction(sum(overhang.values()), len(overhang))
+    assert (one_sided, two_sided) == (core.FAIL_EXTRA_SYMBOLS, Fraction(156, 25))
 
 
 def test_cycle_totals_collect_the_state_table():
@@ -136,6 +182,25 @@ def test_closed_forms_take_their_protocol_numbers_from_core(module):
     assert literals == []
 
 
+def test_core_writes_no_protocol_number_outside_constants():
+    # a module-level name bound to an int literal above 3, or to an expression holding one,
+    # is a second source of a protocol number: ProtocolConstants' field defaults, in its
+    # class body, are the first. Allowed: the printed numbers kept beside their simulated
+    # counterparts, and two bounds of the model's domain
+    allowed = {"K_POWER", "FAIL_EXTRA_SYMBOLS", "L_NOMINAL_RANGE", "MAX_BUFFER"}
+    bindings = []
+    for node in ast.parse(inspect.getsource(core)).body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+            if any(type(c.value) is int and c.value > 3 for c in ast.walk(node.value)
+                   if isinstance(c, ast.Constant)):
+                bindings.append(names)
+    assert [names for names in bindings if not names <= allowed] == []
+    assert bindings == [{name} for name in ("K_POWER", "FAIL_EXTRA_SYMBOLS",
+                                            "L_NOMINAL_RANGE", "MAX_BUFFER")]
+
+
 def test_constants_are_immutable():
     with pytest.raises(AttributeError):
         CONSTANTS.macMinBE = 4  # type: ignore[misc]
@@ -160,6 +225,11 @@ def test_config_mode_buffer_rules():
     for M in (0, -3):
         with pytest.raises(ValueError, match="multi-buffer mode requires M > 1"):
             NetworkConfig(N=3, L=30, mode=TrafficMode.UNSATM, r=0.05, M=M)
+    # a bool is an int to Python, and a buffer holds whole frames
+    for name, value in (("N", True), ("L", True), ("M", True), ("r", True), ("M", 2.5)):
+        fields = {"N": 5, "L": 30, "mode": TrafficMode.UNSATM, "r": 0.05, "M": 3, name: value}
+        with pytest.raises(ValueError, match=rf"\b{name} must be .*, got {value}$"):
+            NetworkConfig(**fields)
     NetworkConfig(N=3, L=30, mode=TrafficMode.UNSATM, r=0.05, M=core.MAX_BUFFER)
     with pytest.raises(ValueError, match=f"exceeds the cap of {core.MAX_BUFFER} frames"):
         NetworkConfig(N=3, L=30, mode=TrafficMode.UNSATM, r=0.05, M=core.MAX_BUFFER + 1)

@@ -36,6 +36,12 @@ the harness keeps per repetition shows there, apart from the package's own.
 `rss_mb_at_zero_repetitions` holds the same fit's intercept, in MiB: the
 process's memory before any repetition, where the package's own shows. Both
 are null when every run of a side fitted the same number of repetitions.
+`rss_repetition_headroom` holds how many repetitions a run may fit beyond
+the parent's median before the parent's slope carries the parent's median
+`peak_rss_mb` past its bound, and the `factor` of the parent's median
+repetitions that leaves: how much faster a change may run before the
+harness's own memory alone fails that bound. It is null when the parent's
+slope is null or not positive.
 `--trace-workloads` adds one `--trace 1` run of each side per named
 workload (seed TRACE_SEED, TRACE_SECONDS long) and
 records its exact per-layer metrics (unit count or bytes); `differs` names
@@ -194,6 +200,17 @@ def _rss_fit(runs: list[tuple[dict, dict]]) -> tuple[float | None, float | None]
     return round(1024 * fit.slope, 3), round(fit.intercept, 3)
 
 
+def _rss_headroom(slope_kib: float | None, rss_mb: float, repetitions: list[int],
+                  bound: float) -> dict | None:
+    """Repetitions past the median of repetitions before slope_kib carries rss_mb past bound,
+    and the factor of that median they reach; None without a positive slope."""
+    if slope_kib is None or slope_kib <= 0:
+        return None
+    extra = bound * rss_mb * 1024 / slope_kib
+    median = statistics.median(repetitions)
+    return {"repetitions": round(extra, 1), "factor": round((median + extra) / median, 3)}
+
+
 def _verdict(parent: dict, change: dict, direction: str, bound: float) -> dict:
     """Whether the change's median is worse than the parent's by more than bound.
 
@@ -261,6 +278,9 @@ def _pairs(trees: dict, workload: str, seeds: list[int], seconds: float, spec: d
         entry = _compared(values, metric["better"])
         entry.update(_verdict(entry["parent"], entry["change"], metric["better"], metric["bound"]))
         out[name] = entry
+    out["rss_repetition_headroom"] = _rss_headroom(
+        fits["parent"][0], out["peak_rss_mb"]["parent"]["median"], out["repetitions"]["parent"],
+        spec["peak_rss_mb"]["bound"])
     return out
 
 
